@@ -124,4 +124,4 @@ from .errors import (
     SingularityError,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

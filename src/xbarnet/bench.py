@@ -322,6 +322,15 @@ def score(predictions: np.ndarray, labels: np.ndarray, n_classes: int
         raise DimensionError(
             f"predictions {predictions.shape} vs labels {labels.shape}"
         )
+    for name, values in (("prediction", predictions), ("label", labels)):
+        # a negative index would wrap into the confusion matrix silently
+        bad = np.flatnonzero((values < 0) | (values >= n_classes))
+        if bad.size:
+            i = int(bad[0])
+            raise DimensionError(
+                f"{name} {values.flat[i]} at index {i} lies outside "
+                f"[0, {n_classes})"
+            )
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(confusion, (labels, predictions), 1)
     correct = int(np.trace(confusion))

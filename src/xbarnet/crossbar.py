@@ -183,10 +183,10 @@ def build_crossbar(
 
 
 def _check_read_regime(v):
-    if np.any(np.abs(v) > dev.READ_REGIME_MAX):
+    if not np.all(np.abs(v) <= dev.READ_REGIME_MAX):  # NaN fails too
         raise ReadRegimeError(
-            f"input voltages exceed the read regime limit of "
-            f"{dev.READ_REGIME_MAX} V"
+            f"input voltages must be finite and within the read regime "
+            f"limit of {dev.READ_REGIME_MAX} V"
         )
 
 

@@ -193,12 +193,14 @@ def effective_conductance(g, spec: DeviceSpec, t=None):
 def read_terms(g, kappa, v, spec: DeviceSpec, t=None):
     """Per-device read current I = g_eff * v * (1 + kappa * v), elementwise.
 
-    Raises ReadRegimeError if any |v| exceeds the non-disturbing window.
+    Raises ReadRegimeError if any v is NaN or |v| exceeds the
+    non-disturbing window.
     """
     v = np.asarray(v, dtype=np.float64) if np.ndim(v) else float(v)
-    if np.any(np.abs(v) > READ_REGIME_MAX):
+    if not np.all(np.abs(v) <= READ_REGIME_MAX):  # NaN fails too
         raise ReadRegimeError(
-            f"|v| exceeds the read regime limit of {READ_REGIME_MAX} V"
+            f"|v| must be finite and within the read regime limit of "
+            f"{READ_REGIME_MAX} V"
         )
     g_eff = effective_conductance(g, spec, t)
     return g_eff * v * (1.0 + kappa * v)

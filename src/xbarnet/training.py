@@ -12,13 +12,16 @@ device of the pair is stuck, the weight reparameterizes onto the remaining
 free device, which changes c, d, and the feasible weight box; a fully stuck
 pair freezes w.  A precursor run is the same engine with c = d = 0 and no
 frozen cells, so defect-aware training with empty maps is bit-identical to
-it under one seed.
+it under one seed; the engine skips the quadratic products there, which
+are exactly zero.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -55,6 +58,27 @@ class NoisePhase(enum.Enum):
     BOTH = "both"
 
 
+def _require_finite(cfg, *names: str):
+    """Real-valued fields must be finite numbers: NaN passes every x <= 0
+    test."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ConfigError(
+                f"{name} must be a finite number, got {value!r}"
+            )
+
+
+def _require_count(cfg, *names: str):
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < 0:
+            raise ConfigError(
+                f"{name} must be a nonnegative integer, got {value!r}"
+            )
+
+
 @dataclass(frozen=True)
 class TrainHyper:
     lr: float = 0.05
@@ -71,14 +95,15 @@ class TrainHyper:
     init_scale: float = 0.02
 
     def __post_init__(self):
+        _require_finite(self, "lr", "early_stop_fidelity", "target_volts",
+                        "init_scale")
+        _require_count(self, "epochs", "margin_epochs")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size must be positive when given")
-        if self.margin_epochs < 0:
-            raise ConfigError("margin_epochs must be nonnegative")
+        if self.batch_size is not None:
+            _require_count(self, "batch_size")
+            if self.batch_size < 1:
+                raise ConfigError("batch_size must be positive when given")
         if self.target_volts <= 0 or self.init_scale < 0:
             raise ConfigError("target_volts > 0 and init_scale >= 0 required")
 
@@ -96,12 +121,13 @@ class InSituConfig:
     half_select: bool = True
 
     def __post_init__(self):
+        _require_finite(self, "v_pulse_set", "v_pulse_reset", "width",
+                        "target_volts")
+        _require_count(self, "epochs")
         if self.v_pulse_set <= 0 or self.v_pulse_reset <= 0:
             raise ConfigError("pulse amplitudes must be positive")
         if self.width <= 0:
             raise ConfigError("pulse width must be positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be nonnegative")
         if self.target_volts <= 0:
             raise ConfigError("target_volts must be positive")
 
@@ -164,7 +190,12 @@ def kappa_from_asymmetry(asym_percent: np.ndarray, v_read: float) -> np.ndarray:
 
 @dataclass
 class LayerModel:
-    """One layer of the software forward model, per differential pair."""
+    """One layer of the software forward model, per differential pair.
+
+    c, d and frozen are fixed once the layer is built, so whether the layer
+    has any quadratic term or any frozen pair is read from them once, here;
+    a fit changes only w.
+    """
 
     w: np.ndarray
     c: np.ndarray
@@ -177,6 +208,12 @@ class LayerModel:
     stuck_minus: np.ndarray
     g_stuck_plus: np.ndarray
     g_stuck_minus: np.ndarray
+    quadratic: bool = field(init=False)
+    any_frozen: bool = field(init=False)
+
+    def __post_init__(self):
+        self.quadratic = bool(np.any(self.c) or np.any(self.d))
+        self.any_frozen = bool(np.any(self.frozen))
 
 
 def _blank_layer(rows: int, pairs: int, limit: float | None) -> LayerModel:
@@ -212,46 +249,40 @@ def _layer_from_maps(
     stuck = np.asarray(flags) != DefectKind.NONE
     sp, sm = stuck[:, 0::2], stuck[:, 1::2]
     g_mid = 0.5 * (spec.g_min + spec.g_max)
-
-    layer = _blank_layer(g_map.shape[0], g_map.shape[1] // 2, limit)
-    layer.stuck_plus = sp.copy()
-    layer.stuck_minus = sm.copy()
-    layer.g_stuck_plus = np.where(sp, gp, np.nan)
-    layer.g_stuck_minus = np.where(sm, gm, np.nan)
+    w_lo = np.full(sp.shape, -float(limit))
+    w_hi = np.full(sp.shape, float(limit))
 
     free = ~sp & ~sm
-    layer.c = np.where(free, r_f * g_mid * (kp - km), 0.0)
-    layer.d = np.where(free, 0.5 * (kp + km), 0.0)
+    c = np.where(free, r_f * g_mid * (kp - km), 0.0)
+    d = np.where(free, 0.5 * (kp + km), 0.0)
 
     only_p = sp & ~sm
-    layer.c = np.where(only_p, r_f * gp * (kp - km), layer.c)
-    layer.d = np.where(only_p, km, layer.d)
-    layer.w_lo = np.where(only_p,
-                          np.maximum(r_f * (gp - spec.g_max), -limit),
-                          layer.w_lo)
-    layer.w_hi = np.where(only_p,
-                          np.minimum(r_f * (gp - spec.g_min), limit),
-                          layer.w_hi)
+    c = np.where(only_p, r_f * gp * (kp - km), c)
+    d = np.where(only_p, km, d)
+    w_lo = np.where(only_p, np.maximum(r_f * (gp - spec.g_max), -limit), w_lo)
+    w_hi = np.where(only_p, np.minimum(r_f * (gp - spec.g_min), limit), w_hi)
 
     only_m = ~sp & sm
-    layer.c = np.where(only_m, r_f * gm * (kp - km), layer.c)
-    layer.d = np.where(only_m, kp, layer.d)
-    layer.w_lo = np.where(only_m,
-                          np.maximum(r_f * (spec.g_min - gm), -limit),
-                          layer.w_lo)
-    layer.w_hi = np.where(only_m,
-                          np.minimum(r_f * (spec.g_max - gm), limit),
-                          layer.w_hi)
+    c = np.where(only_m, r_f * gm * (kp - km), c)
+    d = np.where(only_m, kp, d)
+    w_lo = np.where(only_m, np.maximum(r_f * (spec.g_min - gm), -limit), w_lo)
+    w_hi = np.where(only_m, np.minimum(r_f * (spec.g_max - gm), limit), w_hi)
 
+    # built last: LayerModel reads its flags from c, d and frozen
     both = sp & sm
     w_frozen = r_f * (gp - gm)
-    layer.c = np.where(both, r_f * (gp * kp - gm * km), layer.c)
-    layer.d = np.where(both, 0.0, layer.d)
-    layer.w_lo = np.where(both, w_frozen, layer.w_lo)
-    layer.w_hi = np.where(both, w_frozen, layer.w_hi)
-    layer.w = np.where(both, w_frozen, layer.w)
-    layer.frozen = both
-    return layer
+    return LayerModel(
+        w=np.where(both, w_frozen, 0.0),
+        c=np.where(both, r_f * (gp * kp - gm * km), c),
+        d=np.where(both, 0.0, d),
+        w_lo=np.where(both, w_frozen, w_lo),
+        w_hi=np.where(both, w_frozen, w_hi),
+        frozen=both,
+        stuck_plus=sp.copy(),
+        stuck_minus=sm.copy(),
+        g_stuck_plus=np.where(sp, gp, np.nan),
+        g_stuck_minus=np.where(sm, gm, np.nan),
+    )
 
 
 @dataclass
@@ -315,24 +346,43 @@ def _with_bias(x: np.ndarray, bias: bool, v: float) -> np.ndarray:
     return np.hstack([x, np.full((x.shape[0], 1), v)])
 
 
-def software_forward(snet: SoftwareNet, levels: np.ndarray):
-    """Batched forward pass; returns (y, hidden, vdiff1, vdiff2, x1, x2)."""
+def _input_drive(snet: SoftwareNet, levels: np.ndarray) -> np.ndarray:
+    """Layer-1 input volts for a batch of drive levels, bias column
+    included."""
     levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
-    x1 = _with_bias(snet.input_voltage * levels, snet.bias1,
-                    snet.input_voltage)
-    q1 = x1 * x1
-    l1 = snet.layer1
-    vdiff1 = x1 @ l1.w + q1 @ (l1.c + l1.d * l1.w)
+    return _with_bias(snet.input_voltage * levels, snet.bias1,
+                      snet.input_voltage)
+
+
+def _vdiff(x: np.ndarray, layer: LayerModel) -> np.ndarray:
+    """x @ w + (x*x) @ (c + d*w), the second term skipped on a layer whose
+    c and d are all zero, where it is exactly zero."""
+    vdiff = x @ layer.w
+    if layer.quadratic:
+        vdiff += (x * x) @ (layer.c + layer.d * layer.w)
+    return vdiff
+
+
+def _forward(snet: SoftwareNet, x1: np.ndarray):
+    vdiff1 = _vdiff(x1, snet.layer1)
     hp = snet.hidden_params
     a1 = hp.gain * vdiff1
     hidden = np.clip(a1, -hp.v_sat, hp.v_sat) * (hp.out_swing / hp.v_sat)
     x2 = _with_bias(hidden, snet.bias2, snet.input_voltage)
-    q2 = x2 * x2
-    l2 = snet.layer2
-    vdiff2 = x2 @ l2.w + q2 @ (l2.c + l2.d * l2.w)
+    vdiff2 = _vdiff(x2, snet.layer2)
     op = snet.output_params
     y = np.clip(op.gain * vdiff2, -op.v_sat, op.v_sat)
     return y, hidden, vdiff1, vdiff2, x1, x2
+
+
+def software_forward(snet: SoftwareNet, levels: np.ndarray):
+    """Batched forward pass; returns (y, hidden, vdiff1, vdiff2, x1, x2).
+
+    Each layer computes vdiff = x @ w + (x*x) @ (c + d*w).  On a layer
+    whose c and d are all zero (both layers of a precursor fit) the
+    quadratic term is exactly zero and is skipped, as is x*x.
+    """
+    return _forward(snet, _input_drive(snet, levels))
 
 
 def _loss_delta(y: np.ndarray, labels: np.ndarray, loss: Loss,
@@ -361,33 +411,46 @@ def loss_and_grads(
 ) -> tuple[float, np.ndarray, np.ndarray, int]:
     """(loss, dW1, dW2, misclassification count) for one batch.
 
-    Gradients on frozen pairs are zeroed; the caller applies boxes.
+    Gradients on frozen pairs are zeroed; the caller applies boxes.  The
+    quadratic terms are skipped on a layer without any, as in
+    software_forward.
     """
-    y, hidden, vdiff1, vdiff2, x1, x2 = software_forward(snet, levels)
+    return _loss_and_grads(snet, _input_drive(snet, levels), labels, loss,
+                           target_volts)
+
+
+def _dw(x: np.ndarray, delta: np.ndarray, layer: LayerModel) -> np.ndarray:
+    dw = x.T @ delta
+    if layer.quadratic:
+        dw += layer.d * ((x * x).T @ delta)
+    if layer.any_frozen:
+        dw[layer.frozen] = 0.0
+    return dw
+
+
+def _loss_and_grads(snet: SoftwareNet, x1: np.ndarray, labels: np.ndarray,
+                    loss: Loss, target_volts: float):
+    y, hidden, vdiff1, vdiff2, _, x2 = _forward(snet, x1)
     labels = np.asarray(labels)
     n_err = int(np.sum(np.argmax(y, axis=1) != labels))
     value, dy = _loss_delta(y, labels, loss, target_volts)
 
-    l1, l2 = snet.layer1, snet.layer2
+    l2 = snet.layer2
     hp, op = snet.hidden_params, snet.output_params
     lin2 = (np.abs(op.gain * vdiff2) < op.v_sat).astype(np.float64)
     delta2 = dy * op.gain * lin2
-    q2 = x2 * x2
-    dw2 = x2.T @ delta2 + l2.d * (q2.T @ delta2)
-    dx2 = delta2 @ l2.w.T + 2.0 * x2 * (delta2 @ (l2.c + l2.d * l2.w).T)
+    dx2 = delta2 @ l2.w.T
+    if l2.quadratic:
+        dx2 += 2.0 * x2 * (delta2 @ (l2.c + l2.d * l2.w).T)
     dh = dx2[:, : hidden.shape[1]]
     lin1 = (np.abs(hp.gain * vdiff1) < hp.v_sat).astype(np.float64)
     delta1 = dh * (hp.gain * hp.out_swing / hp.v_sat) * lin1
-    q1 = x1 * x1
-    dw1 = x1.T @ delta1 + l1.d * (q1.T @ delta1)
-    dw1[l1.frozen] = 0.0
-    dw2[l2.frozen] = 0.0
-    return value, dw1, dw2, n_err
+    return value, _dw(x1, delta1, snet.layer1), _dw(x2, delta2, l2), n_err
 
 
-def _count_errors(snet: SoftwareNet, levels: np.ndarray,
+def _count_errors(snet: SoftwareNet, x1: np.ndarray,
                   labels: np.ndarray) -> int:
-    y, *_ = software_forward(snet, levels)
+    y, *_ = _forward(snet, x1)
     return int(np.sum(np.argmax(y, axis=1) != labels))
 
 
@@ -399,7 +462,8 @@ def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
         init = rng.normal(0.0, hyper.init_scale, layer.w.shape)
         layer.w = np.where(layer.frozen, layer.w,
                            np.clip(init, layer.w_lo, layer.w_hi))
-    n = levels.shape[0]
+    x1 = _input_drive(snet, levels)
+    n = x1.shape[0]
     bs = hyper.batch_size or n
     trace = []
     tail = 0
@@ -407,9 +471,8 @@ def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
         order = rng.permutation(n) if bs < n else np.arange(n)
         for start in range(0, n, bs):
             idx = order[start:start + bs]
-            value, dw1, dw2, _ = loss_and_grads(
-                snet, levels[idx], labels[idx], hyper.loss,
-                hyper.target_volts,
+            value, dw1, dw2, _ = _loss_and_grads(
+                snet, x1[idx], labels[idx], hyper.loss, hyper.target_volts,
             )
             if not np.isfinite(value):
                 raise DivergenceError(
@@ -418,7 +481,14 @@ def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
             for layer, dw in ((snet.layer1, dw1), (snet.layer2, dw2)):
                 layer.w = np.clip(layer.w - hyper.lr * dw,
                                   layer.w_lo, layer.w_hi)
-        errors = _count_errors(snet, levels, labels)
+        # a skipped quadratic term cannot turn non-finite weights into a
+        # NaN loss, and clipping the outputs can hide them, so check here
+        if not (np.isfinite(snet.layer1.w).all()
+                and np.isfinite(snet.layer2.w).all()):
+            raise DivergenceError(
+                f"weights became non-finite at epoch {epoch}", epoch=epoch
+            )
+        errors = _count_errors(snet, x1, labels)
         trace.append(errors)
         if 100.0 * (1.0 - errors / n) >= hyper.early_stop_fidelity:
             tail += 1
@@ -444,7 +514,9 @@ def train_defect_aware(
     """Gradient training through the defect/asymmetry-annotated model.
 
     Returns (w1, w2, fitted software model, error trace).  With maps=None
-    this is precursor training: ideal pairs, no quadratic terms.
+    this is precursor training: ideal pairs, no quadratic terms, so the fit
+    skips the quadratic products entirely (see software_forward).  A fit
+    whose loss or weights become non-finite raises DivergenceError.
     """
     if len(dataset) == 0:
         raise ConfigError("training dataset is empty")

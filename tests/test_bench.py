@@ -223,6 +223,15 @@ def test_score_shape_mismatch():
         score(np.zeros(3), np.zeros(4), 2)
 
 
+@pytest.mark.parametrize("bad", [3, -1])
+def test_score_out_of_range_index_named(bad):
+    pred = np.array([0, 1, bad, 2])
+    with pytest.raises(DimensionError, match=rf"prediction {bad} at index 2"):
+        score(pred, np.array([0, 1, 2, 2]), 3)
+    with pytest.raises(DimensionError, match=rf"label {bad} at index 2"):
+        score(np.array([0, 1, 2, 2]), pred, 3)
+
+
 def test_random_guessing_near_chance():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 4, 20_000)

@@ -84,6 +84,15 @@ def test_vmm_read_regime(xbar20):
         vmm_currents(xbar20, v)
 
 
+def test_vmm_read_regime_rejects_nan(xbar20):
+    v = np.full(xbar20.rows, 0.2)
+    v[3] = np.nan
+    with pytest.raises(ReadRegimeError):
+        vmm_currents(xbar20, v)
+    with pytest.raises(ReadRegimeError):
+        vmm_currents_batch(xbar20, np.vstack([np.full(xbar20.rows, 0.1), v]))
+
+
 def test_vmm_shape_errors(xbar20):
     with pytest.raises(DimensionError):
         vmm_currents(xbar20, np.zeros(5))

@@ -55,6 +55,8 @@ def test_read_regime_enforced(spec):
     s = make_state(spec, 50e-6)
     with pytest.raises(ReadRegimeError):
         read_current(s, 0.6)
+    with pytest.raises(ReadRegimeError):
+        read_current(s, float("nan"))
 
 
 def test_thermal_drift_ratio_exact(spec):

@@ -6,7 +6,7 @@ import pytest
 from xbarnet.bench import letter_dataset
 from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError, DataFormatError, DataMissingError, \
-    DimensionError
+    DimensionError, ReadRegimeError
 from xbarnet.network import (Network, NetworkConfig, assemble, classify,
                              drive_voltages, effective_weights, evaluate,
                              forward, infer, interleave_pairs, load_network,
@@ -252,6 +252,14 @@ def test_evaluate_letters_smoke():
     assert r.confusion.sum() == 40
     assert r.predictions.shape == (40,)
     assert r.error_rate == pytest.approx(100.0 - r.fidelity)
+
+
+def test_nan_input_voltage_fails_loudly():
+    # NaN drive must raise, not score at chance through argmax of NaN
+    train, _ = letter_dataset()
+    net = ideal_net(NetworkConfig(input_voltage=float("nan")))
+    with pytest.raises(ReadRegimeError):
+        evaluate(net, train)
 
 
 def test_evaluate_empty_dataset():
