@@ -15,7 +15,6 @@ from .device import (
     differential_conductance,
     effective_conductance,
     extract_thresholds,
-    measured_conductance,
     pulse_delta,
     read_current,
     sample_device,
@@ -28,7 +27,6 @@ from .crossbar import (
     map_from_csv,
     map_to_csv,
     measure_maps,
-    narrow_bounds,
     pulse_all,
     vary_bounds,
     vmm_currents,
@@ -62,7 +60,6 @@ from .neuron import (
     vary_swing,
 )
 from .network import (
-    EvalResult,
     Network,
     NetworkConfig,
     assemble,
@@ -79,16 +76,13 @@ from .training import (
     InSituConfig,
     InSituState,
     Loss,
-    NoisePhase,
     Scheme,
     TrainHyper,
     TrainingReport,
-    apply_weight_noise,
     import_weights,
     insitu_epoch,
     run_scheme,
     train_defect_aware,
-    train_precursor,
 )
 from .bench import (
     Dataset,
@@ -106,7 +100,6 @@ from .harness import (
     config_hash,
     default_config,
     emit_plotdata,
-    load_config,
     run_recipe,
     run_sweep,
     write_sweep_outputs,

@@ -4,8 +4,7 @@ A crossbar holds one ndarray per device field (conductance, thresholds,
 kinetics, asymmetry, defect flags, forming state, per-cell bounds), which
 keeps vector-matrix multiplies and bulk pulse application as plain numpy
 expressions.  Scalar physics comes from the shared kernels in
-:mod:`xbarnet.device`; ``cell``/``with_cell`` bridge to the single-device
-view when needed.
+:mod:`xbarnet.device`.
 
 Read path: with rows driven at voltages v and columns held at virtual
 ground, the current into column j is
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import device as dev
-from .device import DefectKind, DeviceSpec, MemristorState
+from .device import DefectKind, DeviceSpec
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -99,35 +98,6 @@ class Crossbar:
             g_hi=self.g_hi.copy(),
         )
 
-    def cell(self, row: int, col: int) -> MemristorState:
-        self._check_index(row, col)
-        return MemristorState(
-            spec=self.spec,
-            g=float(self.g[row, col]),
-            v_set=float(self.v_set[row, col]),
-            v_reset=float(self.v_reset[row, col]),
-            kappa=float(self.kappa[row, col]),
-            v_form=float(self.v_form[row, col]),
-            formed=bool(self.formed[row, col]),
-            defect=DefectKind(int(self.defect[row, col])),
-            g_lo=float(self.g_lo[row, col]),
-            g_hi=float(self.g_hi[row, col]),
-        )
-
-    def with_cell(self, row: int, col: int, state: MemristorState) -> "Crossbar":
-        self._check_index(row, col)
-        out = self.copy()
-        out.g[row, col] = state.g
-        out.v_set[row, col] = state.v_set
-        out.v_reset[row, col] = state.v_reset
-        out.kappa[row, col] = state.kappa
-        out.v_form[row, col] = state.v_form
-        out.formed[row, col] = state.formed
-        out.defect[row, col] = int(state.defect)
-        out.g_lo[row, col] = state.g_lo
-        out.g_hi[row, col] = state.g_hi
-        return out
-
     def _check_index(self, row: int, col: int):
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise DimensionError(
@@ -195,14 +165,9 @@ def vmm_currents(
     v: np.ndarray,
     *,
     t: float | None = None,
-    noise_sigma: float = 0.0,
-    rng=None,
 ) -> np.ndarray:
-    """Column currents for one input vector (length ``rows``).
-
-    ``noise_sigma`` applies multiplicative N(1, sigma) read noise to every
-    device current term independently, modeling per-read fluctuation.
-    """
+    """Noiseless column currents for one input vector (length ``rows``),
+    summed term by term; read noise lives in vmm_currents_batch."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (xbar.rows,):
         raise DimensionError(
@@ -211,9 +176,6 @@ def vmm_currents(
     _check_read_regime(v)
     g_eff = dev.effective_conductance(xbar.g, xbar.spec, t)
     terms = g_eff * v[:, None] * (1.0 + xbar.kappa * v[:, None])
-    if noise_sigma > 0.0:
-        gen = np.random.default_rng(rng)
-        terms = terms * (1.0 + noise_sigma * gen.standard_normal(terms.shape))
     return terms.sum(axis=0)
 
 
@@ -228,10 +190,11 @@ def vmm_currents_batch(
     """Column currents for a batch of input vectors, shape (n, rows) -> (n, cols).
 
     The noiseless result is the exact two-matmul expansion of the per-term
-    sum (I = V G_eff + V^2 (G_eff kappa)).  Read noise is applied at the
-    column-sum level with the exactly matching variance
-    sum_i term_i^2 * sigma^2, which is distribution-equivalent to per-term
-    noise without materializing an (n, rows, cols) tensor.
+    sum (I = V G_eff + V^2 (G_eff kappa)).  Read noise models an independent
+    multiplicative N(1, sigma) fluctuation of every device current term; it
+    is applied at the column-sum level with the exactly matching variance
+    sum_i term_i^2 * sigma^2, without materializing an (n, rows, cols)
+    tensor.
     """
     v_batch = np.asarray(v_batch, dtype=np.float64)
     if v_batch.ndim != 2 or v_batch.shape[1] != xbar.rows:
@@ -409,27 +372,6 @@ def inject_cell_defects(
     return out, DefectMap(flags=out.defect.copy(), asymmetry=asym)
 
 
-def narrow_bounds(xbar: Crossbar, frac: float) -> Crossbar:
-    """Shrink every cell's working window symmetrically by ``frac`` of its span.
-
-    Models a degraded on/off ratio: g_lo rises and g_hi falls by frac/2 of
-    the original span each.  Conductances (including stuck values) are
-    re-pinned into the new window.
-    """
-    if not 0 <= frac < 1:
-        raise ConfigError("window narrowing fraction must lie in [0, 1)")
-    out = xbar.copy()
-    span = out.g_hi - out.g_lo
-    out.g_lo = out.g_lo + 0.5 * frac * span
-    out.g_hi = out.g_hi - 0.5 * frac * span
-    np.clip(out.g, out.g_lo, out.g_hi, out=out.g)
-    on = out.defect == DefectKind.STUCK_ON
-    off = out.defect == DefectKind.STUCK_OFF
-    out.g[on] = out.g_hi[on]
-    out.g[off] = out.g_lo[off]
-    return out
-
-
 def vary_bounds(xbar: Crossbar, sigma: float, seed) -> Crossbar:
     """Per-cell multiplicative N(1, sigma) spread on the working window edges.
 
@@ -437,7 +379,7 @@ def vary_bounds(xbar: Crossbar, sigma: float, seed) -> Crossbar:
     independent relative perturbation.  Edges are kept ordered with at least
     10% of the nominal span between them (a narrower window than that is the
     stuck-fault mechanism's territory), g_lo stays positive, and conductances
-    are re-pinned into the new windows as in narrow_bounds.
+    (stuck values included) are re-pinned into the new windows.
     """
     if sigma < 0:
         raise ConfigError("bounds sigma must be non-negative")

@@ -40,7 +40,7 @@ share the private kernels below, so the two paths cannot diverge.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .errors import (
     FormingRequiredError,
     MeasurementError,
     ReadRegimeError,
+    require_finite,
 )
 
 # Reads above this magnitude would disturb state on real devices; the model
@@ -106,6 +107,7 @@ class DeviceSpec:
     forming_fail_prob: float = 0.10
 
     def __post_init__(self):
+        require_finite(self, *(f.name for f in fields(self)))
         if not (0 < self.g_min < self.g_max):
             raise ConfigError(
                 f"need 0 < g_min < g_max, got g_min={self.g_min}, g_max={self.g_max}"
@@ -159,11 +161,6 @@ class MemristorState:
             object.__setattr__(self, "g_lo", self.spec.g_min)
         if self.g_hi is None:
             object.__setattr__(self, "g_hi", self.spec.g_max)
-
-    @property
-    def alpha(self) -> float:
-        """Temperature coefficient at the current conductance (lazy)."""
-        return float(thermal_coefficient(self.g, self.spec))
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +249,6 @@ def sample_device(spec: DeviceSpec, seed, *, formed: bool = True) -> MemristorSt
 def read_current(state: MemristorState, v: float, t: float | None = None) -> float:
     """Current through the device at read bias v (|v| <= READ_REGIME_MAX)."""
     return float(read_terms(state.g, state.kappa, v, state.spec, t))
-
-
-def measured_conductance(state: MemristorState, v_read: float, t: float | None = None) -> float:
-    """I(+v_read)/v_read: what a one-polarity readout reports as conductance.
-
-    Differs from the stored g by the (1 + kappa*v_read) factor and by thermal
-    drift; this is the quantity the measured-map workflow records.
-    """
-    return read_current(state, v_read, t) / v_read
 
 
 def differential_conductance(g, kappa, v_read: float, spec: DeviceSpec, t=None):

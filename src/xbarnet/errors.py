@@ -2,8 +2,12 @@
 
 Grouped so the command-line front end can map failures onto exit-code
 categories: configuration problems, missing or malformed data files, and
-runtime simulation faults.
+runtime simulation faults.  The shared field checks of the config
+dataclasses raise ConfigError and live here too.
 """
+
+import math
+import numbers
 
 
 class SimulationError(Exception):
@@ -48,3 +52,24 @@ class DivergenceError(SimulationError):
 
 class SingularityError(SimulationError):
     """A computed circuit quantity lost meaning (zero feedback conductance)."""
+
+
+def require_finite(cfg, *names: str):
+    """Real-valued fields must be finite numbers: NaN passes every x <= 0
+    test."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ConfigError(
+                f"{name} must be a finite number, got {value!r}"
+            )
+
+
+def require_count(cfg, *names: str):
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < 0:
+            raise ConfigError(
+                f"{name} must be a nonnegative integer, got {value!r}"
+            )

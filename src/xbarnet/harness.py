@@ -23,9 +23,12 @@ import dataclasses
 from dataclasses import dataclass, field, replace
 import hashlib
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,6 +186,20 @@ def _build_section(name: str, cls, overrides: dict):
     return cls(**kw)
 
 
+def _require_finite_knob(key: str, value):
+    """Knobs are untyped, so check every number in them, nested ones too: a
+    NaN fraction passes every range test and silently does nothing."""
+    if isinstance(value, dict):
+        for item in value.values():
+            _require_finite_knob(key, item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _require_finite_knob(key, item)
+    elif isinstance(value, numbers.Real) and not math.isfinite(value):
+        raise ConfigError(f"knob {key!r} must hold finite numbers, "
+                          f"got {value!r}")
+
+
 def _normalize_overrides(raw) -> dict[int, float] | None:
     if raw is None:
         return None
@@ -234,6 +251,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for key, value in raw_knobs.items():
         if key not in _KNOB_DEFAULTS:
             raise ConfigError(f"unknown knob {key!r}")
+        _require_finite_knob(key, value)
         knobs[key] = value
     knobs["swing_overrides"] = _normalize_overrides(knobs["swing_overrides"])
 
@@ -249,17 +267,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         forming=sections["forming"],
         knobs=knobs,
     )
-
-
-def load_config(path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.exists():
-        raise DataMissingError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"config {p} is not valid JSON: {exc}")
-    return config_from_dict(doc)
 
 
 def _merge(base: dict, extra: dict) -> dict:
@@ -1008,16 +1015,6 @@ def run_recipe(cfg: ExperimentConfig, out_dir=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-SWEEP_AXES = (
-    "import_accuracy",
-    "stuck_fraction",
-    "bounds_sigma",
-    "noise_sigma",
-    "stuck_neuron_fraction",
-    "temperature",
-)
-
-
 @dataclass
 class SweepReport:
     axis: str
@@ -1039,26 +1036,116 @@ class SweepReport:
         return med, q25, q75
 
 
-def _sweep_series_names(cfg: ExperimentConfig, axis: str) -> list[str]:
-    if axis == "stuck_fraction":
-        schemes = cfg.knobs["schemes"]
-        if schemes is None:
-            schemes = ["ex-situ", "hybrid"] if cfg.recipe == "fig12-mnist" \
-                else ["ex-situ"]
-        if not isinstance(schemes, list) or not schemes:
-            raise ConfigError("schemes knob must be a non-empty list")
-        for s in schemes:
-            Scheme(s)
-        return list(schemes)
-    if axis == "bounds_sigma":
-        return ["in-situ"]
-    if axis == "noise_sigma":
-        phase = cfg.knobs["noise_phase"]
-        if phase not in ("import", "inference", "both"):
-            raise ConfigError(f"noise_phase must be import, inference or "
-                              f"both, got {phase!r}")
-        return [phase]
+@dataclass(frozen=True)
+class _SweepPoint:
+    """One (value, seed) grid point and what its run needs."""
+
+    cfg: ExperimentConfig
+    series: list
+    train: Dataset
+    test: Dataset
+    value: float
+    seed: int
+    weights: tuple | None  # the seed's software fit, shared by the grid
+
+    def run(self, scheme: str, net: Network, **knobs):
+        """run_scheme at this point with some knobs overridden; (net,
+        report).  Schemes that start from imported weights reuse the fit."""
+        cfg = self.cfg
+        if knobs:
+            cfg = replace(cfg)
+            cfg.knobs = dict(self.cfg.knobs, **knobs)
+        pre = self.weights if scheme in ("ex-situ", "hybrid") else None
+        return _run(cfg, scheme, self.train, net, self.test, self.seed,
+                    precomputed=pre)
+
+    def fidelity(self, scheme: str, net: Network, **knobs) -> float:
+        return self.run(scheme, net, **knobs)[1].final_test_fidelity
+
+
+def _exsitu_series(cfg: ExperimentConfig) -> list[str]:
     return ["ex-situ"]
+
+
+def _scheme_series(cfg: ExperimentConfig) -> list[str]:
+    schemes = cfg.knobs["schemes"]
+    if schemes is None:
+        schemes = ["ex-situ", "hybrid"] if cfg.recipe == "fig12-mnist" \
+            else ["ex-situ"]
+    if not isinstance(schemes, list) or not schemes:
+        raise ConfigError("schemes knob must be a non-empty list")
+    for s in schemes:
+        Scheme(s)
+    return list(schemes)
+
+
+def _noise_phase_series(cfg: ExperimentConfig) -> list[str]:
+    phase = cfg.knobs["noise_phase"]
+    if phase not in ("import", "inference", "both"):
+        raise ConfigError(f"noise_phase must be import, inference or "
+                          f"both, got {phase!r}")
+    return [phase]
+
+
+def _sweep_import_accuracy(p: _SweepPoint, net: Network) -> dict:
+    return {"ex-situ": p.fidelity("ex-situ", net, import_accuracy=p.value)}
+
+
+def _sweep_stuck_fraction(p: _SweepPoint, net: Network) -> dict:
+    half = p.value / 2
+    net.xbar1, _ = inject_cell_defects(net.xbar1, half, half, [p.seed, 21])
+    net.xbar2, _ = inject_cell_defects(net.xbar2, half, half, [p.seed, 22])
+    return {scheme: p.fidelity(scheme, net.copy()) for scheme in p.series}
+
+
+def _sweep_bounds_sigma(p: _SweepPoint, net: Network) -> dict:
+    net.xbar1 = vary_bounds(net.xbar1, p.value, [p.seed, 23])
+    net.xbar2 = vary_bounds(net.xbar2, p.value, [p.seed, 24])
+    return {"in-situ": p.fidelity("in-situ", net)}
+
+
+def _sweep_noise_sigma(p: _SweepPoint, net: Network) -> dict:
+    phase = p.series[0]
+    return {phase: p.fidelity(
+        "ex-situ", net,
+        import_noise_sigma=p.value if phase in ("import", "both") else 0.0,
+        inference_noise_sigma=p.value if phase in ("inference", "both")
+        else 0.0,
+    )}
+
+
+def _sweep_stuck_neuron_fraction(p: _SweepPoint, net: Network) -> dict:
+    half = p.value / 2
+    net.hidden_neurons = inject_neuron_faults(
+        net.hidden_neurons, half, half, None, [p.seed, 25]
+    )
+    return {"ex-situ": p.fidelity("ex-situ", net)}
+
+
+def _sweep_temperature(p: _SweepPoint, net: Network) -> dict:
+    final, _ = p.run("ex-situ", net)
+    res = evaluate(final, p.test, t=p.value,
+                   noise_sigma=float(p.cfg.knobs["inference_noise_sigma"]),
+                   rng=np.random.default_rng([p.seed, 26]))
+    return {"ex-situ": res.fidelity}
+
+
+class _SweepAxis(NamedTuple):
+    series: Callable[[ExperimentConfig], list]  # validated series names
+    run: Callable[[_SweepPoint, Network], dict]  # series name -> fidelity
+    shares_fit: bool = True  # runs start from the per-seed software fit
+
+
+SWEEP_AXES = {
+    "import_accuracy": _SweepAxis(_exsitu_series, _sweep_import_accuracy),
+    "stuck_fraction": _SweepAxis(_scheme_series, _sweep_stuck_fraction),
+    "bounds_sigma": _SweepAxis(lambda cfg: ["in-situ"], _sweep_bounds_sigma,
+                               shares_fit=False),
+    "noise_sigma": _SweepAxis(_noise_phase_series, _sweep_noise_sigma),
+    "stuck_neuron_fraction": _SweepAxis(_exsitu_series,
+                                        _sweep_stuck_neuron_fraction),
+    "temperature": _SweepAxis(_exsitu_series, _sweep_temperature),
+}
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
@@ -1075,6 +1162,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
             f"unknown sweep axis {axis!r}; available: "
             + ", ".join(SWEEP_AXES)
         )
+    sweep_axis = SWEEP_AXES[axis]
     values = [float(v) for v in values]
     seeds = list(seeds) if seeds is not None else list(cfg.seeds)
     n_workers = int(workers if workers is not None else cfg.knobs["workers"])
@@ -1082,77 +1170,24 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
         raise ConfigError("workers must be at least 1")
 
     train, test, note = _datasets_for(cfg)
-    names = _sweep_series_names(cfg, axis)
+    names = sweep_axis.series(cfg)
     sub = cfg.knobs["subsample"]
     sub = None if sub is None else int(sub)
 
     # One software fit per seed covers every grid point whose scheme starts
     # from imported weights; computed up front so the pool tasks are pure.
     cache: dict[int, tuple] = {}
-    if axis != "bounds_sigma":
+    if sweep_axis.shares_fit:
         for seed in seeds:
             net0 = _base_net(cfg, seed)
             cache[seed] = software_weights_for(
                 net0, train, replace(cfg.hyper, seed=seed), sub
             )
 
-    inference_sigma = float(cfg.knobs["inference_noise_sigma"])
-
-    def fid_of(rep):
-        return rep.final_test_fidelity
-
     def task(value: float, seed: int) -> dict:
-        net = _base_net(cfg, seed)
-        out: dict[str, float] = {}
-        if axis == "import_accuracy":
-            run_cfg = replace(cfg)
-            run_cfg.knobs = dict(cfg.knobs, import_accuracy=value)
-            _, rep = _run(run_cfg, "ex-situ", train, net, test, seed,
-                          precomputed=cache[seed])
-            out["ex-situ"] = fid_of(rep)
-        elif axis == "stuck_fraction":
-            net.xbar1, _ = inject_cell_defects(net.xbar1, value / 2,
-                                               value / 2, [seed, 21])
-            net.xbar2, _ = inject_cell_defects(net.xbar2, value / 2,
-                                               value / 2, [seed, 22])
-            for scheme in names:
-                pre = cache[seed] if scheme in ("ex-situ", "hybrid") else None
-                _, rep = _run(cfg, scheme, train, net.copy(), test, seed,
-                              precomputed=pre)
-                out[scheme] = fid_of(rep)
-        elif axis == "bounds_sigma":
-            net.xbar1 = vary_bounds(net.xbar1, value, [seed, 23])
-            net.xbar2 = vary_bounds(net.xbar2, value, [seed, 24])
-            _, rep = _run(cfg, "in-situ", train, net, test, seed)
-            out["in-situ"] = fid_of(rep)
-        elif axis == "noise_sigma":
-            phase = names[0]
-            run_cfg = replace(cfg)
-            run_cfg.knobs = dict(
-                cfg.knobs,
-                import_noise_sigma=value if phase in ("import", "both")
-                else 0.0,
-                inference_noise_sigma=value if phase in ("inference", "both")
-                else 0.0,
-            )
-            _, rep = _run(run_cfg, "ex-situ", train, net, test, seed,
-                          precomputed=cache[seed])
-            out[phase] = fid_of(rep)
-        elif axis == "stuck_neuron_fraction":
-            net.hidden_neurons = inject_neuron_faults(
-                net.hidden_neurons, value / 2, value / 2, None, [seed, 25]
-            )
-            _, rep = _run(cfg, "ex-situ", train, net, test, seed,
-                          precomputed=cache[seed])
-            out["ex-situ"] = fid_of(rep)
-        else:  # temperature
-            final, _ = _run(cfg, "ex-situ", train, net, test, seed,
-                            precomputed=cache[seed])
-            res = evaluate(final, test, t=value,
-                           noise_sigma=inference_sigma,
-                           rng=np.random.default_rng([seed, 26]))
-            out["ex-situ"] = res.fidelity
-        return out
+        point = _SweepPoint(cfg, names, train, test, value, seed,
+                            cache.get(seed))
+        return sweep_axis.run(point, _base_net(cfg, seed))
 
     results: list[list[dict]] = [[{} for _ in seeds] for _ in values]
     if n_workers == 1:

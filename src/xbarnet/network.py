@@ -26,6 +26,8 @@ from .errors import (
     DataFormatError,
     DataMissingError,
     DimensionError,
+    require_count,
+    require_finite,
 )
 from .neuron import NeuronBank, NeuronParams, bank_outputs, make_bank
 
@@ -45,6 +47,8 @@ class NetworkConfig:
     cols2: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
+        require_count(self, "n_inputs", "n_hidden", "n_outputs")
+        require_finite(self, "input_voltage")
         if min(self.n_inputs, self.n_hidden, self.n_outputs) < 1:
             raise ConfigError("layer sizes must be positive")
         if self.input_voltage <= 0:
@@ -301,18 +305,6 @@ def infer(
     return cls, trace.output[0], trace.hidden[0]
 
 
-@dataclass
-class EvalResult:
-    fidelity: float
-    confusion: np.ndarray
-    per_class_recall: np.ndarray
-    predictions: np.ndarray
-
-    @property
-    def error_rate(self) -> float:
-        return 100.0 - self.fidelity
-
-
 def evaluate(
     net: Network,
     dataset: bench.Dataset,
@@ -320,16 +312,14 @@ def evaluate(
     *,
     noise_sigma: float = 0.0,
     rng=None,
-) -> EvalResult:
+) -> bench.ScoreResult:
     """Classification fidelity (percent) plus confusion counts."""
     if len(dataset) == 0:
         raise ConfigError("dataset is empty")
     levels = bench.encode_levels(dataset)
     trace = forward(net, levels, t=t, noise_sigma=noise_sigma, rng=rng)
-    preds = classify(trace.output)
     k = max(dataset.n_classes, net.config.n_outputs)
-    sc = bench.score(preds, dataset.labels, k)
-    return EvalResult(sc.fidelity, sc.confusion, sc.per_class_recall, preds)
+    return bench.score(classify(trace.output), dataset.labels, k)
 
 
 # ---------------------------------------------------------------------------

@@ -62,18 +62,6 @@ def neuron_out(i_plus: float, i_minus: float, p: NeuronParams) -> float:
     return float(v_clip * (p.out_swing / p.v_sat))
 
 
-def neuron_derivative(i_plus: float, i_minus: float, p: NeuronParams) -> float:
-    """Slope d(out)/d(v_diff): piecewise constant, 0 in saturation.
-
-    The kink at |gain * v_diff| = v_sat is kept exact (no smoothing); training
-    code relies on the derivative being identically zero past it.
-    """
-    v_diff = differential_voltage(i_plus, i_minus, p)
-    if abs(p.gain * v_diff) >= p.v_sat:
-        return 0.0
-    return p.gain if p.is_output_layer else p.gain * (p.out_swing / p.v_sat)
-
-
 # ---------------------------------------------------------------------------
 # neuron banks (one hidden or output layer)
 # ---------------------------------------------------------------------------
@@ -136,14 +124,6 @@ def bank_outputs(bank: NeuronBank, v_diff: np.ndarray) -> np.ndarray:
     out = np.where(bank.fault == NeuronFault.STUCK_HIGH, bank.swing, out)
     out = np.where(bank.fault == NeuronFault.STUCK_LOW, -bank.swing, out)
     return out
-
-
-def bank_derivative_gate(bank: NeuronBank, v_diff: np.ndarray) -> np.ndarray:
-    """1 inside the linear region, 0 in saturation or on a faulted neuron."""
-    v_diff = np.asarray(v_diff, dtype=np.float64)
-    p = bank.params
-    gate = (np.abs(p.gain * v_diff) < p.v_sat).astype(np.float64)
-    return gate * (bank.fault == NeuronFault.OK)
 
 
 def inject_neuron_faults(

@@ -19,11 +19,8 @@ are exactly zero.
 from __future__ import annotations
 
 import enum
-import json
-import math
-import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,9 +29,9 @@ from . import network as netmod
 from .bench import Dataset, encode_levels
 from .crossbar import Crossbar, pulse_all, write_pulse
 from .device import DefectKind, DeviceSpec
-from .errors import ConfigError, DimensionError, DivergenceError
-from .network import Network, NetworkConfig, effective_weights, forward, \
-    pair_difference
+from .errors import ConfigError, DimensionError, DivergenceError, \
+    require_count, require_finite
+from .network import Network, NetworkConfig, forward, pair_difference
 from .neuron import NeuronParams
 from .progtune import TuneConfig, TuningReport, diagnose_defects, \
     import_conductance_map
@@ -50,33 +47,6 @@ class Scheme(enum.Enum):
     DEFECT_AWARE = "defect-aware"
     IN_SITU = "in-situ"
     HYBRID = "hybrid"
-
-
-class NoisePhase(enum.Enum):
-    IMPORT = "import"
-    INFERENCE = "inference"
-    BOTH = "both"
-
-
-def _require_finite(cfg, *names: str):
-    """Real-valued fields must be finite numbers: NaN passes every x <= 0
-    test."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-            raise ConfigError(
-                f"{name} must be a finite number, got {value!r}"
-            )
-
-
-def _require_count(cfg, *names: str):
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                or value < 0:
-            raise ConfigError(
-                f"{name} must be a nonnegative integer, got {value!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -95,13 +65,13 @@ class TrainHyper:
     init_scale: float = 0.02
 
     def __post_init__(self):
-        _require_finite(self, "lr", "early_stop_fidelity", "target_volts",
-                        "init_scale")
-        _require_count(self, "epochs", "margin_epochs")
+        require_finite(self, "lr", "early_stop_fidelity", "target_volts",
+                       "init_scale")
+        require_count(self, "epochs", "margin_epochs")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
         if self.batch_size is not None:
-            _require_count(self, "batch_size")
+            require_count(self, "batch_size")
             if self.batch_size < 1:
                 raise ConfigError("batch_size must be positive when given")
         if self.target_volts <= 0 or self.init_scale < 0:
@@ -121,9 +91,9 @@ class InSituConfig:
     half_select: bool = True
 
     def __post_init__(self):
-        _require_finite(self, "v_pulse_set", "v_pulse_reset", "width",
-                        "target_volts")
-        _require_count(self, "epochs")
+        require_finite(self, "v_pulse_set", "v_pulse_reset", "width",
+                       "target_volts")
+        require_count(self, "epochs")
         if self.v_pulse_set <= 0 or self.v_pulse_reset <= 0:
             raise ConfigError("pulse amplitudes must be positive")
         if self.width <= 0:
@@ -535,25 +505,6 @@ def train_defect_aware(
     return snet.layer1.w.copy(), snet.layer2.w.copy(), snet, trace
 
 
-def train_precursor(
-    dataset: Dataset,
-    arch: NetworkConfig,
-    hyper: TrainHyper,
-    *,
-    hidden_params: NeuronParams | None = None,
-    output_params: NeuronParams | None = None,
-    weight_limit1: float | None = None,
-    weight_limit2: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Backprop assuming perfect hardware; returns (w1, w2, error trace)."""
-    w1, w2, _, trace = train_defect_aware(
-        dataset, arch, None, hyper, hidden_params=hidden_params,
-        output_params=output_params, weight_limit1=weight_limit1,
-        weight_limit2=weight_limit2,
-    )
-    return w1, w2, trace
-
-
 # ---------------------------------------------------------------------------
 # import
 # ---------------------------------------------------------------------------
@@ -615,12 +566,7 @@ def import_grids(
             xbar.g[live] = np.clip(targets, xbar.g_lo, xbar.g_hi)[live]
         report = ImportReport(None, None, import_noise_sigma, 0.0)
         return out, report
-    cfg = TuneConfig(
-        tolerance=tol, v_read=cfg.v_read, v_write_start=cfg.v_write_start,
-        v_write_step=cfg.v_write_step, v_write_max=cfg.v_write_max,
-        max_pulses=cfg.max_pulses, width=cfg.width,
-        half_select=cfg.half_select,
-    )
+    cfg = replace(cfg, tolerance=tol)
     out.xbar1, rep1 = import_conductance_map(out.xbar1, targets1, cfg)
     out.xbar2, rep2 = import_conductance_map(out.xbar2, targets2, cfg)
     return out, ImportReport(rep1, rep2, import_noise_sigma, tol)
@@ -684,39 +630,6 @@ def defect_aware_targets(snet: SoftwareNet, spec: DeviceSpec
                       np.nan)
         out.append(netmod.interleave_pairs(gp, gm))
     return out[0], out[1]
-
-
-def apply_weight_noise(
-    net: Network,
-    sigma: float,
-    phase: NoisePhase | str,
-    seed=None,
-) -> tuple[Network, float]:
-    """Configure synaptic noise for a phase of the pipeline.
-
-    Returns (network, inference read sigma).  Import-phase noise perturbs
-    the stored conductances once (multiplicative Gaussian, stuck cells
-    untouched, clipped to per-cell bounds); inference-phase noise is
-    returned for the caller to pass to evaluate/forward.  sigma = 0 is the
-    identity.
-    """
-    phase = NoisePhase(phase) if not isinstance(phase, NoisePhase) else phase
-    if sigma < 0:
-        raise ConfigError("noise sigma must be nonnegative")
-    if sigma == 0.0:
-        return net, 0.0
-    read_sigma = sigma if phase in (NoisePhase.INFERENCE, NoisePhase.BOTH) \
-        else 0.0
-    if phase is NoisePhase.INFERENCE:
-        return net, read_sigma
-    rng = np.random.default_rng(seed)
-    out = net.copy()
-    for xbar in (out.xbar1, out.xbar2):
-        noisy = xbar.g * (1.0 + sigma * rng.standard_normal(xbar.g.shape))
-        noisy = np.clip(noisy, xbar.g_lo, xbar.g_hi)
-        movable = xbar.defect == DefectKind.NONE
-        xbar.g = np.where(movable, noisy, xbar.g)
-    return out, read_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -814,7 +727,7 @@ def insitu_epoch(
     net: Network,
     dataset: Dataset,
     cfg: InSituConfig,
-    state: InSituState | None = None,
+    state: InSituState,
 ) -> tuple[Network, int]:
     """One batch-mode Manhattan epoch on hardware.
 
@@ -825,12 +738,9 @@ def insitu_epoch(
     other.  Zero misclassifications is a fixed point: the network returns
     unchanged.
 
-    When state is given, the layer-1 chain term uses the computer's believed
-    output weights (open loop after the initial read) and state advances by
-    the nominal response to the commanded pulses.  Without a state the
-    backward model falls back to re-reading the array each epoch, which is a
-    much stronger flow than the fixed-input hardware supports; it is kept
-    for experiments.
+    The layer-1 chain term uses the computer's believed output weights
+    (open loop after the initial read), and state advances by the nominal
+    response to the commanded pulses.
     """
     spec = net.xbar1.spec
     _check_insitu_amplitudes(cfg, spec)
@@ -854,12 +764,8 @@ def insitu_epoch(
     gate2 = (np.abs(y) < op.v_sat).astype(np.float64)
     delta2 = (y - t) * op.gain * gate2
     delta2[~mis] = 0.0
-    if state is not None:
-        w2_back = state.believed_w2(net)
-    else:
-        _, w2_back = effective_weights(net)
     a2 = trace.v_in2.T @ delta2
-    dh = (delta2 @ w2_back.T)[:, : net.config.n_hidden]
+    dh = (delta2 @ state.believed_w2(net).T)[:, : net.config.n_hidden]
     gate1 = (np.abs(trace.hidden) < net.hidden_neurons.swing).astype(np.float64)
     delta1 = dh * (hp.gain * hp.out_swing / hp.v_sat) * gate1
     a1 = trace.v_in.T @ delta1
@@ -869,9 +775,8 @@ def insitu_epoch(
     signs2 = -np.sign(a2)
     _apply_sign_pulses(out.xbar1, signs1, cfg)
     _apply_sign_pulses(out.xbar2, signs2, cfg)
-    if state is not None:
-        _believe_sign_pulses(state.bg1, signs1, cfg, spec)
-        _believe_sign_pulses(state.bg2, signs2, cfg, spec)
+    _believe_sign_pulses(state.bg1, signs1, cfg, spec)
+    _believe_sign_pulses(state.bg2, signs2, cfg, spec)
     return out, n_err
 
 
@@ -900,11 +805,6 @@ def initialize_midrange(
 # ---------------------------------------------------------------------------
 
 
-def _hardware_fidelity(net, dataset, noise_sigma, rng):
-    return netmod.evaluate(net, dataset, noise_sigma=noise_sigma,
-                           rng=rng).fidelity
-
-
 def prepare_fit_set(train_set: Dataset, subsample: int | None, seed
                     ) -> tuple[Dataset, str | None]:
     """Deterministic training subset used by run_scheme; exposed so sweep
@@ -916,6 +816,21 @@ def prepare_fit_set(train_set: Dataset, subsample: int | None, seed
         return (train_set.subset(np.sort(idx)),
                 f"subsampled training set to {subsample} patterns")
     return train_set, None
+
+
+def _fit_for_net(fit_set: Dataset, net: Network, maps: MeasuredMaps | None,
+                 hyper: TrainHyper):
+    """train_defect_aware for net's architecture and neurons, each weight
+    boxed to 0.95 of the device conductance span."""
+    spec = net.xbar1.spec
+    span = spec.g_max - spec.g_min
+    return train_defect_aware(
+        fit_set, net.config, maps, hyper, spec=spec,
+        hidden_params=net.hidden_neurons.params,
+        output_params=net.output_neurons.params,
+        weight_limit1=0.95 * span / net.weight_scale1,
+        weight_limit2=0.95 * span / net.weight_scale2,
+    )
 
 
 def software_weights_for(
@@ -931,15 +846,7 @@ def software_weights_for(
     """
     s_sub = np.random.SeedSequence(hyper.seed).spawn(4)[0]
     fit_set, _ = prepare_fit_set(train_set, subsample, s_sub)
-    spec = net.xbar1.spec
-    span = spec.g_max - spec.g_min
-    w1, w2, _, _ = train_defect_aware(
-        fit_set, net.config, None, hyper, spec=spec,
-        hidden_params=net.hidden_neurons.params,
-        output_params=net.output_neurons.params,
-        weight_limit1=0.95 * span / net.weight_scale1,
-        weight_limit2=0.95 * span / net.weight_scale2,
-    )
+    w1, w2, _, _ = _fit_for_net(fit_set, net, None, hyper)
     return w1, w2
 
 
@@ -988,49 +895,30 @@ def run_scheme(
     if sub_note:
         notes.append(sub_note)
 
-    spec = net.xbar1.spec
-    span = spec.g_max - spec.g_min
-    lim1 = 0.95 * span / net.weight_scale1
-    lim2 = 0.95 * span / net.weight_scale2
-    hp = net.hidden_neurons.params
-    op = net.output_neurons.params
-
-    def software_train(maps):
-        return train_defect_aware(
-            fit_set, net.config, maps, hyper, spec=spec, hidden_params=hp,
-            output_params=op, weight_limit1=lim1, weight_limit2=lim2,
-        )
-
-    def blind_weights():
-        if precomputed_weights is not None:
-            notes.append("software weights supplied by the caller")
-            return precomputed_weights[0], precomputed_weights[1], []
-        w1, w2, _, tr = software_train(None)
-        return w1, w2, tr
-
-    if scheme is Scheme.EX_SITU:
-        w1, w2, trace = blind_weights()
-        out, _ = import_weights(net, (w1, w2), tune_cfg, import_noise_sigma,
-                                import_accuracy, seed=s_import)
-    elif scheme is Scheme.DEFECT_AWARE:
+    if scheme is Scheme.DEFECT_AWARE:
         probed, maps = measure_network_maps(net, tune_cfg)
-        w1, w2, snet, trace = software_train(maps)
-        t1, t2 = defect_aware_targets(snet, spec)
+        _, _, snet, trace = _fit_for_net(fit_set, net, maps, hyper)
+        t1, t2 = defect_aware_targets(snet, net.xbar1.spec)
         out, _ = import_grids(probed, t1, t2, tune_cfg, import_noise_sigma,
                               import_accuracy, seed=s_import)
     elif scheme is Scheme.IN_SITU:
         out, _ = initialize_midrange(net, tune_cfg, seed=s_init)
-        state = InSituState.from_network(out)
-        trace = []
-        for _ in range(insitu_cfg.epochs):
-            out, errors = insitu_epoch(out, fit_set, insitu_cfg, state)
-            trace.append(errors)
-            if errors == 0:
-                break
-    else:  # hybrid
-        w1, w2, pre_trace = blind_weights()
-        out, _ = import_weights(net, (w1, w2), tune_cfg, import_noise_sigma,
+    else:  # ex-situ, or the ex-situ phase of hybrid
+        if precomputed_weights is not None:
+            notes.append("software weights supplied by the caller")
+            weights, trace = precomputed_weights, []
+        else:
+            w1, w2, _, trace = _fit_for_net(fit_set, net, None, hyper)
+            weights = (w1, w2)
+        out, _ = import_weights(net, weights, tune_cfg, import_noise_sigma,
                                 import_accuracy, seed=s_import)
+
+    if scheme in (Scheme.IN_SITU, Scheme.HYBRID):
+        if scheme is Scheme.HYBRID:
+            notes.append(
+                f"ex-situ phase ran {len(trace)} software epochs before the "
+                f"in-situ loop"
+            )
         state = InSituState.from_network(out)
         trace = []
         for _ in range(insitu_cfg.epochs):
@@ -1038,18 +926,16 @@ def run_scheme(
             trace.append(errors)
             if errors == 0:
                 break
-        notes.append(
-            f"ex-situ phase ran {len(pre_trace)} software epochs before the "
-            f"in-situ loop"
-        )
 
     eval_rng = np.random.default_rng(s_eval)
-    final_train = _hardware_fidelity(out, train_set, inference_noise_sigma,
-                                     eval_rng)
+    final_train = netmod.evaluate(out, train_set,
+                                  noise_sigma=inference_noise_sigma,
+                                  rng=eval_rng).fidelity
     final_test = None
     if test_set is not None:
-        final_test = _hardware_fidelity(out, test_set, inference_noise_sigma,
-                                        eval_rng)
+        final_test = netmod.evaluate(out, test_set,
+                                     noise_sigma=inference_noise_sigma,
+                                     rng=eval_rng).fidelity
     report = TrainingReport(
         scheme=scheme.value,
         trace=list(trace),
@@ -1062,33 +948,3 @@ def run_scheme(
         notes=notes,
     )
     return out, report
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-# ---------------------------------------------------------------------------
-
-
-def report_to_json(report: TrainingReport) -> str:
-    doc = {
-        "scheme": report.scheme,
-        "trace": report.trace,
-        "final_train_fidelity": report.final_train_fidelity,
-        "final_test_fidelity": report.final_test_fidelity,
-        "seeds": report.seeds,
-        "wall_time_s": report.wall_time_s,
-        "n_train": report.n_train,
-        "subsample": report.subsample,
-        "notes": report.notes,
-    }
-    return json.dumps(doc)
-
-
-def trace_to_csv(report: TrainingReport, path):
-    """Error-decay trace as CSV: epoch, errors, fidelity."""
-    lines = ["epoch,errors,fidelity"]
-    for epoch, errors in enumerate(report.trace):
-        fid = 100.0 * (1.0 - errors / report.n_train)
-        lines.append(f"{epoch},{errors},{fid:.6f}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from xbarnet.crossbar import (Crossbar, build_crossbar, inject_cell_defects,
                               map_from_csv, map_to_csv, measure_maps,
-                              narrow_bounds, pulse_all, vary_bounds,
-                              vmm_currents, vmm_currents_batch, write_pulse)
+                              pulse_all, vary_bounds, vmm_currents,
+                              vmm_currents_batch, write_pulse)
 from xbarnet.device import DefectKind, DeviceSpec
 from xbarnet.errors import (ConfigError, DimensionError, FormingRequiredError,
                             ReadRegimeError)
@@ -101,12 +101,18 @@ def test_vmm_shape_errors(xbar20):
 
 
 def test_vmm_noise_zero_mean(xbar20):
-    v = np.full(xbar20.rows, 0.2)
+    # every device term fluctuates as N(1, sigma): each column read is
+    # centred on the clean current with spread sigma * sqrt(sum term^2)
+    n, sigma = 4000, 0.05
+    v = np.random.default_rng(8).uniform(-0.2, 0.2, xbar20.rows)
     clean = vmm_currents(xbar20, v)
-    reads = np.array([vmm_currents(xbar20, v, noise_sigma=0.05, rng=k)
-                      for k in range(400)])
-    assert np.allclose(reads.mean(axis=0), clean, rtol=0.02)
-    assert not np.allclose(reads[0], clean)
+    terms = xbar20.g * v[:, None] * (1.0 + xbar20.kappa * v[:, None])
+    spread = sigma * np.sqrt(np.sum(terms * terms, axis=0))
+    reads = vmm_currents_batch(xbar20, np.tile(v, (n, 1)), noise_sigma=sigma,
+                               rng=np.random.default_rng(9))
+    assert np.all(np.abs(reads.mean(axis=0) - clean)
+                  < 4.0 * spread / np.sqrt(n))
+    np.testing.assert_allclose(reads.std(axis=0), spread, rtol=0.05)
 
 
 def test_measure_maps_ideal_exact(ideal_spec):
@@ -118,10 +124,13 @@ def test_measure_maps_ideal_exact(ideal_spec):
 
 
 def test_measure_maps_asymmetry_value(spec):
-    # kappa 0.25 at 0.2 V: 100*(1.05-0.95)/1.05 ~ 9.52%
+    # kappa 0.25 at 0.2 V: the one-polarity read reports g * (1 + kappa*v)
+    # = 1.05 g, and the asymmetry is 100*(1.05-0.95)/1.05 ~ 9.52%
     b = build_crossbar(2, 2, spec, seed=0)
+    b.g[:] = 80e-6
     b.kappa[:] = 0.25
-    _, asym = measure_maps(b)
+    g_map, asym = measure_maps(b)
+    np.testing.assert_allclose(g_map, 80e-6 * 1.05, rtol=1e-12)
     np.testing.assert_allclose(asym, 100 * (1.05 - 0.95) / 1.05, rtol=1e-12)
 
 
@@ -205,14 +214,6 @@ def test_stuck_cells_ignore_pulses(spec):
     np.testing.assert_array_equal(hit.g[frozen], before)
     hit = pulse_all(hit, np.full((6, 6), -2.5), 1e-2)
     np.testing.assert_array_equal(hit.g[frozen], before)
-
-
-def test_narrow_bounds_repins(xbar20):
-    out = narrow_bounds(xbar20, 0.5)
-    span = xbar20.spec.g_max - xbar20.spec.g_min
-    np.testing.assert_allclose(out.g_lo, xbar20.g_lo + 0.25 * span)
-    np.testing.assert_allclose(out.g_hi, xbar20.g_hi - 0.25 * span)
-    assert np.all(out.g >= out.g_lo) and np.all(out.g <= out.g_hi)
 
 
 def test_vary_bounds_zero_sigma_noop(xbar20):

@@ -250,16 +250,18 @@ def test_evaluate_letters_smoke():
     r = evaluate(net, train)
     assert 0.0 <= r.fidelity <= 100.0
     assert r.confusion.sum() == 40
-    assert r.predictions.shape == (40,)
     assert r.error_rate == pytest.approx(100.0 - r.fidelity)
 
 
 def test_nan_input_voltage_fails_loudly():
-    # NaN drive must raise, not score at chance through argmax of NaN
-    train, _ = letter_dataset()
-    net = ideal_net(NetworkConfig(input_voltage=float("nan")))
+    # NaN drive must raise, not score at chance through argmax of NaN: the
+    # config refuses a NaN voltage, and a NaN level fails at the first read
+    with pytest.raises(ConfigError, match="input_voltage"):
+        NetworkConfig(input_voltage=float("nan"))
+    levels = np.ones((2, 16))
+    levels[1, 5] = np.nan
     with pytest.raises(ReadRegimeError):
-        evaluate(net, train)
+        forward(ideal_net(), levels)
 
 
 def test_evaluate_empty_dataset():

@@ -1,4 +1,4 @@
-"""Opamp neuron stage: transfer curve, derivative, faults, compensation."""
+"""Opamp neuron stage: transfer curve, faults, compensation."""
 
 import dataclasses
 
@@ -8,11 +8,10 @@ import pytest
 from xbarnet import device as dev
 from xbarnet.device import DeviceSpec
 from xbarnet.neuron import (CompensationParams, FixedResistor, NeuronBank,
-                            NeuronFault, NeuronParams, bank_derivative_gate,
-                            bank_outputs, compensated_output,
-                            differential_voltage, feedback_conductance,
-                            inject_neuron_faults, make_bank,
-                            neuron_derivative, neuron_out, vary_swing)
+                            NeuronFault, NeuronParams, bank_outputs,
+                            compensated_output, differential_voltage,
+                            feedback_conductance, inject_neuron_faults,
+                            make_bank, neuron_out, vary_swing)
 from xbarnet.errors import ConfigError, DimensionError, SingularityError
 
 HIDDEN = NeuronParams()
@@ -58,28 +57,6 @@ def test_hidden_output_bounded():
         assert abs(neuron_out(di, 0.0, HIDDEN)) <= HIDDEN.out_swing + 1e-15
 
 
-# --- derivative -------------------------------------------------------------
-
-def test_derivative_values():
-    assert neuron_derivative(di_for(0.3), 0.0, HIDDEN) == pytest.approx(0.4)
-    assert neuron_derivative(di_for(0.3, OUTPUT), 0.0, OUTPUT) == \
-        pytest.approx(10.0)
-    assert neuron_derivative(di_for(1.0), 0.0, HIDDEN) == 0.0
-
-
-def test_derivative_matches_finite_difference():
-    # checked away from the clip kink (|v_diff| = 0.5 here)
-    h = 1e-7
-    for p in (HIDDEN, OUTPUT):
-        for v_diff in (-0.45, -0.1, 0.0, 0.2, 0.49, 0.51, 0.8):
-            if abs(abs(v_diff) - 0.5) < 1e-3:
-                continue
-            fd = (neuron_out(di_for(v_diff + h, p), 0.0, p)
-                  - neuron_out(di_for(v_diff - h, p), 0.0, p)) / (2 * h)
-            assert fd == pytest.approx(
-                neuron_derivative(di_for(v_diff, p), 0.0, p), abs=1e-6)
-
-
 def test_params_validation():
     with pytest.raises(ConfigError):
         NeuronParams(gain=0.0)
@@ -107,12 +84,6 @@ def test_bank_batch_shape():
         bank_outputs(bank, np.zeros(5))
 
 
-def test_bank_derivative_gate():
-    bank = make_bank(3, HIDDEN)
-    gate = bank_derivative_gate(bank, np.array([0.1, 0.6, -0.7]))
-    np.testing.assert_array_equal(gate, [1.0, 0.0, 0.0])
-
-
 def test_fault_pins_output():
     bank = make_bank(6, HIDDEN)
     bank.fault[1] = NeuronFault.STUCK_HIGH
@@ -121,8 +92,6 @@ def test_fault_pins_output():
     assert out[1] == pytest.approx(HIDDEN.out_swing)
     assert out[4] == pytest.approx(-HIDDEN.out_swing)
     assert np.all(out[[0, 2, 3, 5]] == 0.0)
-    gate = bank_derivative_gate(bank, np.zeros(6))
-    assert gate[1] == 0.0 and gate[4] == 0.0
 
 
 def test_inject_faults_counts_and_overrides():

@@ -233,22 +233,27 @@ def test_batched_letter_fit_pinned():
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 HYPER_FLOATS = ("lr", "early_stop_fidelity", "target_volts", "init_scale")
 INSITU_FLOATS = ("v_pulse_set", "v_pulse_reset", "width", "target_volts")
+DEVICE_FLOATS = tuple(f.name for f in dataclasses.fields(DeviceSpec))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(cls_field=st.sampled_from(
     [(TrainHyper, f) for f in HYPER_FLOATS]
-    + [(InSituConfig, f) for f in INSITU_FLOATS]), value=NON_FINITE)
+    + [(InSituConfig, f) for f in INSITU_FLOATS]
+    + [(DeviceSpec, f) for f in DEVICE_FLOATS]
+    + [(NetworkConfig, "input_voltage")]), value=NON_FINITE)
 def test_non_finite_float_settings_rejected(cls_field, value):
     cls, name = cls_field
     with pytest.raises(ConfigError, match=name):
         cls(**{name: value})
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(cls_field=st.sampled_from(
     [(TrainHyper, "epochs"), (TrainHyper, "margin_epochs"),
-     (TrainHyper, "batch_size"), (InSituConfig, "epochs")]),
+     (TrainHyper, "batch_size"), (InSituConfig, "epochs"),
+     (NetworkConfig, "n_inputs"), (NetworkConfig, "n_hidden"),
+     (NetworkConfig, "n_outputs")]),
     value=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                     st.booleans(), st.integers(max_value=-1)))
 def test_non_integer_counts_rejected(cls_field, value):
@@ -262,3 +267,6 @@ def test_integer_like_settings_still_accepted():
                        target_volts=np.float64(0.5))
     assert hyper.epochs == 3
     assert InSituConfig(epochs=0, width=1).width == 1
+    arch = NetworkConfig(n_inputs=np.int64(16), input_voltage=np.float64(0.1))
+    assert arch.rows1 == 17
+    assert DeviceSpec(t_ref=25, g_max=np.float64(1e-4)).t_ref == 25
