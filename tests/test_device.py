@@ -83,6 +83,12 @@ def test_differential_read_cancels_kappa(spec):
     np.testing.assert_array_equal(out, g)
 
 
+def test_measured_conductance_includes_kappa(spec):
+    # a one-polarity read I/v reports g * (1 + kappa*v), not g
+    s = make_state(spec, 80e-6, kappa=0.25)
+    assert read_current(s, 0.2) / 0.2 == pytest.approx(80e-6 * 1.05)
+
+
 # --- switching kinetics -----------------------------------------------------
 
 def test_pulse_subthreshold_identity(spec):
