@@ -24,7 +24,6 @@ from .crossbar import (
     DefectMap,
     build_crossbar,
     inject_cell_defects,
-    map_from_csv,
     map_to_csv,
     measure_maps,
     pulse_all,
@@ -64,13 +63,9 @@ from .network import (
     NetworkConfig,
     assemble,
     classify,
-    effective_weights,
     evaluate,
     forward,
-    infer,
-    load_network,
     map_weights,
-    save_network,
 )
 from .training import (
     InSituConfig,

@@ -19,7 +19,6 @@ collateral disturb, which is physical and deliberately not suppressed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,11 +27,8 @@ from . import device as dev
 from .device import DefectKind, DeviceSpec
 from .errors import (
     ConfigError,
-    DataFormatError,
-    DataMissingError,
     DimensionError,
     FormingRequiredError,
-    ReadRegimeError,
 )
 
 
@@ -152,14 +148,6 @@ def build_crossbar(
 # ---------------------------------------------------------------------------
 
 
-def _check_read_regime(v):
-    if not np.all(np.abs(v) <= dev.READ_REGIME_MAX):  # NaN fails too
-        raise ReadRegimeError(
-            f"input voltages must be finite and within the read regime "
-            f"limit of {dev.READ_REGIME_MAX} V"
-        )
-
-
 def vmm_currents(
     xbar: Crossbar,
     v: np.ndarray,
@@ -173,10 +161,8 @@ def vmm_currents(
         raise DimensionError(
             f"input vector has shape {v.shape}, expected ({xbar.rows},)"
         )
-    _check_read_regime(v)
-    g_eff = dev.effective_conductance(xbar.g, xbar.spec, t)
-    terms = g_eff * v[:, None] * (1.0 + xbar.kappa * v[:, None])
-    return terms.sum(axis=0)
+    return dev.read_terms(xbar.g, xbar.kappa, v[:, None], xbar.spec,
+                          t).sum(axis=0)
 
 
 def vmm_currents_batch(
@@ -201,7 +187,7 @@ def vmm_currents_batch(
         raise DimensionError(
             f"input batch has shape {v_batch.shape}, expected (n, {xbar.rows})"
         )
-    _check_read_regime(v_batch)
+    dev.check_read_regime(v_batch)
     g_eff = dev.effective_conductance(xbar.g, xbar.spec, t)
     g_kappa = g_eff * xbar.kappa
     v2 = v_batch * v_batch
@@ -228,7 +214,7 @@ def measure_maps(
     """
     if v_read <= 0:
         raise ConfigError("v_read must be positive")
-    _check_read_regime(v_read)
+    dev.check_read_regime(v_read)
     g_eff = dev.effective_conductance(xbar.g, xbar.spec, t)
     # I(+v)/v and the forward/reverse mismatch, written so the positive
     # factor g_eff*v cancels algebraically: an ideal array reads back its
@@ -246,8 +232,9 @@ def measure_maps(
 
 
 def _pulse_cells(xbar: Crossbar, rows_idx, cols_idx, v, width: float):
-    """Apply pulses of (possibly per-cell) amplitude v to an index selection,
-    mutating xbar.g in place. Stuck and unformed cells do not move."""
+    """Apply pulses of (possibly per-cell) amplitude v to an index selection
+    (slices for the whole array), mutating xbar.g in place. Stuck and
+    unformed cells do not move."""
     sel = (rows_idx, cols_idx)
     g = xbar.g[sel]
     delta = dev.pulse_delta(
@@ -317,17 +304,7 @@ def pulse_all(
     if width <= 0:
         raise ConfigError(f"pulse width must be positive, got {width}")
     out = xbar.copy() if copy else xbar
-    delta = dev.pulse_delta(
-        out.g, v, width,
-        out.v_set, out.v_reset,
-        out.spec.beta_set, out.spec.beta_reset,
-        out.g_lo, out.g_hi,
-    )
-    movable = out.formed & (out.defect == DefectKind.NONE)
-    np.copyto(
-        out.g,
-        np.where(movable, np.clip(out.g + delta, out.g_lo, out.g_hi), out.g),
-    )
+    _pulse_cells(out, slice(None), slice(None), v, width)
     return out
 
 
@@ -418,31 +395,3 @@ def map_to_csv(arr: np.ndarray, path):
         lines.append(",".join(repr(float(x)) for x in row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def map_from_csv(path) -> np.ndarray:
-    if not os.path.exists(path):
-        raise DataMissingError(f"map file not found: {path}")
-    with open(path) as f:
-        header = f.readline().strip()
-        try:
-            rows, cols = (int(x) for x in header.split(","))
-        except ValueError:
-            raise DataFormatError(
-                f"{path}:1: header must be 'rows,cols', got {header!r}"
-            ) from None
-        out = np.empty((rows, cols))
-        for i in range(rows):
-            line = f.readline()
-            if not line:
-                raise DataFormatError(f"{path}: truncated after {i} data rows")
-            vals = line.strip().split(",")
-            if len(vals) != cols:
-                raise DataFormatError(
-                    f"{path}:{i + 2}: expected {cols} values, got {len(vals)}"
-                )
-            try:
-                out[i] = [float(v) for v in vals]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{i + 2}: {exc}") from None
-    return out

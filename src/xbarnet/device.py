@@ -187,6 +187,16 @@ def effective_conductance(g, spec: DeviceSpec, t=None):
     return g * (1.0 + thermal_coefficient(g, spec) * (t - spec.t_ref))
 
 
+def check_read_regime(v):
+    """Raise ReadRegimeError unless every read voltage is finite and within
+    the non-disturbing window |v| <= READ_REGIME_MAX."""
+    if not np.all(np.abs(v) <= READ_REGIME_MAX):  # NaN fails too
+        raise ReadRegimeError(
+            f"read voltages must be finite and within the read regime "
+            f"limit of {READ_REGIME_MAX} V"
+        )
+
+
 def read_terms(g, kappa, v, spec: DeviceSpec, t=None):
     """Per-device read current I = g_eff * v * (1 + kappa * v), elementwise.
 
@@ -194,11 +204,7 @@ def read_terms(g, kappa, v, spec: DeviceSpec, t=None):
     non-disturbing window.
     """
     v = np.asarray(v, dtype=np.float64) if np.ndim(v) else float(v)
-    if not np.all(np.abs(v) <= READ_REGIME_MAX):  # NaN fails too
-        raise ReadRegimeError(
-            f"|v| must be finite and within the read regime limit of "
-            f"{READ_REGIME_MAX} V"
-        )
+    check_read_regime(v)
     g_eff = effective_conductance(g, spec, t)
     return g_eff * v * (1.0 + kappa * v)
 

@@ -200,6 +200,21 @@ def _require_finite_knob(key: str, value):
                           f"got {value!r}")
 
 
+# Knobs that count things; recipes pass them through int(), which would
+# run 10.9 as 10 without a word.
+_COUNT_KNOBS = ("n_rows", "n_cols", "n_devices", "n_classes", "subsample",
+                "n_train_digits", "n_test_digits", "workers")
+
+
+def _require_count_knob(key: str, value):
+    """A count knob is a non-bool integer, or None where None is its
+    default."""
+    if value is None and _KNOB_DEFAULTS[key] is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"knob {key!r} must be an integer, got {value!r}")
+
+
 def _normalize_overrides(raw) -> dict[int, float] | None:
     if raw is None:
         return None
@@ -252,6 +267,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if key not in _KNOB_DEFAULTS:
             raise ConfigError(f"unknown knob {key!r}")
         _require_finite_knob(key, value)
+        if key in _COUNT_KNOBS:
+            _require_count_knob(key, value)
         knobs[key] = value
     knobs["swing_overrides"] = _normalize_overrides(knobs["swing_overrides"])
 

@@ -10,21 +10,16 @@ the plain matrix forward pass agree to float rounding on ideal devices.
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bench
-from .crossbar import Crossbar, build_crossbar, map_to_csv, vmm_currents_batch
+from .crossbar import Crossbar, build_crossbar, vmm_currents_batch
 from .device import DeviceSpec
 from .errors import (
     ConfigError,
-    DataFormatError,
-    DataMissingError,
     DimensionError,
     require_count,
     require_finite,
@@ -63,7 +58,9 @@ class NetworkConfig:
             have = getattr(self, name)
             if have is None:
                 object.__setattr__(self, name, want)
-            elif have != want:
+                continue
+            require_count(self, name)
+            if have != want:
                 raise DimensionError(
                     f"config field {name} = {have} inconsistent with layer "
                     f"sizes (expected {want})"
@@ -169,19 +166,6 @@ def pair_difference(grid: np.ndarray) -> np.ndarray:
     return grid[:, 0::2] - grid[:, 1::2]
 
 
-def effective_weights(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Current unit-weight matrices read back from the conductance grids.
-
-    Physically this is the two-polarity differential read, which recovers
-    the stored conductance exactly at reference temperature.
-    """
-    if net.weight_scale1 <= 0 or net.weight_scale2 <= 0:
-        raise ConfigError("network has no weight scale set; assemble() first")
-    w1 = pair_difference(net.xbar1.g) / net.weight_scale1
-    w2 = pair_difference(net.xbar2.g) / net.weight_scale2
-    return w1, w2
-
-
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
@@ -238,6 +222,14 @@ class ForwardTrace:
     output: np.ndarray
 
 
+def with_bias(x: np.ndarray, bias: bool, v: float) -> np.ndarray:
+    """A batch of row voltages (n, k) -> (n, k + 1) with a constant bias
+    row at v appended, or x itself when the layer has no bias."""
+    if not bias:
+        return x
+    return np.hstack([x, np.full((x.shape[0], 1), v)])
+
+
 def drive_voltages(net: Network, levels: np.ndarray) -> np.ndarray:
     """Input drive levels in [-1, 1] -> row voltage batch, bias appended."""
     levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
@@ -246,11 +238,8 @@ def drive_voltages(net: Network, levels: np.ndarray) -> np.ndarray:
             f"got {levels.shape[1]} inputs, network expects "
             f"{net.config.n_inputs}"
         )
-    v = net.config.input_voltage * levels
-    if net.config.bias1:
-        bias = np.full((v.shape[0], 1), net.config.input_voltage)
-        v = np.hstack([v, bias])
-    return v
+    v = net.config.input_voltage
+    return with_bias(v * levels, net.config.bias1, v)
 
 
 def forward(
@@ -268,10 +257,7 @@ def forward(
                             rng=gen)
     vdiff1 = net.hidden_neurons.params.r_f * pair_difference(i1)
     hidden = bank_outputs(net.hidden_neurons, vdiff1)
-    v_in2 = hidden
-    if net.config.bias2:
-        bias = np.full((hidden.shape[0], 1), net.config.input_voltage)
-        v_in2 = np.hstack([hidden, bias])
+    v_in2 = with_bias(hidden, net.config.bias2, net.config.input_voltage)
     i2 = vmm_currents_batch(net.xbar2, v_in2, t=t, noise_sigma=noise_sigma,
                             rng=gen)
     vdiff2 = net.output_neurons.params.r_f * pair_difference(i2)
@@ -282,27 +268,6 @@ def forward(
 def classify(output_volts: np.ndarray) -> np.ndarray:
     """Argmax over output voltages, ties broken toward the lowest index."""
     return np.argmax(np.atleast_2d(output_volts), axis=1)
-
-
-def infer(
-    net: Network,
-    pixels: np.ndarray,
-    t: float | None = None,
-    *,
-    noise_sigma: float = 0.0,
-    rng=None,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """One pattern -> (class index, output volts, hidden volts)."""
-    pixels = np.asarray(pixels, dtype=np.float64)
-    if pixels.shape != (net.config.n_inputs,):
-        raise DimensionError(
-            f"pixel vector has shape {pixels.shape}, expected "
-            f"({net.config.n_inputs},)"
-        )
-    trace = forward(net, pixels[None, :], t=t, noise_sigma=noise_sigma,
-                    rng=rng)
-    cls = int(classify(trace.output)[0])
-    return cls, trace.output[0], trace.hidden[0]
 
 
 def evaluate(
@@ -320,112 +285,3 @@ def evaluate(
     trace = forward(net, levels, t=t, noise_sigma=noise_sigma, rng=rng)
     k = max(dataset.n_classes, net.config.n_outputs)
     return bench.score(classify(trace.output), dataset.labels, k)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_SNAPSHOT_FORMAT = "xbarnet-network"
-_SNAPSHOT_VERSION = 1
-_XBAR_FIELDS = ("g", "v_set", "v_reset", "kappa", "v_form", "formed",
-                "defect", "g_lo", "g_hi")
-
-
-def _xbar_to_obj(xbar: Crossbar) -> dict:
-    out = {}
-    for name in _XBAR_FIELDS:
-        arr = getattr(xbar, name)
-        out[name] = arr.tolist()
-    return out
-
-
-def _xbar_from_obj(obj: dict, spec: DeviceSpec) -> Crossbar:
-    kw = {}
-    for name in _XBAR_FIELDS:
-        if name not in obj:
-            raise DataFormatError(f"crossbar snapshot missing field {name!r}")
-        dtype = {"formed": bool, "defect": np.int8}.get(name, np.float64)
-        kw[name] = np.asarray(obj[name], dtype=dtype)
-    return Crossbar(spec=spec, **kw)
-
-
-def _bank_to_obj(bank: NeuronBank) -> dict:
-    return {
-        "params": dataclasses.asdict(bank.params),
-        "swing": bank.swing.tolist(),
-        "fault": bank.fault.tolist(),
-    }
-
-
-def _bank_from_obj(obj: dict) -> NeuronBank:
-    return NeuronBank(
-        params=NeuronParams(**obj["params"]),
-        swing=np.asarray(obj["swing"], dtype=np.float64),
-        fault=np.asarray(obj["fault"], dtype=np.int8),
-    )
-
-
-def network_to_json(net: Network) -> str:
-    """Whole-network snapshot as one JSON document (exact float round-trip)."""
-    doc = {
-        "format": _SNAPSHOT_FORMAT,
-        "version": _SNAPSHOT_VERSION,
-        "config": dataclasses.asdict(net.config),
-        "device_spec": dataclasses.asdict(net.xbar1.spec),
-        "device_spec2": dataclasses.asdict(net.xbar2.spec),
-        "weight_scale1": net.weight_scale1,
-        "weight_scale2": net.weight_scale2,
-        "xbar1": _xbar_to_obj(net.xbar1),
-        "xbar2": _xbar_to_obj(net.xbar2),
-        "hidden_neurons": _bank_to_obj(net.hidden_neurons),
-        "output_neurons": _bank_to_obj(net.output_neurons),
-    }
-    return json.dumps(doc)
-
-
-def network_from_json(text: str) -> Network:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"network snapshot is not valid JSON: {exc}")
-    if doc.get("format") != _SNAPSHOT_FORMAT:
-        raise DataFormatError(
-            f"not a network snapshot (format = {doc.get('format')!r})"
-        )
-    if doc.get("version") != _SNAPSHOT_VERSION:
-        raise DataFormatError(
-            f"unsupported snapshot version {doc.get('version')!r}"
-        )
-    spec1 = DeviceSpec(**doc["device_spec"])
-    spec2 = DeviceSpec(**doc.get("device_spec2", doc["device_spec"]))
-    cfg_obj = dict(doc["config"])
-    # FormingMode/enum-free config: plain scalars only
-    config = NetworkConfig(**cfg_obj)
-    return Network(
-        config=config,
-        xbar1=_xbar_from_obj(doc["xbar1"], spec1),
-        xbar2=_xbar_from_obj(doc["xbar2"], spec2),
-        hidden_neurons=_bank_from_obj(doc["hidden_neurons"]),
-        output_neurons=_bank_from_obj(doc["output_neurons"]),
-        weight_scale1=float(doc["weight_scale1"]),
-        weight_scale2=float(doc["weight_scale2"]),
-    )
-
-
-def save_network(net: Network, path):
-    with open(path, "w") as f:
-        f.write(network_to_json(net))
-
-
-def load_network(path) -> Network:
-    if not os.path.exists(path):
-        raise DataMissingError(f"network snapshot not found: {path}")
-    with open(path) as f:
-        return network_from_json(f.read())
-
-
-def save_conductances(net: Network, path1, path2):
-    """Both conductance grids to row-major CSV (one file per crossbar)."""
-    map_to_csv(net.xbar1.g, path1)
-    map_to_csv(net.xbar2.g, path2)

@@ -31,7 +31,8 @@ from .crossbar import Crossbar, pulse_all, write_pulse
 from .device import DefectKind, DeviceSpec
 from .errors import ConfigError, DimensionError, DivergenceError, \
     require_count, require_finite
-from .network import Network, NetworkConfig, forward, pair_difference
+from .network import Network, NetworkConfig, forward, pair_difference, \
+    with_bias
 from .neuron import NeuronParams
 from .progtune import TuneConfig, TuningReport, diagnose_defects, \
     import_conductance_map
@@ -310,18 +311,12 @@ def build_software_net(
 # ---------------------------------------------------------------------------
 
 
-def _with_bias(x: np.ndarray, bias: bool, v: float) -> np.ndarray:
-    if not bias:
-        return x
-    return np.hstack([x, np.full((x.shape[0], 1), v)])
-
-
 def _input_drive(snet: SoftwareNet, levels: np.ndarray) -> np.ndarray:
     """Layer-1 input volts for a batch of drive levels, bias column
     included."""
     levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
-    return _with_bias(snet.input_voltage * levels, snet.bias1,
-                      snet.input_voltage)
+    return with_bias(snet.input_voltage * levels, snet.bias1,
+                     snet.input_voltage)
 
 
 def _vdiff(x: np.ndarray, layer: LayerModel) -> np.ndarray:
@@ -338,7 +333,7 @@ def _forward(snet: SoftwareNet, x1: np.ndarray):
     hp = snet.hidden_params
     a1 = hp.gain * vdiff1
     hidden = np.clip(a1, -hp.v_sat, hp.v_sat) * (hp.out_swing / hp.v_sat)
-    x2 = _with_bias(hidden, snet.bias2, snet.input_voltage)
+    x2 = with_bias(hidden, snet.bias2, snet.input_voltage)
     vdiff2 = _vdiff(x2, snet.layer2)
     op = snet.output_params
     y = np.clip(op.gain * vdiff2, -op.v_sat, op.v_sat)

@@ -1,5 +1,5 @@
 """Command-line exit codes follow the error taxonomy: 0 success, 2 config,
-3 missing or malformed config file."""
+3 missing or malformed config file, 4 a simulation failure."""
 
 import json
 
@@ -53,3 +53,12 @@ def test_missing_or_unreadable_config(tmp_path, text, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_read_outside_regime_is_a_runtime_failure(tmp_path, capsys):
+    # a 0.6 V input read is past the 0.5 V non-disturbing window
+    conf = write_config(tmp_path, json.dumps({"knobs": {"v_in": 0.6}}))
+    code = cli.main(["run", "fig13-temp", "--config", conf,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_RUNTIME
+    assert "read regime" in capsys.readouterr().err

@@ -38,6 +38,24 @@ def test_non_finite_knobs_rejected(knobs):
         config(knobs=knobs)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("subsample", 10.9),
+    ("subsample", "ten"),
+    ("n_classes", 3.7),
+    ("n_train_digits", 8000.0),
+    ("n_test_digits", None),
+    ("n_rows", True),
+    ("n_cols", "20"),
+    ("n_devices", 2.5),
+    ("workers", None),
+])
+def test_count_knobs_must_be_integers(key, value):
+    # recipes pass count knobs through int(), which would run 10.9 as 10
+    with pytest.raises(ConfigError, match=repr(key)):
+        config(knobs={key: value})
+    assert config(knobs={key: 7}).knobs[key] == 7
+
+
 # --- sweeps -------------------------------------------------------------------
 
 # axis -> (values, series fidelity per (value, seed)), recorded before the

@@ -1,17 +1,14 @@
-"""Two-crossbar perceptron: mapping, assembly, inference, serialization."""
+"""Two-crossbar perceptron: mapping, assembly, inference."""
 
 import numpy as np
 import pytest
 
 from xbarnet.bench import letter_dataset
 from xbarnet.device import DeviceSpec
-from xbarnet.errors import ConfigError, DataFormatError, DataMissingError, \
-    DimensionError, ReadRegimeError
-from xbarnet.network import (Network, NetworkConfig, assemble, classify,
-                             drive_voltages, effective_weights, evaluate,
-                             forward, infer, interleave_pairs, load_network,
-                             map_weights, network_from_json, network_to_json,
-                             pair_difference, save_conductances, save_network)
+from xbarnet.errors import ConfigError, DimensionError, ReadRegimeError
+from xbarnet.network import (NetworkConfig, assemble, classify,
+                             drive_voltages, evaluate, forward,
+                             interleave_pairs, map_weights, pair_difference)
 from xbarnet.neuron import NeuronParams
 
 
@@ -29,6 +26,12 @@ def set_weights(net, w1, w2):
                                 scale=scale)
         xbar.g[:] = interleave_pairs(gp, gm)
     return net
+
+
+def read_weights(net):
+    """Unit weights read back from both conductance grids."""
+    return (pair_difference(net.xbar1.g) / net.weight_scale1,
+            pair_difference(net.xbar2.g) / net.weight_scale2)
 
 
 # --- weight mapping ---------------------------------------------------------
@@ -104,6 +107,16 @@ def test_config_rejects_inconsistent_portions():
     assert cfg.device_count == 428
 
 
+def test_config_portions_must_be_integers():
+    # build_crossbar needs integers, so an integral float fails here, as a
+    # config error, not later as a bare TypeError
+    with pytest.raises(ConfigError, match="rows1"):
+        NetworkConfig(rows1=17.0)
+    for rows1 in (17, np.int64(17)):
+        cfg = NetworkConfig(rows1=rows1)
+        assert assemble(cfg, DeviceSpec(), seed=0).xbar1.g.shape == (17, 20)
+
+
 def test_digit_scale_config():
     cfg = NetworkConfig(n_inputs=784, n_hidden=300, n_outputs=10)
     assert (cfg.rows1, cfg.cols1) == (785, 600)
@@ -132,14 +145,6 @@ def test_assemble_output_params_checked():
                  output_params=NeuronParams())
 
 
-def test_effective_weights_requires_scale():
-    net = ideal_net()
-    broken = net.copy()
-    broken.weight_scale1 = 0.0
-    with pytest.raises(ConfigError):
-        effective_weights(broken)
-
-
 def test_effective_weights_roundtrip():
     # the 1/r_f scale represents |w| up to (g_max-g_min)*r_f = 0.18; stay
     # inside that box so nothing clamps at the rails
@@ -148,7 +153,7 @@ def test_effective_weights_roundtrip():
     w1 = rng.uniform(-0.17, 0.17, (17, 10))
     w2 = rng.uniform(-0.17, 0.17, (11, 4))
     set_weights(net, w1, w2)
-    got1, got2 = effective_weights(net)
+    got1, got2 = read_weights(net)
     np.testing.assert_allclose(got1, w1, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(got2, w2, rtol=1e-10, atol=1e-12)
 
@@ -157,7 +162,7 @@ def test_effective_weights_roundtrip():
 
 def software_forward_oracle(net, levels):
     """Plain numpy forward math for ideal devices at scale 1/r_f."""
-    w1, w2 = effective_weights(net)
+    w1, w2 = read_weights(net)
     hp, op = net.hidden_neurons.params, net.output_neurons.params
     v = net.config.input_voltage * np.atleast_2d(levels)
     v = np.hstack([v, np.full((v.shape[0], 1), net.config.input_voltage)])
@@ -185,9 +190,9 @@ def test_all_midrange_ties_to_class_zero():
     mid = 0.5 * (net.xbar1.spec.g_min + net.xbar1.spec.g_max)
     net.xbar1.g[:] = mid
     net.xbar2.g[:] = mid
-    cls, out, _ = infer(net, np.ones(16))
-    assert cls == 0
-    np.testing.assert_allclose(out, out[0])
+    out = forward(net, np.ones((1, 16))).output
+    assert classify(out)[0] == 0
+    np.testing.assert_allclose(out[0], out[0, 0])
 
 
 def test_hidden_drive_stays_in_read_window():
@@ -227,12 +232,6 @@ def test_classify_tie_lowest_index():
     assert classify(np.array([2.0, 2.0, 1.0]))[0] == 0
 
 
-def test_infer_shape_check():
-    net = ideal_net()
-    with pytest.raises(DimensionError):
-        infer(net, np.ones(12))
-
-
 def test_drive_voltages_bias_and_width():
     net = ideal_net()
     v = drive_voltages(net, np.ones((3, 16)))
@@ -269,51 +268,3 @@ def test_evaluate_empty_dataset():
     train, _ = letter_dataset()
     with pytest.raises(ConfigError):
         evaluate(net, train.subset(np.zeros(0, dtype=int)))
-
-
-# --- serialization ----------------------------------------------------------
-
-def test_json_roundtrip_bit_exact():
-    rng = np.random.default_rng(13)
-    net = assemble(NetworkConfig(), DeviceSpec(), seed=9)
-    set_weights(net, rng.uniform(-1, 1, (17, 10)), rng.uniform(-1, 1, (11, 4)))
-    net.xbar1.defect[2, 3] = 1
-    net.hidden_neurons.swing[4] = 0.17
-    back = network_from_json(network_to_json(net))
-    np.testing.assert_array_equal(back.xbar1.g, net.xbar1.g)
-    np.testing.assert_array_equal(back.xbar1.v_set, net.xbar1.v_set)
-    np.testing.assert_array_equal(back.xbar1.defect, net.xbar1.defect)
-    np.testing.assert_array_equal(back.hidden_neurons.swing,
-                                  net.hidden_neurons.swing)
-    assert back.weight_scale1 == net.weight_scale1
-    lv = rng.choice([-1.0, 1.0], (5, 16))
-    np.testing.assert_array_equal(forward(back, lv).output,
-                                  forward(net, lv).output)
-
-
-def test_snapshot_file_roundtrip(tmp_path):
-    net = assemble(NetworkConfig(), DeviceSpec(), seed=14)
-    path = tmp_path / "net.json"
-    save_network(net, path)
-    back = load_network(path)
-    np.testing.assert_array_equal(back.xbar2.g, net.xbar2.g)
-
-
-def test_snapshot_errors(tmp_path):
-    with pytest.raises(DataMissingError):
-        load_network(tmp_path / "none.json")
-    with pytest.raises(DataFormatError):
-        network_from_json("not json {")
-    with pytest.raises(DataFormatError):
-        network_from_json('{"format": "something-else"}')
-    with pytest.raises(DataFormatError):
-        network_from_json('{"format": "xbarnet-network", "version": 99}')
-
-
-def test_save_conductances(tmp_path):
-    from xbarnet.crossbar import map_from_csv
-    net = assemble(NetworkConfig(), DeviceSpec(), seed=15)
-    p1, p2 = tmp_path / "g1.csv", tmp_path / "g2.csv"
-    save_conductances(net, p1, p2)
-    np.testing.assert_array_equal(map_from_csv(p1), net.xbar1.g)
-    np.testing.assert_array_equal(map_from_csv(p2), net.xbar2.g)

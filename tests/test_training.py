@@ -1,5 +1,6 @@
-"""Software fit: forward/backward formulas, determinism, divergence, config
-validation and pinned outputs of the precursor and defect-aware fits."""
+"""Software fit: forward/backward formulas, determinism, divergence, the
+hardware contracts (ideal devices, in-situ belief), config validation and
+pinned outputs of the precursor and defect-aware fits."""
 
 import dataclasses
 import hashlib
@@ -14,12 +15,13 @@ from xbarnet.bench import encode_levels, letter_dataset
 from xbarnet.crossbar import inject_cell_defects
 from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError, DivergenceError
-from xbarnet.network import NetworkConfig, assemble
+from xbarnet.network import (NetworkConfig, assemble, classify, forward,
+                             interleave_pairs, map_weights)
 from xbarnet.progtune import TuneConfig
-from xbarnet.training import (InSituConfig, Loss, TrainHyper,
-                              build_software_net, loss_and_grads,
-                              measure_network_maps, software_forward,
-                              train_defect_aware)
+from xbarnet.training import (InSituConfig, InSituState, Loss, TrainHyper,
+                              build_software_net, insitu_epoch,
+                              loss_and_grads, measure_network_maps,
+                              software_forward, train_defect_aware)
 
 
 def dense_forward(snet, levels):
@@ -175,6 +177,49 @@ def test_fit_with_non_finite_weights_raises():
             pytest.raises(DivergenceError, match="weights") as err:
         training._fit(snet, levels, train.labels, TrainHyper(epochs=3))
     assert err.value.epoch == 0
+
+
+# --- hardware contracts ---------------------------------------------------
+
+def test_ideal_hardware_forward_equals_software_forward():
+    # kappa = 0 and the 1/r_f import scale make the crossbar forward pass
+    # the software formula, up to float rounding
+    spec = DeviceSpec(vset_sigma=0.0, vreset_sigma=0.0, kappa_mean=0.0,
+                      kappa_sigma=0.0)
+    net = assemble(NetworkConfig(), spec, seed=2)
+    snet = build_software_net(NetworkConfig())
+    rng = np.random.default_rng(5)
+    for xbar, layer, scale in ((net.xbar1, snet.layer1, net.weight_scale1),
+                               (net.xbar2, snet.layer2, net.weight_scale2)):
+        # inside the +-0.18 box the 1/r_f scale maps without clamping
+        layer.w = rng.uniform(-0.17, 0.17, layer.w.shape)
+        gp, gm, _ = map_weights(layer.w, spec.g_min, spec.g_max, scale=scale)
+        xbar.g[:] = interleave_pairs(gp, gm)
+    levels = encode_levels(letter_dataset()[0])
+    hw = forward(net, levels).output
+    sw = software_forward(snet, levels)[0]
+    assert np.max(np.abs(hw - sw)) < 1e-12
+    np.testing.assert_array_equal(classify(hw), classify(sw))
+
+
+@pytest.mark.parametrize("half_select", [False, True])
+def test_insitu_belief_equals_silicon_without_threshold_spread(half_select):
+    # with every threshold at its mean the nominal device model the
+    # training computer tracks is the silicon, pulse for pulse
+    spec = DeviceSpec(vset_sigma=0.0, vreset_sigma=0.0)
+    net = assemble(NetworkConfig(), spec, seed=3)
+    rng = np.random.default_rng(4)
+    for xbar in (net.xbar1, net.xbar2):
+        xbar.g[:] = rng.uniform(spec.g_min, spec.g_max, xbar.g.shape)
+    g_start = net.xbar1.g.copy()
+    state = InSituState.from_network(net)
+    train, _ = letter_dataset()
+    cfg = InSituConfig(half_select=half_select)
+    for _ in range(8):
+        net = insitu_epoch(net, train, cfg, state)[0]
+    assert not np.array_equal(net.xbar1.g, g_start)  # pulses did land
+    np.testing.assert_array_equal(state.bg1, net.xbar1.g)
+    np.testing.assert_array_equal(state.bg2, net.xbar2.g)
 
 
 # --- pinned outputs -----------------------------------------------------------
