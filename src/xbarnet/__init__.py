@@ -10,14 +10,9 @@ from .device import (
     DefectKind,
     DeviceSpec,
     FormingMode,
-    MemristorState,
-    apply_pulse,
     differential_conductance,
     effective_conductance,
-    extract_thresholds,
     pulse_delta,
-    read_current,
-    sample_device,
 )
 from .crossbar import (
     Crossbar,
@@ -27,6 +22,7 @@ from .crossbar import (
     map_to_csv,
     measure_maps,
     pulse_all,
+    sample_cells,
     vary_bounds,
     vmm_currents,
     vmm_currents_batch,
@@ -39,6 +35,7 @@ from .progtune import (
     TuneConfig,
     TuningReport,
     diagnose_defects,
+    extract_thresholds,
     form_array,
     image_to_targets,
     import_conductance_map,
@@ -46,13 +43,11 @@ from .progtune import (
 )
 from .neuron import (
     CompensationParams,
-    FixedResistor,
     NeuronBank,
     NeuronFault,
     NeuronParams,
     bank_outputs,
     compensated_output,
-    feedback_conductance,
     inject_neuron_faults,
     make_bank,
     neuron_out,

@@ -120,14 +120,37 @@ def build_crossbar(
         raise ConfigError(f"crossbar dimensions must be positive, got {rows}x{cols}")
     rng = np.random.default_rng(seed)
     shape = (rows, cols)
-    v_set = np.maximum(
-        rng.normal(spec.vset_mean, spec.vset_sigma, shape), dev.THRESHOLD_FLOOR
+    return _sample(spec, lambda mean, sigma: rng.normal(mean, sigma, shape),
+                   formed)
+
+
+def sample_cells(spec: DeviceSpec, seeds) -> Crossbar:
+    """A column of independently seeded devices, shape (len(seeds), 1).
+
+    Cell i draws v_set, v_reset, kappa and v_form, in that order, from
+    default_rng(seeds[i]), so a seed pins its device wherever it sits in
+    the column.  Every cell starts formed at g_min.
+    """
+    if len(seeds) == 0:
+        raise ConfigError("sample_cells needs at least one seed")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    return _sample(
+        spec,
+        lambda mean, sigma: np.array([[rng.normal(mean, sigma)] for rng in rngs]),
+        True,
     )
-    v_reset = np.maximum(
-        rng.normal(spec.vreset_mean, spec.vreset_sigma, shape), dev.THRESHOLD_FLOOR
-    )
-    kappa = np.maximum(rng.normal(spec.kappa_mean, spec.kappa_sigma, shape), 0.0)
-    v_form = rng.normal(spec.forming_v_mean, spec.forming_v_sigma, shape)
+
+
+def _sample(spec: DeviceSpec, draw, formed: bool) -> Crossbar:
+    """Draw the per-device fields through ``draw(mean, sigma)`` in the fixed
+    order v_set, v_reset, kappa, v_form; thresholds are floored at
+    THRESHOLD_FLOOR and kappa at zero."""
+    v_set = np.maximum(draw(spec.vset_mean, spec.vset_sigma), dev.THRESHOLD_FLOOR)
+    v_reset = np.maximum(draw(spec.vreset_mean, spec.vreset_sigma),
+                         dev.THRESHOLD_FLOOR)
+    kappa = np.maximum(draw(spec.kappa_mean, spec.kappa_sigma), 0.0)
+    v_form = draw(spec.forming_v_mean, spec.forming_v_sigma)
+    shape = v_set.shape
     g0 = spec.g_min if formed else spec.g_virgin
     return Crossbar(
         spec=spec,
@@ -256,14 +279,13 @@ def write_pulse(
     width: float,
     *,
     half_select: bool = True,
-    copy: bool = True,
 ) -> Crossbar:
-    """One addressed programming pulse with the V/2 scheme.
+    """One addressed programming pulse with the V/2 scheme, in place;
+    returns xbar.
 
     The target sees the full amplitude; with ``half_select`` every other cell
     in the same row or column sees v/2 of the same polarity and may take
-    disturb if weakly thresholded.  ``copy=False`` mutates in place (used by
-    tuning loops that own a working copy).
+    disturb if weakly thresholded.
     """
     xbar._check_index(row, col)
     if width <= 0:
@@ -272,24 +294,22 @@ def write_pulse(
         raise FormingRequiredError(
             f"cell ({row}, {col}) was never formed; run forming first"
         )
-    out = xbar.copy() if copy else xbar
     if half_select:
-        row_cols = np.r_[0:col, col + 1:out.cols]
-        col_rows = np.r_[0:row, row + 1:out.rows]
-        _pulse_cells(out, np.full(row_cols.shape, row), row_cols, v / 2.0, width)
-        _pulse_cells(out, col_rows, np.full(col_rows.shape, col), v / 2.0, width)
-    _pulse_cells(out, np.array([row]), np.array([col]), v, width)
-    return out
+        row_cols = np.r_[0:col, col + 1:xbar.cols]
+        col_rows = np.r_[0:row, row + 1:xbar.rows]
+        _pulse_cells(xbar, np.full(row_cols.shape, row), row_cols, v / 2.0, width)
+        _pulse_cells(xbar, col_rows, np.full(col_rows.shape, col), v / 2.0, width)
+    _pulse_cells(xbar, np.array([row]), np.array([col]), v, width)
+    return xbar
 
 
 def pulse_all(
     xbar: Crossbar,
     v: np.ndarray,
     width: float,
-    *,
-    copy: bool = True,
 ) -> Crossbar:
-    """Apply a full-array pulse pattern (per-cell amplitudes, zeros allowed).
+    """Apply a full-array pulse pattern (per-cell amplitudes, zeros allowed)
+    in place; returns xbar.
 
     This is the fully parallel write abstraction used by the vectorized
     tuner and trainer; there is no half-select disturb because every cell
@@ -303,9 +323,8 @@ def pulse_all(
         )
     if width <= 0:
         raise ConfigError(f"pulse width must be positive, got {width}")
-    out = xbar.copy() if copy else xbar
-    _pulse_cells(out, slice(None), slice(None), v, width)
-    return out
+    _pulse_cells(xbar, slice(None), slice(None), v, width)
+    return xbar
 
 
 # ---------------------------------------------------------------------------

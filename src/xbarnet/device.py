@@ -1,4 +1,4 @@
-"""Behavioral model of a single metal-oxide memristor.
+"""Behavioral model of the metal-oxide memristor: population spec and kernels.
 
 The device is the Pt/Al2O3/TiO2-x/Ti/Pt stack operated as an analog weight:
 conductance is continuously adjustable inside [g_min, g_max] by voltage pulses
@@ -33,24 +33,19 @@ and all three live here:
   high-conductance ones.  ``alpha_exponent = 0`` gives a state-independent
   coefficient, which perfectly matched feedback elements can cancel.
 
-Scalar operations here and the array operations in :mod:`xbarnet.crossbar`
-share the private kernels below, so the two paths cannot diverge.
+The kernels below are elementwise; devices themselves live only as the
+cells of a :mod:`xbarnet.crossbar` array, whose one write path applies
+``pulse_delta``, so every programmed device follows the same pulse rule.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    FormingRequiredError,
-    MeasurementError,
-    ReadRegimeError,
-    require_finite,
-)
+from .errors import ConfigError, ReadRegimeError, require_finite
 
 # Reads above this magnitude would disturb state on real devices; the model
 # refuses them rather than silently extrapolating.
@@ -134,35 +129,6 @@ class DeviceSpec:
         return self.g_min * VIRGIN_G_FACTOR
 
 
-@dataclass(frozen=True)
-class MemristorState:
-    """One device: its sampled parameters plus current conductance.
-
-    Immutable; operations return updated copies.  ``defect`` freezes the
-    conductance, ``formed`` gates all writes.
-    """
-
-    spec: DeviceSpec
-    g: float
-    v_set: float
-    v_reset: float
-    kappa: float
-    v_form: float
-    formed: bool = True
-    defect: DefectKind = DefectKind.NONE
-
-    # per-cell working range; equal to the spec range unless a robustness
-    # sweep narrows or widens this particular cell
-    g_lo: float = None  # type: ignore[assignment]
-    g_hi: float = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.g_lo is None:
-            object.__setattr__(self, "g_lo", self.spec.g_min)
-        if self.g_hi is None:
-            object.__setattr__(self, "g_hi", self.spec.g_max)
-
-
 # ---------------------------------------------------------------------------
 # shared kernels (scalar or ndarray arguments)
 # ---------------------------------------------------------------------------
@@ -213,7 +179,8 @@ def pulse_delta(g, v, width, v_set, v_reset, beta_set, beta_reset, g_lo, g_hi):
     """Conductance increment for one pulse, before clipping. Elementwise.
 
     Single-polarity pulses can only trip one threshold (both thresholds are
-    positive), so computing both branches and summing is exact.
+    positive), so computing both branches and summing is exact; a 0 V pulse
+    returns exactly zero.
     """
     span = g_hi - g_lo
     over_set = np.maximum(v - v_set, 0.0)
@@ -221,40 +188,6 @@ def pulse_delta(g, v, width, v_set, v_reset, beta_set, beta_reset, g_lo, g_hi):
     d_set = beta_set * over_set * width * (g_hi - g) / span
     d_reset = beta_reset * over_reset * width * (g - g_lo) / span
     return d_set - d_reset
-
-
-# ---------------------------------------------------------------------------
-# scalar device operations
-# ---------------------------------------------------------------------------
-
-
-def sample_device(spec: DeviceSpec, seed, *, formed: bool = True) -> MemristorState:
-    """Draw one device from the population.
-
-    Thresholds are normal with a hard floor at THRESHOLD_FLOOR volts; kappa is
-    normal (clipped at zero from below, an asymmetry-free device is the
-    limit); the forming voltage is normal.  Draw order is fixed so a seed
-    pins the state completely.
-    """
-    rng = np.random.default_rng(seed)
-    v_set = max(rng.normal(spec.vset_mean, spec.vset_sigma), THRESHOLD_FLOOR)
-    v_reset = max(rng.normal(spec.vreset_mean, spec.vreset_sigma), THRESHOLD_FLOOR)
-    kappa = max(rng.normal(spec.kappa_mean, spec.kappa_sigma), 0.0)
-    v_form = rng.normal(spec.forming_v_mean, spec.forming_v_sigma)
-    return MemristorState(
-        spec=spec,
-        g=spec.g_min if formed else spec.g_virgin,
-        v_set=v_set,
-        v_reset=v_reset,
-        kappa=kappa,
-        v_form=v_form,
-        formed=formed,
-    )
-
-
-def read_current(state: MemristorState, v: float, t: float | None = None) -> float:
-    """Current through the device at read bias v (|v| <= READ_REGIME_MAX)."""
-    return float(read_terms(state.g, state.kappa, v, state.spec, t))
 
 
 def differential_conductance(g, kappa, v_read: float, spec: DeviceSpec, t=None):
@@ -267,80 +200,9 @@ def differential_conductance(g, kappa, v_read: float, spec: DeviceSpec, t=None):
     """
     if v_read <= 0:
         raise ConfigError("v_read must be positive")
-    if v_read > READ_REGIME_MAX:
+    if not v_read <= READ_REGIME_MAX:  # NaN fails too
         raise ReadRegimeError(
             f"verify read at {v_read} V exceeds the read regime limit"
         )
     del kappa  # cancels identically in the differential read
     return effective_conductance(g, spec, t)
-
-
-def apply_pulse(state: MemristorState, v: float, width: float) -> MemristorState:
-    """One programming pulse; returns the updated device.
-
-    Stuck cells ignore pulses entirely; unformed cells refuse them.
-    """
-    if not state.formed:
-        raise FormingRequiredError("cannot pulse an unformed device")
-    if width <= 0:
-        raise ConfigError(f"pulse width must be positive, got {width}")
-    if state.defect != DefectKind.NONE:
-        return state
-    dg = pulse_delta(
-        state.g, v, width,
-        state.v_set, state.v_reset,
-        state.spec.beta_set, state.spec.beta_reset,
-        state.g_lo, state.g_hi,
-    )
-    g_new = float(np.clip(state.g + dg, state.g_lo, state.g_hi))
-    return replace(state, g=g_new)
-
-
-def extract_thresholds(
-    state: MemristorState,
-    v_step: float = 0.05,
-    v_limit: float = 3.0,
-    *,
-    width: float = 1e-2,
-    change_frac: float = 0.05,
-    n_condition: int = 60,
-) -> tuple[float, float]:
-    """Measure (v_set, v_reset) by staircase sweeps.
-
-    Protocol per polarity: condition the device toward the opposite bound,
-    then step the pulse amplitude from v_step upward; the first amplitude
-    after which conductance moved by more than ``change_frac`` relative to its
-    pre-pulse value is the measured threshold.  The measured value therefore
-    overestimates the true threshold by at most v_step plus a kinetics-limited
-    offset (slow devices need more over-drive before a 5% move shows up
-    within one pulse).
-
-    Raises MeasurementError when a sweep reaches v_limit without the change
-    criterion firing; stuck cells always end up there.
-    """
-    if not state.formed:
-        raise FormingRequiredError("cannot characterize an unformed device")
-    if v_step <= 0 or v_limit <= 0:
-        raise ConfigError("v_step and v_limit must be positive")
-
-    def staircase(dev: MemristorState, sign: float) -> tuple[float, MemristorState]:
-        v = v_step
-        while v <= v_limit + 1e-12:
-            g_before = dev.g
-            dev = apply_pulse(dev, sign * v, width)
-            if abs(dev.g - g_before) > change_frac * g_before:
-                return v, dev
-            v += v_step
-        raise MeasurementError(
-            f"no {'set' if sign > 0 else 'reset'} event observed up to "
-            f"{v_limit} V; device may be stuck"
-        )
-
-    dev = state
-    for _ in range(n_condition):  # park near g_lo so the set sweep has headroom
-        dev = apply_pulse(dev, -v_limit, width)
-    v_set_meas, dev = staircase(dev, +1.0)
-    for _ in range(n_condition):  # park near g_hi for the reset sweep
-        dev = apply_pulse(dev, +v_limit, width)
-    v_reset_meas, _ = staircase(dev, -1.0)
-    return v_set_meas, v_reset_meas

@@ -33,12 +33,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bench
-from . import device as dev
 from .bench import Dataset
 from .crossbar import (
     build_crossbar,
     inject_cell_defects,
     map_to_csv,
+    sample_cells,
     vary_bounds,
     vmm_currents,
 )
@@ -47,7 +47,6 @@ from .errors import ConfigError, DataFormatError, DataMissingError
 from .network import Network, NetworkConfig, assemble, evaluate
 from .neuron import (
     CompensationParams,
-    FixedResistor,
     NeuronParams,
     compensated_output,
     inject_neuron_faults,
@@ -56,6 +55,7 @@ from .neuron import (
 from .progtune import (
     FormingConfig,
     TuneConfig,
+    extract_thresholds,
     form_array,
     image_to_targets,
     import_conductance_map,
@@ -678,11 +678,11 @@ def _recipe_thresholds(cfg: ExperimentConfig, out: Path):
     v_limit = float(cfg.knobs["v_limit"])
     rows = []
     for seed in cfg.seeds:
+        cells = sample_cells(cfg.spec, [[seed, i] for i in range(n)])
+        m_set, m_reset = extract_thresholds(cells, v_step, v_limit)
         for i in range(n):
-            state = dev.sample_device(cfg.spec, [seed, i])
-            m_set, m_reset = dev.extract_thresholds(state, v_step, v_limit)
-            rows.append((seed, i, state.v_set, m_set,
-                         state.v_reset, m_reset))
+            rows.append((seed, i, cells.v_set[i, 0], m_set[i, 0],
+                         cells.v_reset[i, 0], m_reset[i, 0]))
     _write_csv(out / "thresholds.csv",
                "seed,device,true_vset,meas_vset,true_vreset,meas_vreset",
                rows)
@@ -944,15 +944,12 @@ def _recipe_temperature(cfg: ExperimentConfig, out: Path):
             # the feedback device tuned until the column output stops moving
             # with temperature; algebraically that lands on i_ref/s_factor
             g_fb = i_ref / s_factor
-            fb_state = replace(dev.sample_device(spec_v, [seed, 2]), g=g_fb)
             for bias_name, g_b in biases.items():
                 comps = {
                     "memristive": CompensationParams(
-                        feedback=fb_state, g_bias=g_b, v_bias=v_bias,
-                        bias_spec=spec_v),
+                        g_fb, g_b, v_bias, fb_spec=spec_v, bias_spec=spec_v),
                     "fixed": CompensationParams(
-                        feedback=FixedResistor(1.0 / g_fb), g_bias=g_b,
-                        v_bias=v_bias, bias_spec=spec_v),
+                        g_fb, g_b, v_bias, bias_spec=spec_v),
                 }
                 for fb_name, comp in comps.items():
                     ref = compensated_output(i_ref, comp, t=spec_v.t_ref)

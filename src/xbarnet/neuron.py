@@ -12,7 +12,8 @@ the next crossbar is driven inside its non-disturbing read window:
 
 Per-neuron imperfections are the measured kind: output-swing spread across
 the bank and stuck-high/low faults.  The temperature-compensated output
-stage (memristive feedback plus bias leg) lives here too.
+stage lives here too: a feedback and a bias conductance, each either a
+drifting memristive leg or an ideal resistor.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import device as dev
-from .device import DeviceSpec, MemristorState
-from .errors import ConfigError, DimensionError, SingularityError
+from .device import DeviceSpec
+from .errors import (ConfigError, DimensionError, SingularityError,
+                     require_finite)
 
 
 class NeuronFault:
@@ -183,50 +185,41 @@ def vary_swing(bank: NeuronBank, sigma: float, seed) -> NeuronBank:
 
 
 @dataclass(frozen=True)
-class FixedResistor:
-    r_ohm: float
-
-    def __post_init__(self):
-        if self.r_ohm <= 0:
-            raise ConfigError("feedback resistance must be positive")
-
-
-@dataclass(frozen=True)
 class CompensationParams:
     """Output stage: v_out = -(I + g_bias(t) * v_bias) / g_fb(t).
 
-    ``feedback`` is a FixedResistor (temperature-independent baseline) or a
-    MemristorState read through the device model.  ``g_bias`` is the bias-leg
-    conductance; if ``bias_spec`` is given it drifts with alpha(g_bias) like
-    an array cell, else it is ideal.
+    ``g_fb`` is the feedback conductance and ``g_bias`` the bias-leg
+    conductance.  A leg with a spec (``fb_spec``, ``bias_spec``) drifts with
+    alpha(g) like an array cell; a leg without one is ideal, i.e. a fixed
+    resistor.
     """
 
-    feedback: FixedResistor | MemristorState
+    g_fb: float
     g_bias: float = 0.0
     v_bias: float = 0.2
+    fb_spec: DeviceSpec | None = None
     bias_spec: DeviceSpec | None = None
 
     def __post_init__(self):
-        if self.g_bias < 0:
-            raise ConfigError("g_bias must be non-negative")
+        require_finite(self, "g_fb", "g_bias", "v_bias")
+        if self.g_fb < 0 or self.g_bias < 0:
+            raise ConfigError("g_fb and g_bias must be non-negative")
 
 
-def feedback_conductance(comp: CompensationParams, t: float | None = None) -> float:
-    if isinstance(comp.feedback, FixedResistor):
-        return 1.0 / comp.feedback.r_ohm
-    state = comp.feedback
-    return float(dev.effective_conductance(state.g, state.spec, t))
+def _leg_conductance(g: float, spec: DeviceSpec | None, t) -> float:
+    # an open leg (g = 0) carries no current and has nothing to drift
+    if spec is None or g == 0:
+        return g
+    return float(dev.effective_conductance(g, spec, t))
 
 
 def compensated_output(
     weighted_current: float, comp: CompensationParams, t: float | None = None
 ) -> float:
-    g_fb = feedback_conductance(comp, t)
+    g_fb = _leg_conductance(comp.g_fb, comp.fb_spec, t)
     if g_fb <= 0:
         raise SingularityError(
             f"feedback conductance {g_fb} S at t={t}; output undefined"
         )
-    g_b = comp.g_bias
-    if g_b > 0 and comp.bias_spec is not None:
-        g_b = float(dev.effective_conductance(g_b, comp.bias_spec, t))
+    g_b = _leg_conductance(comp.g_bias, comp.bias_spec, t)
     return -(weighted_current + g_b * comp.v_bias) / g_fb

@@ -18,13 +18,19 @@ row and column.
 The verify step is a two-point differential read (I(+v) - I(-v)) / 2v, which
 cancels the quadratic asymmetry term and observes the true conductance.
 
-Two execution styles share the per-cell decision rule exactly:
+The per-cell decision rule is tune_cell's.  Two imports run it:
 
-* sequential (default): one cell at a time through half-select addressing,
-  with all its disturb physics; right for hardware-faithful array sizes.
+* sequential (default): one cell at a time through tune_cell with
+  half-select addressing and all its disturb physics, tuning to a guard
+  fraction of the band and re-passing over cells a later write knocked out
+  of it; right for hardware-faithful array sizes.
 * parallel: every unconverged cell pulsed per iteration with its own
   amplitude, no half-select cross-talk; right for MNIST-scale imports where
-  walking 470k cells one by one is pointless.
+  walking 470k cells one by one is pointless.  It equals tune_cell without
+  half-select looped row-major over the cells, bit for bit.
+
+The two imports therefore do not give the same array.  Threshold
+characterization (staircase sweeps over every cell at once) lives here too.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ import numpy as np
 from . import device as dev
 from .crossbar import Crossbar, DefectMap, measure_maps, pulse_all, write_pulse
 from .device import DefectKind, FormingMode
-from .errors import ConfigError, DimensionError, FormingRequiredError
+from .errors import (ConfigError, DimensionError, FormingRequiredError,
+                     MeasurementError)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +146,62 @@ def form_array(xbar: Crossbar, cfg: FormingConfig, seed) -> tuple[Crossbar, Form
 
 
 # ---------------------------------------------------------------------------
+# threshold characterization
+# ---------------------------------------------------------------------------
+
+# Staircase protocol: pulse width, the relative conductance move that counts
+# as a switching event, and the conditioning pulses that park every cell at
+# the opposite bound before a sweep so it has headroom.
+_STAIR_WIDTH = 1e-2
+_STAIR_CHANGE_FRAC = 0.05
+_STAIR_CONDITION = 60
+
+
+def extract_thresholds(xbar: Crossbar, v_step: float = 0.05,
+                       v_limit: float = 3.0) -> tuple[np.ndarray, np.ndarray]:
+    """Measure every cell's (v_set, v_reset) by staircase sweeps, in place.
+
+    Protocol per polarity: condition the cells toward the opposite bound,
+    then step the pulse amplitude from v_step upward; a cell's threshold is
+    the first amplitude after which its conductance moved by more than 5%
+    of its pre-pulse value, and from then on it gets 0 V, which moves it by
+    exactly nothing.  The measured value therefore overestimates the true
+    threshold by at most v_step plus a kinetics-limited offset (slow devices
+    need more over-drive before a 5% move shows up within one pulse).
+
+    Raises MeasurementError when a sweep reaches v_limit before every cell
+    fired; stuck cells always end up there.
+    """
+    if not xbar.formed.all():
+        raise FormingRequiredError("cannot characterize an unformed device")
+    if v_step <= 0 or v_limit <= 0:
+        raise ConfigError("v_step and v_limit must be positive")
+    measured = []
+    for sign, event in ((+1.0, "set"), (-1.0, "reset")):
+        for _ in range(_STAIR_CONDITION):
+            pulse_all(xbar, np.full(xbar.g.shape, -sign * v_limit),
+                      _STAIR_WIDTH)
+        meas = np.full(xbar.g.shape, np.nan)
+        todo = np.ones(xbar.g.shape, dtype=bool)
+        v = v_step
+        while todo.any() and v <= v_limit + 1e-12:
+            g_before = xbar.g.copy()
+            pulse_all(xbar, np.where(todo, sign * v, 0.0), _STAIR_WIDTH)
+            fired = todo & (np.abs(xbar.g - g_before)
+                            > _STAIR_CHANGE_FRAC * g_before)
+            meas[fired] = v
+            todo &= ~fired
+            v += v_step
+        if todo.any():
+            raise MeasurementError(
+                f"no {event} event observed up to {v_limit} V in "
+                f"{int(todo.sum())} cell(s); they may be stuck"
+            )
+        measured.append(meas)
+    return measured[0], measured[1]
+
+
+# ---------------------------------------------------------------------------
 # write-verify tuning
 # ---------------------------------------------------------------------------
 
@@ -233,7 +296,7 @@ def _probe_polarity(xbar: Crossbar, row: int, col: int, sign: float,
     g0 = xbar.g[row, col]
     for _ in range(n_pulses):
         write_pulse(xbar, row, col, sign * cfg.v_write_max, cfg.width,
-                    half_select=cfg.half_select, copy=False)
+                    half_select=cfg.half_select)
     return bool(xbar.g[row, col] != g0)
 
 
@@ -243,13 +306,12 @@ def tune_cell(
     col: int,
     target_g: float,
     cfg: TuneConfig,
-    *,
-    copy: bool = True,
 ) -> tuple[Crossbar, CellTuneResult]:
     """Write-verify one cell to target_g within cfg.tolerance (relative).
 
-    Returns the updated array and a CellTuneResult; a failed outcome is a
-    result, not an exception, so array-scale imports can collect failures.
+    Pulses xbar in place and returns it with a CellTuneResult; a failed
+    outcome is a result, not an exception, so array-scale imports can
+    collect failures.
     The response floor for "no measurable change" is a tenth of the
     tolerance band, which keeps escalation moving near the soft bounds where
     single-pulse steps become arbitrarily small.  A pulse that moves the
@@ -268,13 +330,11 @@ def tune_cell(
         raise ConfigError(
             f"target {target_g:.3e} S outside cell range [{lo:.3e}, {hi:.3e}]"
         )
-    out = xbar.copy() if copy else xbar
-
     band = cfg.tolerance * target_g
     floor = band / 10.0
-    meas = _verify(out, row, col, cfg)
+    meas = _verify(xbar, row, col, cfg)
     if abs(meas - target_g) <= band:
-        return out, CellTuneResult(row, col, True, False, 0,
+        return xbar, CellTuneResult(row, col, True, False, 0,
                                    (meas - target_g) / target_g, meas)
 
     v_amp = cfg.v_write_start
@@ -285,23 +345,23 @@ def tune_cell(
         if last_dir != 0 and direction != last_dir:
             v_amp = cfg.v_write_start
         last_dir = direction
-        write_pulse(out, row, col, direction * v_amp, cfg.width,
-                    half_select=cfg.half_select, copy=False)
+        write_pulse(xbar, row, col, direction * v_amp, cfg.width,
+                    half_select=cfg.half_select)
         pulses += 1
-        new = _verify(out, row, col, cfg)
+        new = _verify(xbar, row, col, cfg)
         if abs(new - meas) < floor:
             v_amp = min(v_amp + cfg.v_write_step, cfg.v_write_max)
         elif abs(new - meas) > 3.0 * floor:
             v_amp = max(v_amp - cfg.v_write_step, cfg.v_write_start)
         meas = new
         if abs(meas - target_g) <= band:
-            return out, CellTuneResult(row, col, True, False, pulses,
+            return xbar, CellTuneResult(row, col, True, False, pulses,
                                        (meas - target_g) / target_g, meas)
 
-    set_alive = _probe_polarity(out, row, col, +1.0, cfg)
-    reset_alive = _probe_polarity(out, row, col, -1.0, cfg)
-    meas = _verify(out, row, col, cfg)
-    return out, CellTuneResult(
+    set_alive = _probe_polarity(xbar, row, col, +1.0, cfg)
+    reset_alive = _probe_polarity(xbar, row, col, -1.0, cfg)
+    meas = _verify(xbar, row, col, cfg)
+    return xbar, CellTuneResult(
         row, col, ok=False, stuck=not (set_alive or reset_alive),
         pulses=pulses, rel_error=(meas - target_g) / target_g, g_final=meas,
     )
@@ -385,8 +445,7 @@ def _import_sequential(xbar, targets, live, cfg):
         for row, col in todo:
             if stuck[row, col]:
                 continue
-            work, res = tune_cell(work, row, col, targets[row, col], inner,
-                                  copy=False)
+            work, res = tune_cell(work, row, col, targets[row, col], inner)
             pulses[row, col] += res.pulses
             stuck[row, col] = res.stuck
         _, rel_error = band_errors()
@@ -430,7 +489,7 @@ def _import_parallel(xbar, targets, live, cfg):
         last_dir = np.where(active, direction, last_dir)
         amp = np.where(active, direction * v_amp, 0.0)
         g_before = work.g.copy()
-        pulse_all(work, amp, cfg.width, copy=False)
+        pulse_all(work, amp, cfg.width)
         moved = np.abs(work.g - g_before)
         no_resp = active & (moved < floor)
         v_amp = np.where(no_resp,
@@ -448,13 +507,11 @@ def _import_parallel(xbar, targets, live, cfg):
     if active.any():
         g0 = work.g.copy()
         for _ in range(3):
-            pulse_all(work, np.where(active, cfg.v_write_max, 0.0), cfg.width,
-                      copy=False)
+            pulse_all(work, np.where(active, cfg.v_write_max, 0.0), cfg.width)
         set_alive = work.g != g0
         g1 = work.g.copy()
         for _ in range(3):
-            pulse_all(work, np.where(active, -cfg.v_write_max, 0.0), cfg.width,
-                      copy=False)
+            pulse_all(work, np.where(active, -cfg.v_write_max, 0.0), cfg.width)
         reset_alive = work.g != g1
         stuck = active & ~set_alive & ~reset_alive
         meas = dev.differential_conductance(work.g, work.kappa, cfg.v_read,
@@ -484,7 +541,7 @@ def _staircase_alive(xbar, row, col, sign, cfg) -> bool:
     g_ref = xbar.g[row, col]
     while True:
         write_pulse(xbar, row, col, sign * v_amp, cfg.width,
-                    half_select=cfg.half_select, copy=False)
+                    half_select=cfg.half_select)
         if xbar.g[row, col] != g_ref:
             return True
         if v_amp >= cfg.v_write_max:

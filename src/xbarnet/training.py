@@ -481,7 +481,8 @@ def train_defect_aware(
     Returns (w1, w2, fitted software model, error trace).  With maps=None
     this is precursor training: ideal pairs, no quadratic terms, so the fit
     skips the quadratic products entirely (see software_forward).  A fit
-    whose loss or weights become non-finite raises DivergenceError.
+    whose loss or weights become non-finite, or whose last epoch scores no
+    better than chance on the fit set, raises DivergenceError.
     """
     if len(dataset) == 0:
         raise ConfigError("training dataset is empty")
@@ -497,6 +498,14 @@ def train_defect_aware(
     )
     levels = encode_levels(dataset)
     trace = _fit(snet, levels, dataset.labels, hyper)
+    if trace:
+        fidelity = 100.0 * (1.0 - trace[-1] / len(dataset))
+        if fidelity <= 100.0 / dataset.n_classes:
+            epoch = len(trace) - 1
+            raise DivergenceError(
+                f"fit ended at chance: {fidelity:.2f}% fidelity on the fit "
+                f"set after epoch {epoch}", epoch=epoch
+            )
     return snet.layer1.w.copy(), snet.layer2.w.copy(), snet, trace
 
 
@@ -673,10 +682,10 @@ def _apply_sign_pulses(xbar: Crossbar, signs: np.ndarray, cfg: InSituConfig):
         for amps in (set_amps, reset_amps):
             for r, c in np.argwhere(amps != 0.0):
                 write_pulse(xbar, r, c, amps[r, c], cfg.width,
-                            half_select=True, copy=False)
+                            half_select=True)
     else:
-        pulse_all(xbar, set_amps, cfg.width, copy=False)
-        pulse_all(xbar, reset_amps, cfg.width, copy=False)
+        pulse_all(xbar, set_amps, cfg.width)
+        pulse_all(xbar, reset_amps, cfg.width)
 
 
 @dataclass

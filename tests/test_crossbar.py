@@ -136,7 +136,7 @@ def test_measure_maps_asymmetry_value(spec):
 
 def test_write_pulse_moves_target(spec):
     b = build_crossbar(5, 5, spec, seed=3)
-    out = write_pulse(b, 2, 3, 2.5, 1e-3)
+    out = write_pulse(b.copy(), 2, 3, 2.5, 1e-3)
     assert out.g[2, 3] > b.g[2, 3]
     assert out is not b
 
@@ -145,7 +145,7 @@ def test_write_pulse_locality(spec):
     # half-select touches at most the addressed row and column
     b = build_crossbar(8, 8, spec, seed=6)
     b.g[:] = 50e-6
-    out = write_pulse(b, 4, 1, 2.8, 1e-2)
+    out = write_pulse(b.copy(), 4, 1, 2.8, 1e-2)
     changed = out.g != b.g
     rows_idx, cols_idx = np.nonzero(changed)
     assert changed.sum() <= 8 + 8 - 1
@@ -155,7 +155,7 @@ def test_write_pulse_locality(spec):
 def test_write_pulse_half_select_off(spec):
     b = build_crossbar(8, 8, spec, seed=6)
     b.g[:] = 50e-6
-    out = write_pulse(b, 4, 1, 2.8, 1e-2, half_select=False)
+    out = write_pulse(b.copy(), 4, 1, 2.8, 1e-2, half_select=False)
     changed = out.g != b.g
     assert changed.sum() == 1
     assert changed[4, 1]
@@ -173,7 +173,7 @@ def test_pulse_all_pattern(spec):
     v = np.zeros((4, 4))
     v[0, 0] = 2.0
     v[3, 3] = -2.0
-    out = pulse_all(b, v, 1e-3)
+    out = pulse_all(b.copy(), v, 1e-3)
     assert out.g[0, 0] > 50e-6
     assert out.g[3, 3] < 50e-6
     mask = np.ones((4, 4), bool)

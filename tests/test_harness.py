@@ -108,3 +108,14 @@ def test_fast_recipe_summary_pinned(recipe, prefix, tmp_path):
     harness.run_recipe(config(recipe), out_dir=tmp_path)
     summary = (tmp_path / "summary.json").read_bytes()
     assert hashlib.sha256(summary).hexdigest()[:16] == prefix
+
+
+@pytest.mark.parametrize("recipe, name, prefix", [
+    # per-device measured thresholds, from one staircase over each column
+    ("fig3-thresholds", "thresholds.csv", "b0013814aacc7111"),
+    ("fig13-temp", "drift.csv", "1d6a5fc15b1d5e84"),
+])
+def test_fast_recipe_table_pinned(recipe, name, prefix, tmp_path):
+    harness.run_recipe(config(recipe), out_dir=tmp_path)
+    table = (tmp_path / name).read_bytes()
+    assert hashlib.sha256(table).hexdigest()[:16] == prefix

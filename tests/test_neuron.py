@@ -1,16 +1,13 @@
 """Opamp neuron stage: transfer curve, faults, compensation."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from xbarnet import device as dev
 from xbarnet.device import DeviceSpec
-from xbarnet.neuron import (CompensationParams, FixedResistor, NeuronBank,
-                            NeuronFault, NeuronParams, bank_outputs,
-                            compensated_output, differential_voltage,
-                            feedback_conductance, inject_neuron_faults,
+from xbarnet.neuron import (CompensationParams, NeuronBank, NeuronFault,
+                            NeuronParams, bank_outputs, compensated_output,
+                            differential_voltage, inject_neuron_faults,
                             make_bank, neuron_out, vary_swing)
 from xbarnet.errors import ConfigError, DimensionError, SingularityError
 
@@ -130,13 +127,18 @@ def column_current(g_cells, spec, v, t=None):
 
 
 def test_feedback_conductance_paths():
-    comp = CompensationParams(feedback=FixedResistor(2000.0))
-    assert feedback_conductance(comp) == pytest.approx(5e-4)
+    # v_out = -I / g_fb(t): a leg without a spec is a fixed resistor, a leg
+    # with one drifts like an array cell
     spec = DeviceSpec()
-    state = dataclasses.replace(dev.sample_device(spec, 1), g=50e-6)
-    comp_m = CompensationParams(feedback=state)
-    assert feedback_conductance(comp_m, t=spec.t_ref) == pytest.approx(50e-6)
-    assert feedback_conductance(comp_m, t=75.0) > 50e-6
+    fixed = CompensationParams(5e-4)
+    assert compensated_output(1e-5, fixed) == pytest.approx(-0.02)
+    assert compensated_output(1e-5, fixed, t=75.0) == \
+        compensated_output(1e-5, fixed)
+    memristive = CompensationParams(50e-6, fb_spec=spec)
+    assert compensated_output(1e-5, memristive, t=spec.t_ref) == -1e-5 / 50e-6
+    g_75 = dev.effective_conductance(50e-6, spec, 75.0)
+    assert g_75 > 50e-6
+    assert compensated_output(1e-5, memristive, t=75.0) == -1e-5 / g_75
 
 
 def test_matched_alpha_exact_invariance():
@@ -144,8 +146,7 @@ def test_matched_alpha_exact_invariance():
     # the drift factor cancels algebraically, leaving only rounding ulps
     spec = DeviceSpec(alpha_exponent=0.0)
     g_cells = np.array([15e-6, 40e-6, 90e-6])
-    fb = dataclasses.replace(dev.sample_device(spec, 5), g=35e-6)
-    comp = CompensationParams(feedback=fb)
+    comp = CompensationParams(35e-6, fb_spec=spec)
     ref = compensated_output(column_current(g_cells, spec, 0.2), comp,
                              t=spec.t_ref)
     for t in (35.0, 55.0, 75.0, 5.0):
@@ -158,7 +159,7 @@ def test_fixed_resistor_drift_law():
     # uniform alpha, fixed feedback: output scales by exactly 1 + alpha*dT
     spec = DeviceSpec(alpha_exponent=0.0)
     g_cells = np.array([20e-6, 60e-6])
-    comp = CompensationParams(feedback=FixedResistor(10_000.0))
+    comp = CompensationParams(1e-4)
     ref = compensated_output(column_current(g_cells, spec, 0.2), comp,
                              t=spec.t_ref)
     for dt in (10.0, 30.0, 50.0):
@@ -169,8 +170,7 @@ def test_fixed_resistor_drift_law():
 
 
 def residual_drift(g_bias, spec, g_cells, g_fb, dt=50.0):
-    fb = dataclasses.replace(dev.sample_device(spec, 7), g=g_fb)
-    comp = CompensationParams(feedback=fb, g_bias=g_bias, v_bias=0.2,
+    comp = CompensationParams(g_fb, g_bias=g_bias, v_bias=0.2, fb_spec=spec,
                               bias_spec=spec)
     ref = compensated_output(column_current(g_cells, spec, 0.2), comp,
                              t=spec.t_ref)
@@ -194,14 +194,19 @@ def test_high_bias_compensates_better():
 
 def test_compensated_output_singularity():
     spec = DeviceSpec()
-    fb = dataclasses.replace(dev.sample_device(spec, 1), g=0.0)
-    comp = CompensationParams(feedback=fb)
-    with pytest.raises(SingularityError):
-        compensated_output(1e-5, comp, t=spec.t_ref)
+    for fb_spec in (spec, None):
+        comp = CompensationParams(0.0, fb_spec=fb_spec)
+        for t in (spec.t_ref, 75.0):
+            with pytest.raises(SingularityError):
+                compensated_output(1e-5, comp, t=t)
 
 
 def test_compensation_validation():
     with pytest.raises(ConfigError):
-        FixedResistor(0.0)
+        CompensationParams(-1e-3)
     with pytest.raises(ConfigError):
-        CompensationParams(feedback=FixedResistor(1000.0), g_bias=-1e-6)
+        CompensationParams(1e-3, g_bias=-1e-6)
+    for bad in ({"g_fb": float("nan")}, {"g_bias": float("inf")},
+                {"v_bias": float("nan")}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            CompensationParams(**{"g_fb": 1e-3, **bad})

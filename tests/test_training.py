@@ -18,10 +18,11 @@ from xbarnet.errors import ConfigError, DivergenceError
 from xbarnet.network import (NetworkConfig, assemble, classify, forward,
                              interleave_pairs, map_weights)
 from xbarnet.progtune import TuneConfig
-from xbarnet.training import (InSituConfig, InSituState, Loss, TrainHyper,
-                              build_software_net, insitu_epoch,
+from xbarnet.training import (InSituConfig, InSituState, Loss, Scheme,
+                              TrainHyper, build_software_net, insitu_epoch,
                               loss_and_grads, measure_network_maps,
-                              software_forward, train_defect_aware)
+                              run_scheme, software_forward,
+                              train_defect_aware)
 
 
 def dense_forward(snet, levels):
@@ -162,6 +163,17 @@ def test_fit_with_non_finite_loss_raises():
     assert err.value.epoch == 0
 
 
+def test_fit_ending_at_chance_raises():
+    # a huge step in an unbounded box drives every hidden neuron into its
+    # clip; the gradients vanish and the fit would settle at 1 in 4 right
+    train, _ = letter_dataset()
+    with pytest.raises(DivergenceError, match="chance: 25.00%") as err:
+        train_defect_aware(train, NetworkConfig(), None,
+                           TrainHyper(lr=1e300, epochs=10),
+                           weight_limit1=np.inf, weight_limit2=np.inf)
+    assert err.value.epoch == 9
+
+
 def test_fit_with_non_finite_weights_raises():
     # one inf weight per hidden column sums to +-inf, which the neuron clip
     # turns into a finite output and loss; the fit must still refuse it
@@ -220,6 +232,34 @@ def test_insitu_belief_equals_silicon_without_threshold_spread(half_select):
     assert not np.array_equal(net.xbar1.g, g_start)  # pulses did land
     np.testing.assert_array_equal(state.bg1, net.xbar1.g)
     np.testing.assert_array_equal(state.bg2, net.xbar2.g)
+
+
+def _defective_letter_net(seed):
+    net = assemble(NetworkConfig(), DeviceSpec(), [seed, 0])
+    net.xbar1, _ = inject_cell_defects(net.xbar1, 0.05, 0.05, [seed, 1])
+    net.xbar2, _ = inject_cell_defects(net.xbar2, 0.05, 0.05, [seed, 2])
+    return net
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_run_scheme_pinned_by_network_scheme_and_seed(scheme):
+    # every random draw (subset, import noise, initialization, read noise)
+    # derives from the one seed
+    train, test = letter_dataset()
+    runs = []
+    for _ in range(2):
+        out, rep = run_scheme(
+            scheme, train, _defective_letter_net(5), test_set=test,
+            hyper=TrainHyper(seed=7),
+            tune_cfg=TuneConfig(half_select=False),
+            insitu_cfg=InSituConfig(epochs=4, half_select=False),
+            import_noise_sigma=0.02, inference_noise_sigma=0.02,
+            subsample=30,
+        )
+        fields = dataclasses.asdict(rep)
+        del fields["wall_time_s"]
+        runs.append((fields, out.xbar1.g.tobytes(), out.xbar2.g.tobytes()))
+    assert runs[0] == runs[1]
 
 
 # --- pinned outputs -----------------------------------------------------------
