@@ -15,10 +15,18 @@ Write path: a pulse of amplitude v addressed to (row, col) puts v across the
 target and v/2 across every other cell sharing the row or the column (the
 usual V/2 half-select scheme); cells whose thresholds sit below v/2 take
 collateral disturb, which is physical and deliberately not suppressed.
+
+Write-path invariant: every movable cell (formed, not stuck) keeps its
+conductance within its own [g_lo, g_hi].  Every writer keeps it: pulses
+clip, forming starts a cell at g_lo, ``vary_bounds`` re-pins into the new
+window, and the ideal import clips its targets.  It is what makes
+``write_pulse``'s half-select skip exact: a sub-threshold pulse has a zero
+increment, and an in-bounds g plus zero, clipped, is g itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,6 +279,24 @@ def _pulse_cells(xbar: Crossbar, rows_idx, cols_idx, v, width: float):
     xbar.g[sel] = np.where(movable, g_new, g)
 
 
+def _pulse_cell(xbar: Crossbar, row: int, col: int, v: float, width: float):
+    """Apply one pulse of amplitude v to one cell, in place, on Python
+    floats; the same pulse_delta and clip as _pulse_cells. Stuck and
+    unformed cells do not move."""
+    if (not xbar.formed.item(row, col)
+            or xbar.defect.item(row, col) != DefectKind.NONE):
+        return
+    g = xbar.g.item(row, col)
+    lo = xbar.g_lo.item(row, col)
+    hi = xbar.g_hi.item(row, col)
+    delta = dev.pulse_delta(
+        g, v, width,
+        xbar.v_set.item(row, col), xbar.v_reset.item(row, col),
+        xbar.spec.beta_set, xbar.spec.beta_reset, lo, hi,
+    )
+    xbar.g[row, col] = min(max(g + delta, lo), hi)
+
+
 def write_pulse(
     xbar: Crossbar,
     row: int,
@@ -285,21 +311,35 @@ def write_pulse(
 
     The target sees the full amplitude; with ``half_select`` every other cell
     in the same row or column sees v/2 of the same polarity and may take
-    disturb if weakly thresholded.
+    disturb if weakly thresholded.  A neighbour whose threshold for that
+    polarity is at least |v|/2 gets a zero increment, which leaves an
+    in-bounds conductance exactly as it is, so only neighbours with a lower
+    threshold are pulsed, and a row or column whose minimum threshold is
+    not crossed is skipped whole.
     """
     xbar._check_index(row, col)
     if width <= 0:
         raise ConfigError(f"pulse width must be positive, got {width}")
+    if not math.isfinite(v):
+        raise ConfigError(f"pulse amplitude must be finite, got {v}")
     if not xbar.formed[row, col]:
         raise FormingRequiredError(
             f"cell ({row}, {col}) was never formed; run forming first"
         )
     if half_select:
-        row_cols = np.r_[0:col, col + 1:xbar.cols]
-        col_rows = np.r_[0:row, row + 1:xbar.rows]
-        _pulse_cells(xbar, np.full(row_cols.shape, row), row_cols, v / 2.0, width)
-        _pulse_cells(xbar, col_rows, np.full(col_rows.shape, col), v / 2.0, width)
-    _pulse_cells(xbar, np.array([row]), np.array([col]), v, width)
+        half = abs(v) / 2.0
+        thresholds = xbar.v_set if v >= 0 else xbar.v_reset
+        line = thresholds[row]
+        if half > line.min():
+            for c in np.flatnonzero(line < half).tolist():
+                if c != col:
+                    _pulse_cell(xbar, row, c, v / 2.0, width)
+        line = thresholds[:, col]
+        if half > line.min():
+            for r in np.flatnonzero(line < half).tolist():
+                if r != row:
+                    _pulse_cell(xbar, r, col, v / 2.0, width)
+    _pulse_cell(xbar, row, col, v, width)
     return xbar
 
 

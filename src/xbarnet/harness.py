@@ -201,18 +201,26 @@ def _require_finite_knob(key: str, value):
 
 
 # Knobs that count things; recipes pass them through int(), which would
-# run 10.9 as 10 without a word.
+# run 10.9 as 10 without a word, and none of them has a meaningful 0.
 _COUNT_KNOBS = ("n_rows", "n_cols", "n_devices", "n_classes", "subsample",
                 "n_train_digits", "n_test_digits", "workers")
 
 
 def _require_count_knob(key: str, value):
-    """A count knob is a non-bool integer, or None where None is its
-    default."""
+    """A count knob is a non-bool integer of at least 1, or None where None
+    is its default."""
     if value is None and _KNOB_DEFAULTS[key] is None:
         return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"knob {key!r} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"knob {key!r} must be at least 1, got {value!r}")
+
+
+def _count_knob(cfg: ExperimentConfig, key: str, default: int) -> int:
+    """A count knob's value, or ``default`` where it is unset (None)."""
+    value = cfg.knobs[key]
+    return default if value is None else int(value)
 
 
 def _normalize_overrides(raw) -> dict[int, float] | None:
@@ -429,9 +437,7 @@ def _median_q(values) -> dict:
 
 
 def _letter_sets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    n_classes = cfg.knobs["n_classes"]
-    return bench.letter_dataset(n_classes=4 if n_classes is None else
-                                int(n_classes))
+    return bench.letter_dataset(n_classes=_count_knob(cfg, "n_classes", 4))
 
 
 _SYNTH_TRAIN_SEED = 20260214
@@ -614,8 +620,8 @@ def _builtin_face() -> np.ndarray:
 
 
 def _recipe_forming(cfg: ExperimentConfig, out: Path):
-    rows = int(cfg.knobs["n_rows"] or 40)
-    cols = int(cfg.knobs["n_cols"] or 50)
+    rows = _count_knob(cfg, "n_rows", 40)
+    cols = _count_knob(cfg, "n_cols", 50)
     modes = (FormingMode.VOLTAGE, FormingMode.CURRENT)
     per_mode: dict[str, dict] = {m.value: {"runs": []} for m in modes}
     volt_pool: dict[str, list] = {m.value: [] for m in modes}
@@ -673,7 +679,7 @@ def _recipe_forming(cfg: ExperimentConfig, out: Path):
 
 
 def _recipe_thresholds(cfg: ExperimentConfig, out: Path):
-    n = int(cfg.knobs["n_devices"] or 200)
+    n = _count_knob(cfg, "n_devices", 200)
     v_step = float(cfg.knobs["v_step"])
     v_limit = float(cfg.knobs["v_limit"])
     rows = []
@@ -724,8 +730,8 @@ def _recipe_tuning(cfg: ExperimentConfig, out: Path):
             )
         shape = targets_fixed.shape
     else:
-        rows = int(cfg.knobs["n_rows"] or 20)
-        cols = int(cfg.knobs["n_cols"] or 20)
+        rows = _count_knob(cfg, "n_rows", 20)
+        cols = _count_knob(cfg, "n_cols", 20)
         shape = (rows, cols)
         targets_fixed = None
 
@@ -914,7 +920,7 @@ def _recipe_mnist(cfg: ExperimentConfig, out: Path):
 
 
 def _recipe_temperature(cfg: ExperimentConfig, out: Path):
-    rows_n = int(cfg.knobs["n_rows"] or 16)
+    rows_n = _count_knob(cfg, "n_rows", 16)
     v_in = float(cfg.knobs["v_in"])
     v_bias = float(cfg.knobs["v_bias"])
     temps = cfg.knobs["temperatures"] or [25.0, 35.0, 45.0, 55.0, 65.0, 75.0]

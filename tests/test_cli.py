@@ -34,6 +34,19 @@ def test_unknown_knob(tmp_path, capsys):
     assert "unknown knob 'n_layers'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("recipe, knobs", [
+    ("fig3-thresholds", {"n_devices": 0}),
+    ("fig3-thresholds", {"n_devices": -3}),
+    ("fig13-temp", {"n_rows": 0}),
+])
+def test_nonpositive_count_knob(tmp_path, recipe, knobs, capsys):
+    conf = write_config(tmp_path, json.dumps({"knobs": knobs}))
+    code = cli.main(["run", recipe, "--config", conf,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert f"{next(iter(knobs))!r} must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("axis", [
     "stuck_fraction", "stuck_fraction=", "stuck_fraction=0.1,high",
     "no_such_axis=0.1",

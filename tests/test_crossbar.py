@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xbarnet.crossbar import (Crossbar, build_crossbar, inject_cell_defects,
-                              map_to_csv, measure_maps, pulse_all,
-                              vary_bounds, vmm_currents, vmm_currents_batch,
-                              write_pulse)
+from xbarnet.crossbar import (Crossbar, _pulse_cells, build_crossbar,
+                              inject_cell_defects, map_to_csv, measure_maps,
+                              pulse_all, vary_bounds, vmm_currents,
+                              vmm_currents_batch, write_pulse)
 from xbarnet.device import DefectKind, DeviceSpec
 from xbarnet.errors import (ConfigError, DimensionError, FormingRequiredError,
                             ReadRegimeError)
@@ -165,6 +165,99 @@ def test_write_pulse_unformed(spec):
     b = build_crossbar(4, 4, spec, seed=0, formed=False)
     with pytest.raises(FormingRequiredError):
         write_pulse(b, 1, 1, 2.0, 1e-3)
+
+
+@pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+def test_write_pulse_rejects_non_finite_amplitude(spec, v):
+    b = build_crossbar(4, 4, spec, seed=0)
+    g0 = b.g.copy()
+    with pytest.raises(ConfigError, match="amplitude must be finite"):
+        write_pulse(b, 1, 1, v, 5e-3)
+    np.testing.assert_array_equal(b.g, g0)
+
+
+def whole_line_write_pulse(xbar, row, col, v, width, half_select=True):
+    """Oracle: the write_pulse body that pulsed every row and column
+    neighbour through the whole-array path, skipping nothing."""
+    if half_select:
+        row_cols = np.r_[0:col, col + 1:xbar.cols]
+        col_rows = np.r_[0:row, row + 1:xbar.rows]
+        _pulse_cells(xbar, np.full(row_cols.shape, row), row_cols, v / 2.0, width)
+        _pulse_cells(xbar, col_rows, np.full(col_rows.shape, col), v / 2.0, width)
+    _pulse_cells(xbar, np.array([row]), np.array([col]), v, width)
+    return xbar
+
+
+NORMAL, STUCK_ON, STUCK_OFF, UNFORMED = range(4)
+
+
+@st.composite
+def pulsed_arrays(draw):
+    """A small array with stuck-on, stuck-off and unformed cells and varied
+    bounds, plus a sequence of pulses at normal cells: (row, col, v, width,
+    half_select).  Some amplitudes sit exactly at twice a neighbour's
+    threshold, the edge of the skip."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**31))
+    kinds = np.array(draw(st.lists(
+        st.sampled_from([NORMAL, NORMAL, STUCK_ON, STUCK_OFF, UNFORMED]),
+        min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    targets = list(zip(*np.nonzero(kinds == NORMAL)))
+    if not targets:
+        kinds[0, 0] = NORMAL
+        targets = [(0, 0)]
+    b = build_crossbar(rows, cols, DeviceSpec(vset_sigma=0.3,
+                                              vreset_sigma=0.3), seed=seed)
+    b.defect[kinds == STUCK_ON] = DefectKind.STUCK_ON
+    b.defect[kinds == STUCK_OFF] = DefectKind.STUCK_OFF
+    b = vary_bounds(b, draw(st.sampled_from([0.0, 0.1, 0.3])), seed)
+    rng = np.random.default_rng(seed)
+    live = kinds == NORMAL
+    b.g[live] = rng.uniform(b.g_lo, b.g_hi)[live]
+    b.formed[kinds == UNFORMED] = False
+    b.g[kinds == UNFORMED] = b.spec.g_virgin
+    pulses = []
+    for _ in range(draw(st.integers(1, 30))):
+        row, col = draw(st.sampled_from(targets))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        if draw(st.booleans()):
+            amp = draw(st.floats(0.0, 2.5))
+        else:
+            thresholds = b.v_set if sign > 0 else b.v_reset
+            amp = 2.0 * draw(st.sampled_from(
+                list(thresholds[row]) + list(thresholds[:, col])))
+        pulses.append((int(row), int(col), sign * amp,
+                       draw(st.sampled_from([1e-3, 5e-3, 2e-2])),
+                       draw(st.booleans())))
+    return b, pulses
+
+
+@settings(max_examples=200, deadline=None)
+@given(pulsed_arrays())
+def test_write_pulse_equals_whole_line_oracle(case):
+    xbar, pulses = case
+    oracle = xbar.copy()
+    for row, col, v, width, half_select in pulses:
+        write_pulse(xbar, row, col, v, width, half_select=half_select)
+        whole_line_write_pulse(oracle, row, col, v, width, half_select)
+        assert np.array_equal(xbar.g, oracle.g)
+
+
+def test_write_pulse_sees_a_changed_threshold(spec):
+    # nothing about the array is kept between pulses: a neighbour whose
+    # threshold drops below v/2 is disturbed by the very next pulse
+    b = build_crossbar(4, 4, spec, seed=0)
+    b.g[:] = 50e-6
+    b.v_set[:] = 1.5
+    write_pulse(b, 1, 1, 2.0, 5e-3)
+    assert b.g[1, 3] == 50e-6
+    b.v_set[1, 3] = 0.5
+    write_pulse(b, 1, 1, 2.0, 5e-3)
+    assert b.g[1, 3] > 50e-6
+    b.v_reset = np.full(b.g.shape, 0.5)
+    write_pulse(b, 1, 1, -2.0, 5e-3)
+    assert b.g[3, 1] < 50e-6
 
 
 def test_pulse_all_pattern(spec):

@@ -56,6 +56,17 @@ def test_count_knobs_must_be_integers(key, value):
     assert config(knobs={key: 7}).knobs[key] == 7
 
 
+@pytest.mark.parametrize("recipe, key, value", [
+    ("fig3-thresholds", "n_devices", 0),
+    ("fig3-thresholds", "n_devices", -3),
+    ("fig13-temp", "n_rows", 0),
+])
+def test_count_knobs_must_be_positive(recipe, key, value):
+    # a 0 used to read as unset and run the recipe's default count
+    with pytest.raises(ConfigError, match=f"{key!r} must be at least 1"):
+        config(recipe, knobs={key: value})
+
+
 # --- sweeps -------------------------------------------------------------------
 
 # axis -> (values, series fidelity per (value, seed)), recorded before the
