@@ -88,7 +88,9 @@ def encode_levels(dataset: Dataset) -> np.ndarray:
     volts): pm1 passes through, gray01 maps p -> 2p - 1."""
     if dataset.encoding == "pm1":
         return dataset.pixels
-    return 2.0 * dataset.pixels - 1.0
+    levels = 2.0 * dataset.pixels
+    levels -= 1.0  # in place: one full-size array, not two
+    return levels
 
 
 # ---------------------------------------------------------------------------

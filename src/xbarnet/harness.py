@@ -879,10 +879,23 @@ def _software_error(cfg: ExperimentConfig, net: Network, w1, w2,
     return 100.0 - res.fidelity
 
 
+def _scheme_knob(cfg: ExperimentConfig) -> str:
+    """The scheme knob's value, or ex-situ where it is unset (None)."""
+    scheme = cfg.knobs["scheme"]
+    if scheme is None:
+        return Scheme.EX_SITU.value
+    try:
+        return Scheme(scheme).value
+    except ValueError:
+        choices = ", ".join(e.value for e in Scheme)
+        raise ConfigError(
+            f"knob 'scheme' must be one of: {choices} (got {scheme!r})"
+        ) from None
+
+
 def _recipe_mnist(cfg: ExperimentConfig, out: Path):
+    scheme = _scheme_knob(cfg)
     train, test, note = _digit_sets(cfg, out)
-    scheme = cfg.knobs["scheme"] or "ex-situ"
-    Scheme(scheme)  # validates the name
     sub = cfg.knobs["subsample"]
     per_seed = []
     for seed in cfg.seeds:
@@ -923,7 +936,13 @@ def _recipe_temperature(cfg: ExperimentConfig, out: Path):
     rows_n = _count_knob(cfg, "n_rows", 16)
     v_in = float(cfg.knobs["v_in"])
     v_bias = float(cfg.knobs["v_bias"])
-    temps = cfg.knobs["temperatures"] or [25.0, 35.0, 45.0, 55.0, 65.0, 75.0]
+    temps = cfg.knobs["temperatures"]
+    if temps is None:
+        temps = [25.0, 35.0, 45.0, 55.0, 65.0, 75.0]
+    elif not isinstance(temps, list) or not temps:
+        raise ConfigError(
+            f"knob 'temperatures' must be a non-empty list, got {temps!r}"
+        )
     temps = [float(t) for t in temps]
     biases = {"high": float(cfg.knobs["g_bias_high"]),
               "low": float(cfg.knobs["g_bias_low"])}

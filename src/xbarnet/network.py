@@ -209,6 +209,10 @@ def assemble(
 # inference
 # ---------------------------------------------------------------------------
 
+# patterns per layer-1 read in forward: bounds the read temporaries at a
+# chunk's size without changing any result (see forward)
+_CHUNK_ROWS = 1000
+
 
 @dataclass
 class ForwardTrace:
@@ -222,12 +226,25 @@ class ForwardTrace:
     output: np.ndarray
 
 
-def with_bias(x: np.ndarray, bias: bool, v: float) -> np.ndarray:
+def with_bias(x: np.ndarray, bias: bool, v: float,
+              scale: float | None = None) -> np.ndarray:
     """A batch of row voltages (n, k) -> (n, k + 1) with a constant bias
-    row at v appended, or x itself when the layer has no bias."""
+    column at v appended, or x itself when the layer has no bias.
+
+    Given a scale, the batch is scale * x instead.  With a bias the result
+    is one new array, filled in place: no full-size temporary for scale * x
+    or for the bias column.
+    """
     if not bias:
-        return x
-    return np.hstack([x, np.full((x.shape[0], 1), v)])
+        return x if scale is None else scale * x
+    n, k = x.shape
+    out = np.empty((n, k + 1))
+    if scale is None:
+        out[:, :k] = x
+    else:
+        np.multiply(x, scale, out=out[:, :k])
+    out[:, k] = v
+    return out
 
 
 def drive_voltages(net: Network, levels: np.ndarray) -> np.ndarray:
@@ -239,24 +256,47 @@ def drive_voltages(net: Network, levels: np.ndarray) -> np.ndarray:
             f"{net.config.n_inputs}"
         )
     v = net.config.input_voltage
-    return with_bias(v * levels, net.config.bias1, v)
+    return with_bias(levels, net.config.bias1, v, scale=v)
 
 
 def forward(
     net: Network,
-    levels: np.ndarray,
+    v_in: np.ndarray,
     *,
     t: float | None = None,
     noise_sigma: float = 0.0,
     rng=None,
 ) -> ForwardTrace:
-    """Hardware forward pass over a batch of input levels (n, n_inputs)."""
+    """Hardware forward pass over a batch of row voltages (n, rows1), as
+    drive_voltages builds it from input levels.
+
+    Layer 1 reads the batch in chunks of _CHUNK_ROWS patterns, so its
+    temporaries (squared drive, column currents, noise terms) are a chunk
+    in size, not a batch.  That is exact on the assumption that a matmul
+    split by rows equals the whole product bit for bit, which holds on a
+    single-threaded BLAS because each row keeps its own reduction order;
+    tests/test_network.py compares the chunked pass with the whole-batch
+    one and fails if a BLAS breaks it.  Layer 2 runs over the whole batch,
+    and only after every layer-1 chunk, so with read noise the generator
+    still gives layer 1 its draws first, in row order (consecutive chunk
+    draws are one whole-batch draw split by rows), then layer 2.
+    """
     gen = np.random.default_rng(rng) if noise_sigma > 0.0 else None
-    v_in = drive_voltages(net, levels)
-    i1 = vmm_currents_batch(net.xbar1, v_in, t=t, noise_sigma=noise_sigma,
-                            rng=gen)
-    vdiff1 = net.hidden_neurons.params.r_f * pair_difference(i1)
-    hidden = bank_outputs(net.hidden_neurons, vdiff1)
+    v_in = np.asarray(v_in, dtype=np.float64)
+    if v_in.ndim != 2 or v_in.shape[1] != net.xbar1.rows:
+        raise DimensionError(
+            f"drive batch has shape {v_in.shape}, expected "
+            f"(n, {net.xbar1.rows})"
+        )
+    r_f1 = net.hidden_neurons.params.r_f
+    vdiff1 = np.empty((v_in.shape[0], net.config.n_hidden))
+    hidden = np.empty_like(vdiff1)
+    for start in range(0, v_in.shape[0], _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        i1 = vmm_currents_batch(net.xbar1, v_in[rows], t=t,
+                                noise_sigma=noise_sigma, rng=gen)
+        vdiff1[rows] = r_f1 * pair_difference(i1)
+        hidden[rows] = bank_outputs(net.hidden_neurons, vdiff1[rows])
     v_in2 = with_bias(hidden, net.config.bias2, net.config.input_voltage)
     i2 = vmm_currents_batch(net.xbar2, v_in2, t=t, noise_sigma=noise_sigma,
                             rng=gen)
@@ -281,7 +321,8 @@ def evaluate(
     """Classification fidelity (percent) plus confusion counts."""
     if len(dataset) == 0:
         raise ConfigError("dataset is empty")
-    levels = bench.encode_levels(dataset)
-    trace = forward(net, levels, t=t, noise_sigma=noise_sigma, rng=rng)
+    # the levels are a temporary: only the drive outlives this line
+    v_in = drive_voltages(net, bench.encode_levels(dataset))
+    trace = forward(net, v_in, t=t, noise_sigma=noise_sigma, rng=rng)
     k = max(dataset.n_classes, net.config.n_outputs)
     return bench.score(classify(trace.output), dataset.labels, k)

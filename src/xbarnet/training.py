@@ -31,8 +31,8 @@ from .crossbar import Crossbar, pulse_all, write_pulse
 from .device import DefectKind, DeviceSpec
 from .errors import ConfigError, DimensionError, DivergenceError, \
     require_count, require_finite
-from .network import Network, NetworkConfig, forward, pair_difference, \
-    with_bias
+from .network import Network, NetworkConfig, drive_voltages, forward, \
+    pair_difference, with_bias
 from .neuron import NeuronParams
 from .progtune import TuneConfig, TuningReport, diagnose_defects, \
     import_conductance_map
@@ -315,8 +315,8 @@ def _input_drive(snet: SoftwareNet, levels: np.ndarray) -> np.ndarray:
     """Layer-1 input volts for a batch of drive levels, bias column
     included."""
     levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
-    return with_bias(snet.input_voltage * levels, snet.bias1,
-                     snet.input_voltage)
+    v = snet.input_voltage
+    return with_bias(levels, snet.bias1, v, scale=v)
 
 
 def _vdiff(x: np.ndarray, layer: LayerModel) -> np.ndarray:
@@ -421,13 +421,19 @@ def _count_errors(snet: SoftwareNet, x1: np.ndarray,
 
 def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
          hyper: TrainHyper) -> list[int]:
-    """In-place SGD over the software model; returns the error trace."""
+    """In-place SGD over the software model; returns the error trace.
+
+    The input drive is built once, and the levels are dropped as soon as
+    it exists, so a caller that hands over its only reference does not
+    hold them through the fit.
+    """
     rng = np.random.default_rng(hyper.seed)
     for layer in (snet.layer1, snet.layer2):
         init = rng.normal(0.0, hyper.init_scale, layer.w.shape)
         layer.w = np.where(layer.frozen, layer.w,
                            np.clip(init, layer.w_lo, layer.w_hi))
     x1 = _input_drive(snet, levels)
+    del levels
     n = x1.shape[0]
     bs = hyper.batch_size or n
     trace = []
@@ -496,8 +502,7 @@ def train_defect_aware(
         output_params=output_params, weight_limit1=weight_limit1,
         weight_limit2=weight_limit2,
     )
-    levels = encode_levels(dataset)
-    trace = _fit(snet, levels, dataset.labels, hyper)
+    trace = _fit(snet, encode_levels(dataset), dataset.labels, hyper)
     if trace:
         fidelity = 100.0 * (1.0 - trace[-1] / len(dataset))
         if fidelity <= 100.0 / dataset.n_classes:
@@ -690,7 +695,8 @@ def _apply_sign_pulses(xbar: Crossbar, signs: np.ndarray, cfg: InSituConfig):
 
 @dataclass
 class InSituState:
-    """The training computer's open-loop picture of the two crossbars.
+    """The training computer's open-loop picture of the two crossbars, and
+    the fit set's input drive.
 
     The in-situ flow reads the array once at the start (that read is cheap
     and the hardware flow did it anyway), then tracks every commanded pulse
@@ -700,14 +706,21 @@ class InSituState:
     drift apart; with zero spread they agree exactly, pulse for pulse.
     Layer-1 backprop runs through these believed weights, which is where
     threshold variation poisons in-situ training.
+
+    The state owns the row voltages of the fit set (``drive``), built once
+    per in-situ run: neither the patterns nor the input stage change between
+    epochs, so every epoch reads the arrays with the same drive, and
+    insitu_epoch refuses a dataset whose length does not match it.
     """
 
     bg1: np.ndarray
     bg2: np.ndarray
+    drive: np.ndarray
 
     @classmethod
-    def from_network(cls, net: Network) -> "InSituState":
-        return cls(bg1=net.xbar1.g.copy(), bg2=net.xbar2.g.copy())
+    def from_network(cls, net: Network, dataset: Dataset) -> "InSituState":
+        return cls(bg1=net.xbar1.g.copy(), bg2=net.xbar2.g.copy(),
+                   drive=drive_voltages(net, encode_levels(dataset)))
 
     def believed_w2(self, net: Network) -> np.ndarray:
         return pair_difference(self.bg2) / net.weight_scale2
@@ -727,39 +740,23 @@ def _believe_sign_pulses(bg: np.ndarray, signs: np.ndarray,
         np.clip(bg, spec.g_min, spec.g_max, out=bg)
 
 
-def insitu_epoch(
-    net: Network,
-    dataset: Dataset,
-    cfg: InSituConfig,
-    state: InSituState,
-) -> tuple[Network, int]:
-    """One batch-mode Manhattan epoch on hardware.
-
-    Hardware forward over the full set; error gradients accumulate only
-    over misclassified patterns (correct patterns demand nothing); each
-    differential pair whose accumulated gradient sign is nonzero takes one
-    fixed-amplitude set pulse on one device and one reset pulse on the
-    other.  Zero misclassifications is a fixed point: the network returns
-    unchanged.
-
-    The layer-1 chain term uses the computer's believed output weights
-    (open loop after the initial read), and state advances by the nominal
-    response to the commanded pulses.
-    """
-    spec = net.xbar1.spec
-    _check_insitu_amplitudes(cfg, spec)
-    levels = encode_levels(dataset)
-    trace = forward(net, levels)
+def _error_accumulators(net: Network, labels: np.ndarray,
+                        cfg: InSituConfig, state: InSituState):
+    """One hardware forward over the state's fit-set drive and the Manhattan
+    accumulators it yields: (misclassifications, a1, a2), the accumulators
+    None when nothing is misclassified.  Every full-batch array is freed on
+    return, before any pulse."""
+    trace = forward(net, state.drive)
     preds = np.argmax(trace.output, axis=1)
-    mis = preds != dataset.labels
+    mis = preds != labels
     n_err = int(mis.sum())
     if n_err == 0:
-        return net, 0
+        return 0, None, None
 
     y = trace.output
-    n, n_out = y.shape
+    n = y.shape[0]
     onehot = np.zeros_like(y)
-    onehot[np.arange(n), dataset.labels] = 1.0
+    onehot[np.arange(n), labels] = 1.0
     t = cfg.target_volts * (2.0 * onehot - 1.0)
     op = net.output_neurons.params
     hp = net.hidden_neurons.params
@@ -769,19 +766,55 @@ def insitu_epoch(
     delta2 = (y - t) * op.gain * gate2
     delta2[~mis] = 0.0
     a2 = trace.v_in2.T @ delta2
-    dh = (delta2 @ state.believed_w2(net).T)[:, : net.config.n_hidden]
-    gate1 = (np.abs(trace.hidden) < net.hidden_neurons.swing).astype(np.float64)
-    delta1 = dh * (hp.gain * hp.out_swing / hp.v_sat) * gate1
+    # the hidden gate stays a boolean mask and multiplies delta1 in place,
+    # by 1.0 or 0.0 as a float gate would, without a full-batch float copy
+    gate1 = np.abs(trace.hidden) < net.hidden_neurons.swing
+    delta1 = (delta2 @ state.believed_w2(net).T)[:, : net.config.n_hidden] \
+        * (hp.gain * hp.out_swing / hp.v_sat)
+    delta1 *= gate1
     a1 = trace.v_in.T @ delta1
+    return n_err, a1, a2
 
-    out = net.copy()
+
+def insitu_epoch(
+    net: Network,
+    dataset: Dataset,
+    cfg: InSituConfig,
+    state: InSituState,
+) -> tuple[Network, int]:
+    """One batch-mode Manhattan epoch on hardware, pulsing net in place.
+
+    Hardware forward over the full set, driven by the state's fit-set
+    drive; dataset supplies the labels and must be the set the state was
+    built for (a different length raises DimensionError).  Error gradients
+    accumulate only over misclassified patterns (correct patterns demand
+    nothing); each differential pair whose accumulated gradient sign is
+    nonzero takes one fixed-amplitude set pulse on one device and one
+    reset pulse on the other.  Zero misclassifications is a fixed point:
+    the network is left unchanged.  Returns (net, misclassifications),
+    net being the same object, pulsed.
+
+    The layer-1 chain term uses the computer's believed output weights
+    (open loop after the initial read), and state advances by the nominal
+    response to the commanded pulses.
+    """
+    spec = net.xbar1.spec
+    _check_insitu_amplitudes(cfg, spec)
+    if len(dataset) != state.drive.shape[0]:
+        raise DimensionError(
+            f"dataset has {len(dataset)} patterns, but the in-situ state's "
+            f"drive was built for {state.drive.shape[0]}"
+        )
+    n_err, a1, a2 = _error_accumulators(net, dataset.labels, cfg, state)
+    if n_err == 0:
+        return net, 0
     signs1 = -np.sign(a1)
     signs2 = -np.sign(a2)
-    _apply_sign_pulses(out.xbar1, signs1, cfg)
-    _apply_sign_pulses(out.xbar2, signs2, cfg)
+    _apply_sign_pulses(net.xbar1, signs1, cfg)
+    _apply_sign_pulses(net.xbar2, signs2, cfg)
     _believe_sign_pulses(state.bg1, signs1, cfg, spec)
     _believe_sign_pulses(state.bg2, signs2, cfg, spec)
-    return out, n_err
+    return net, n_err
 
 
 def initialize_midrange(
@@ -854,6 +887,21 @@ def software_weights_for(
     return w1, w2
 
 
+def _insitu_loop(net: Network, fit_set: Dataset, cfg: InSituConfig
+                 ) -> list[int]:
+    """In-situ epochs on net, in place, until an epoch finds no error or
+    cfg.epochs have run; returns the error trace.  The state, with its
+    fit-set drive, is freed on return, before the final evaluations."""
+    state = InSituState.from_network(net, fit_set)
+    trace = []
+    for _ in range(cfg.epochs):
+        _, errors = insitu_epoch(net, fit_set, cfg, state)
+        trace.append(errors)
+        if errors == 0:
+            break
+    return trace
+
+
 def run_scheme(
     scheme: Scheme | str,
     train_set: Dataset,
@@ -923,13 +971,7 @@ def run_scheme(
                 f"ex-situ phase ran {len(trace)} software epochs before the "
                 f"in-situ loop"
             )
-        state = InSituState.from_network(out)
-        trace = []
-        for _ in range(insitu_cfg.epochs):
-            out, errors = insitu_epoch(out, fit_set, insitu_cfg, state)
-            trace.append(errors)
-            if errors == 0:
-                break
+        trace = _insitu_loop(out, fit_set, insitu_cfg)
 
     eval_rng = np.random.default_rng(s_eval)
     final_train = netmod.evaluate(out, train_set,

@@ -47,6 +47,18 @@ def test_nonpositive_count_knob(tmp_path, recipe, knobs, capsys):
     assert f"{next(iter(knobs))!r} must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("recipe, knobs", [
+    ("fig13-temp", {"temperatures": []}),
+    ("fig12-mnist", {"scheme": ""}),
+])
+def test_empty_list_or_name_knob(tmp_path, recipe, knobs, capsys):
+    conf = write_config(tmp_path, json.dumps({"knobs": knobs}))
+    code = cli.main(["run", recipe, "--config", conf,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert f"knob {next(iter(knobs))!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("axis", [
     "stuck_fraction", "stuck_fraction=", "stuck_fraction=0.1,high",
     "no_such_axis=0.1",

@@ -67,6 +67,20 @@ def test_count_knobs_must_be_positive(recipe, key, value):
         config(recipe, knobs={key: value})
 
 
+@pytest.mark.parametrize("recipe, key, value", [
+    ("fig13-temp", "temperatures", []),
+    ("fig13-temp", "temperatures", 25.0),
+    ("fig12-mnist", "scheme", ""),
+    ("fig12-mnist", "scheme", "sideways"),
+])
+def test_empty_or_unknown_knob_values_fail(tmp_path, recipe, key, value):
+    # an empty list or name used to read as unset: [] ran the six default
+    # temperatures and "" ran the ex-situ scheme
+    cfg = config(recipe, knobs={key: value})
+    with pytest.raises(ConfigError, match=repr(key)):
+        harness.run_recipe(cfg, tmp_path)
+
+
 # --- sweeps -------------------------------------------------------------------
 
 # axis -> (values, series fidelity per (value, seed)), recorded before the

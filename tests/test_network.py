@@ -1,15 +1,19 @@
 """Two-crossbar perceptron: mapping, assembly, inference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from xbarnet.bench import letter_dataset
+from xbarnet import network
+from xbarnet.bench import Dataset, encode_levels, letter_dataset, score
+from xbarnet.crossbar import vmm_currents_batch
 from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError, DimensionError, ReadRegimeError
-from xbarnet.network import (NetworkConfig, assemble, classify,
+from xbarnet.network import (ForwardTrace, NetworkConfig, assemble, classify,
                              drive_voltages, evaluate, forward,
                              interleave_pairs, map_weights, pair_difference)
-from xbarnet.neuron import NeuronParams
+from xbarnet.neuron import NeuronParams, bank_outputs
 
 
 def ideal_net(config=None, seed=0):
@@ -180,7 +184,7 @@ def test_hardware_matches_software_on_ideal_devices():
     net = ideal_net(seed=3)
     set_weights(net, rng.uniform(-1, 1, (17, 10)), rng.uniform(-1, 1, (11, 4)))
     levels = rng.choice([-1.0, 1.0], (25, 16))
-    trace = forward(net, levels)
+    trace = forward(net, drive_voltages(net, levels))
     want = software_forward_oracle(net, levels)
     assert np.max(np.abs(trace.output - want)) < 1e-9
 
@@ -190,7 +194,7 @@ def test_all_midrange_ties_to_class_zero():
     mid = 0.5 * (net.xbar1.spec.g_min + net.xbar1.spec.g_max)
     net.xbar1.g[:] = mid
     net.xbar2.g[:] = mid
-    out = forward(net, np.ones((1, 16))).output
+    out = forward(net, drive_voltages(net, np.ones((1, 16)))).output
     assert classify(out)[0] == 0
     np.testing.assert_allclose(out[0], out[0, 0])
 
@@ -199,7 +203,8 @@ def test_hidden_drive_stays_in_read_window():
     rng = np.random.default_rng(9)
     net = ideal_net(seed=7)
     set_weights(net, rng.uniform(-2, 2, (17, 10)), rng.uniform(-1, 1, (11, 4)))
-    trace = forward(net, rng.choice([-1.0, 1.0], (200, 16)))
+    trace = forward(net, drive_voltages(net, rng.choice([-1.0, 1.0],
+                                                        (200, 16))))
     swing = net.hidden_neurons.params.out_swing
     assert np.max(np.abs(trace.hidden)) <= swing + 1e-15
     assert np.max(np.abs(trace.v_in2)) <= max(swing,
@@ -215,7 +220,7 @@ def test_inference_never_disturbs_weights():
     g1, g2 = net.xbar1.g.copy(), net.xbar2.g.copy()
     assert min(net.xbar1.v_set.min(), net.xbar1.v_reset.min(),
                net.xbar2.v_set.min(), net.xbar2.v_reset.min()) >= 0.5
-    forward(net, rng.choice([-1.0, 1.0], (10_000, 16)))
+    forward(net, drive_voltages(net, rng.choice([-1.0, 1.0], (10_000, 16))))
     np.testing.assert_array_equal(net.xbar1.g, g1)
     np.testing.assert_array_equal(net.xbar2.g, g2)
 
@@ -259,8 +264,9 @@ def test_nan_input_voltage_fails_loudly():
         NetworkConfig(input_voltage=float("nan"))
     levels = np.ones((2, 16))
     levels[1, 5] = np.nan
+    net = ideal_net()
     with pytest.raises(ReadRegimeError):
-        forward(ideal_net(), levels)
+        forward(net, drive_voltages(net, levels))
 
 
 def test_evaluate_empty_dataset():
@@ -268,3 +274,112 @@ def test_evaluate_empty_dataset():
     train, _ = letter_dataset()
     with pytest.raises(ConfigError):
         evaluate(net, train.subset(np.zeros(0, dtype=int)))
+
+
+# --- row-chunked reads ------------------------------------------------------
+
+def digit_net(seed=0):
+    """A 785x600 / 301x20 network with every conductance drawn uniformly
+    inside its cell's bounds, so hidden outputs span their range."""
+    net = assemble(NetworkConfig(n_inputs=784, n_hidden=300, n_outputs=10),
+                   DeviceSpec(), seed)
+    rng = np.random.default_rng(seed)
+    for xbar in (net.xbar1, net.xbar2):
+        xbar.g[:] = rng.uniform(xbar.g_lo, xbar.g_hi)
+    return net
+
+
+def whole_batch_forward(net, v_in, *, t=None, noise_sigma=0.0, rng=None):
+    """forward as it was before layer 1 read in row chunks: each layer one
+    whole-batch read, the bias column appended with np.hstack."""
+    gen = np.random.default_rng(rng) if noise_sigma > 0.0 else None
+    i1 = vmm_currents_batch(net.xbar1, v_in, t=t, noise_sigma=noise_sigma,
+                            rng=gen)
+    vdiff1 = net.hidden_neurons.params.r_f * pair_difference(i1)
+    hidden = bank_outputs(net.hidden_neurons, vdiff1)
+    v_in2 = np.hstack([hidden, np.full((hidden.shape[0], 1),
+                                       net.config.input_voltage)])
+    i2 = vmm_currents_batch(net.xbar2, v_in2, t=t, noise_sigma=noise_sigma,
+                            rng=gen)
+    vdiff2 = net.output_neurons.params.r_f * pair_difference(i2)
+    output = bank_outputs(net.output_neurons, vdiff2)
+    return ForwardTrace(v_in, vdiff1, hidden, v_in2, vdiff2, output)
+
+
+def assert_traces_identical(got, want):
+    for name in ("v_in", "vdiff1", "hidden", "v_in2", "vdiff2", "output"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), (
+            f"trace field {name} of the row-chunked forward differs from "
+            f"the whole-batch read: a matmul split by rows is not bit-exact "
+            f"on this BLAS, and forward's chunking assumption fails"
+        )
+
+
+@pytest.mark.parametrize("t, noise_sigma", [
+    (None, 0.0),
+    (None, 0.05),
+    (40.0, 0.0),
+    (40.0, 0.05),
+])
+def test_chunked_forward_equals_whole_batch(t, noise_sigma):
+    # 2,500 patterns: two full chunks of 1,000 and a remainder of 500
+    assert network._CHUNK_ROWS == 1000
+    net = digit_net()
+    levels = np.random.default_rng(1).uniform(-1.0, 1.0, (2500, 784))
+    v_in = drive_voltages(net, levels)
+    gen_got, gen_want = np.random.default_rng(7), np.random.default_rng(7)
+    got = forward(net, v_in, t=t, noise_sigma=noise_sigma, rng=gen_got)
+    want = whole_batch_forward(net, v_in, t=t, noise_sigma=noise_sigma,
+                               rng=gen_want)
+    assert_traces_identical(got, want)
+    # and the generator is left where the whole-batch draws left it
+    assert gen_got.standard_normal() == gen_want.standard_normal()
+
+
+def test_chunked_evaluate_equals_whole_batch_with_noise():
+    rng = np.random.default_rng(2)
+    data = Dataset(rng.uniform(0.0, 1.0, (2100, 784)),
+                   rng.integers(0, 10, 2100), 10, "gray01")
+    net = digit_net(seed=3)
+    got = evaluate(net, data, noise_sigma=0.05,
+                   rng=np.random.default_rng(9))
+    v_in = np.hstack([net.config.input_voltage * encode_levels(data),
+                      np.full((len(data), 1), net.config.input_voltage)])
+    want_out = whole_batch_forward(net, v_in, noise_sigma=0.05,
+                                   rng=np.random.default_rng(9)).output
+    want = score(classify(want_out), data.labels, 10)
+    assert got.fidelity == want.fidelity
+    assert np.array_equal(got.confusion, want.confusion)
+
+
+def test_forward_temporaries_stay_at_chunk_size():
+    # a return to whole-batch layer-1 temporaries (the squared drive alone
+    # is 4000 x 785 doubles, 25 MB) breaks the bound; layer 2 stays whole
+    # and its 4000 x 301 temporaries fit inside it
+    net = digit_net()
+    v_in = drive_voltages(
+        net, np.random.default_rng(4).uniform(-1.0, 1.0, (4000, 784)))
+    chunk = network._CHUNK_ROWS
+    assert v_in.shape[0] > 2 * chunk
+    two_chunks = 2 * chunk * (net.xbar1.rows + net.xbar1.cols) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = forward(net, v_in)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    returned = sum(a.nbytes for a in (trace.vdiff1, trace.hidden,
+                                      trace.v_in2, trace.vdiff2,
+                                      trace.output))
+    assert peak <= returned + two_chunks, (
+        f"forward allocated {peak / 2**20:.1f} MB over a returned trace of "
+        f"{returned / 2**20:.1f} MB; the bound allows "
+        f"{two_chunks / 2**20:.1f} MB of temporaries"
+    )
+
+
+def test_forward_rejects_a_drive_of_the_wrong_width():
+    net = ideal_net()
+    with pytest.raises(DimensionError):
+        forward(net, np.ones((3, 16)))

@@ -14,9 +14,10 @@ from xbarnet import training
 from xbarnet.bench import encode_levels, letter_dataset
 from xbarnet.crossbar import inject_cell_defects
 from xbarnet.device import DeviceSpec
-from xbarnet.errors import ConfigError, DivergenceError
-from xbarnet.network import (NetworkConfig, assemble, classify, forward,
-                             interleave_pairs, map_weights)
+from xbarnet.errors import ConfigError, DimensionError, DivergenceError
+from xbarnet.network import (NetworkConfig, assemble, classify,
+                             drive_voltages, forward, interleave_pairs,
+                             map_weights)
 from xbarnet.progtune import TuneConfig
 from xbarnet.training import (InSituConfig, InSituState, Loss, Scheme,
                               TrainHyper, build_software_net, insitu_epoch,
@@ -208,7 +209,7 @@ def test_ideal_hardware_forward_equals_software_forward():
         gp, gm, _ = map_weights(layer.w, spec.g_min, spec.g_max, scale=scale)
         xbar.g[:] = interleave_pairs(gp, gm)
     levels = encode_levels(letter_dataset()[0])
-    hw = forward(net, levels).output
+    hw = forward(net, drive_voltages(net, levels)).output
     sw = software_forward(snet, levels)[0]
     assert np.max(np.abs(hw - sw)) < 1e-12
     np.testing.assert_array_equal(classify(hw), classify(sw))
@@ -224,14 +225,47 @@ def test_insitu_belief_equals_silicon_without_threshold_spread(half_select):
     for xbar in (net.xbar1, net.xbar2):
         xbar.g[:] = rng.uniform(spec.g_min, spec.g_max, xbar.g.shape)
     g_start = net.xbar1.g.copy()
-    state = InSituState.from_network(net)
     train, _ = letter_dataset()
+    state = InSituState.from_network(net, train)
     cfg = InSituConfig(half_select=half_select)
     for _ in range(8):
         net = insitu_epoch(net, train, cfg, state)[0]
     assert not np.array_equal(net.xbar1.g, g_start)  # pulses did land
     np.testing.assert_array_equal(state.bg1, net.xbar1.g)
     np.testing.assert_array_equal(state.bg2, net.xbar2.g)
+
+
+def _midrange_letter_net(seed):
+    net = assemble(NetworkConfig(), DeviceSpec(), seed)
+    rng = np.random.default_rng(seed)
+    for xbar in (net.xbar1, net.xbar2):
+        xbar.g[:] = rng.uniform(xbar.g_lo, xbar.g_hi)
+    return net
+
+
+def test_insitu_epoch_pulses_the_network_it_is_given():
+    net = _midrange_letter_net(6)
+    g1, g2 = net.xbar1.g, net.xbar2.g
+    g1_start, g2_start = g1.copy(), g2.copy()
+    train, _ = letter_dataset()
+    state = InSituState.from_network(net, train)
+    out, n_err = insitu_epoch(net, train, InSituConfig(), state)
+    assert n_err > 0
+    assert out is net
+    assert net.xbar1.g is g1 and net.xbar2.g is g2
+    assert not np.array_equal(g1, g1_start)
+    assert not np.array_equal(g2, g2_start)
+
+
+def test_insitu_state_rejects_a_dataset_of_another_length():
+    net = _midrange_letter_net(7)
+    train, _ = letter_dataset()
+    state = InSituState.from_network(net, train)
+    assert state.drive.shape == (len(train), net.config.rows1)
+    g1 = net.xbar1.g.copy()
+    with pytest.raises(DimensionError, match="40"):
+        insitu_epoch(net, train.subset(np.arange(30)), InSituConfig(), state)
+    np.testing.assert_array_equal(net.xbar1.g, g1)
 
 
 def _defective_letter_net(seed):
