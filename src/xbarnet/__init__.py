@@ -16,7 +16,6 @@ from .device import (
 )
 from .crossbar import (
     Crossbar,
-    DefectMap,
     build_crossbar,
     inject_cell_defects,
     map_to_csv,

@@ -41,22 +41,6 @@ from .errors import (
 
 
 @dataclass
-class DefectMap:
-    """Per-cell defect flags (DefectKind coding) plus asymmetry percentages."""
-
-    flags: np.ndarray
-    asymmetry: np.ndarray
-
-    def __post_init__(self):
-        if self.flags.shape != self.asymmetry.shape:
-            raise DimensionError("defect map fields must share one shape")
-
-    @property
-    def n_stuck(self) -> int:
-        return int((self.flags != DefectKind.NONE).sum())
-
-
-@dataclass
 class Crossbar:
     spec: DeviceSpec
     g: np.ndarray
@@ -377,12 +361,11 @@ def inject_cell_defects(
     stuck_on_frac: float,
     stuck_off_frac: float,
     seed,
-) -> tuple[Crossbar, DefectMap]:
+) -> Crossbar:
     """Pin a random disjoint subset of cells on (at g_hi) or off (at g_lo).
 
-    Returns the modified array and the ground-truth DefectMap (flags plus the
-    asymmetry percentages at the default read bias) for later comparison
-    against maps recovered by probing.
+    Returns a modified copy; its ``defect`` flags are the ground truth that
+    maps recovered by probing can be compared against.
     """
     for name, frac in (("stuck_on_frac", stuck_on_frac),
                        ("stuck_off_frac", stuck_off_frac)):
@@ -404,8 +387,7 @@ def inject_cell_defects(
     flat_g[on_idx] = out.g_hi.reshape(-1)[on_idx]
     flat_defect[off_idx] = DefectKind.STUCK_OFF
     flat_g[off_idx] = out.g_lo.reshape(-1)[off_idx]
-    _, asym = measure_maps(out)
-    return out, DefectMap(flags=out.defect.copy(), asymmetry=asym)
+    return out
 
 
 def vary_bounds(xbar: Crossbar, sigma: float, seed) -> Crossbar:

@@ -3,8 +3,13 @@
 Every experiment is driven by one config document (JSON on disk or a plain
 dict): a schema version, a recipe name, a seed list, optional overrides for
 the component config sections, and a flat ``knobs`` table for recipe-level
-settings.  Unknown sections, fields, and knobs are hard errors; a config
-that loads is a config whose every key means something.
+settings.  Unknown sections, fields, and knobs are hard errors.  Every
+section field is read by the layer it configures, with two limits: a
+document may not set hyper.seed, because each run takes its seed from the
+seed list, and fig2-forming runs both forming modes whatever forming.mode
+says.  The knobs are one flat table shared by all recipes: each recipe
+reads its own knobs and ignores the rest, and every knob is read by at
+least one recipe or sweep.
 
 Determinism contract: a (config, seeds) pair pins every number in every
 output file.  Reruns produce byte-identical CSV/JSON, and the worker count
@@ -138,7 +143,6 @@ _KNOB_DEFAULTS: dict = {
     "n_test_digits": 2000,
     # temperature study
     "temperatures": None,
-    "temperature": None,
     "g_bias_high": 80e-6,
     "g_bias_low": 15e-6,
     "v_bias": 0.2,
@@ -173,6 +177,11 @@ def _build_section(name: str, cls, overrides: dict):
     for key, value in overrides.items():
         if key not in known:
             raise ConfigError(f"unknown key {name}.{key}")
+        if (name, key) == ("hyper", "seed"):
+            raise ConfigError(
+                "hyper.seed cannot be set: every run takes its seed from "
+                "the seeds list, so set seeds instead"
+            )
         enum_cls = _ENUM_FIELDS.get((name, key))
         if enum_cls is not None and not isinstance(value, enum_cls):
             try:
@@ -450,8 +459,14 @@ def _digit_sets(cfg: ExperimentConfig, cache_dir: Path | None
     environment variable), else the procedural corpus.  With a cache
     directory the procedural corpus is written out as IDX and read back, so
     the loader path is exercised either way."""
-    src = cfg.knobs["mnist_dir"] or os.environ.get(MNIST_ENV_VAR)
-    if src:
+    src = cfg.knobs["mnist_dir"]
+    if src is None:
+        src = os.environ.get(MNIST_ENV_VAR) or None
+    elif not isinstance(src, str) or not src:
+        raise ConfigError(
+            f"knob 'mnist_dir' must name a directory, got {src!r}"
+        )
+    if src is not None:
         d = Path(src)
         missing = [name for name in _MNIST_FILES if not (d / name).exists()]
         if missing:
@@ -496,8 +511,8 @@ def _base_net(cfg: ExperimentConfig, seed: int) -> Network:
     on = float(cfg.knobs["stuck_on_frac"])
     off = float(cfg.knobs["stuck_off_frac"])
     if on > 0 or off > 0:
-        net.xbar1, _ = inject_cell_defects(net.xbar1, on, off, [seed, 1])
-        net.xbar2, _ = inject_cell_defects(net.xbar2, on, off, [seed, 2])
+        net.xbar1 = inject_cell_defects(net.xbar1, on, off, [seed, 1])
+        net.xbar2 = inject_cell_defects(net.xbar2, on, off, [seed, 2])
     sigma = float(cfg.knobs["swing_sigma"])
     if sigma > 0:
         net.hidden_neurons = vary_swing(net.hidden_neurons, sigma, [seed, 3])
@@ -865,11 +880,7 @@ def _recipe_hybrid(cfg: ExperimentConfig, out: Path):
 
 def _software_error(cfg: ExperimentConfig, net: Network, w1, w2,
                     test: Dataset) -> float:
-    snet = build_software_net(
-        net.config, spec=net.xbar1.spec,
-        hidden_params=net.hidden_neurons.params,
-        output_params=net.output_neurons.params,
-    )
+    snet = build_software_net(net)
     snet.layer1.w = w1
     snet.layer2.w = w2
     y, *_ = software_forward(snet, bench.encode_levels(test))
@@ -1132,8 +1143,8 @@ def _sweep_import_accuracy(p: _SweepPoint, net: Network) -> dict:
 
 def _sweep_stuck_fraction(p: _SweepPoint, net: Network) -> dict:
     half = p.value / 2
-    net.xbar1, _ = inject_cell_defects(net.xbar1, half, half, [p.seed, 21])
-    net.xbar2, _ = inject_cell_defects(net.xbar2, half, half, [p.seed, 22])
+    net.xbar1 = inject_cell_defects(net.xbar1, half, half, [p.seed, 21])
+    net.xbar2 = inject_cell_defects(net.xbar2, half, half, [p.seed, 22])
     return {scheme: p.fidelity(scheme, net.copy()) for scheme in p.series}
 
 

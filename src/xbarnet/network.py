@@ -10,7 +10,6 @@ the plain matrix forward pass agree to float rounding on ideal devices.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +17,7 @@ import numpy as np
 from . import bench
 from .crossbar import Crossbar, build_crossbar, vmm_currents_batch
 from .device import DeviceSpec
-from .errors import (
-    ConfigError,
-    DimensionError,
-    require_count,
-    require_finite,
-)
+from .errors import ConfigError, DimensionError, require_count, require_finite
 from .neuron import NeuronBank, NeuronParams, bank_outputs, make_bank
 
 
@@ -35,11 +29,6 @@ class NetworkConfig:
     bias1: bool = True
     bias2: bool = True
     input_voltage: float = 0.2
-    # crossbar portions; None derives them from the layer sizes
-    rows1: int = None  # type: ignore[assignment]
-    cols1: int = None  # type: ignore[assignment]
-    rows2: int = None  # type: ignore[assignment]
-    cols2: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
         require_count(self, "n_inputs", "n_hidden", "n_outputs")
@@ -48,23 +37,23 @@ class NetworkConfig:
             raise ConfigError("layer sizes must be positive")
         if self.input_voltage <= 0:
             raise ConfigError("input_voltage must be positive")
-        derived = (
-            ("rows1", self.n_inputs + int(self.bias1)),
-            ("cols1", 2 * self.n_hidden),
-            ("rows2", self.n_hidden + int(self.bias2)),
-            ("cols2", 2 * self.n_outputs),
-        )
-        for name, want in derived:
-            have = getattr(self, name)
-            if have is None:
-                object.__setattr__(self, name, want)
-                continue
-            require_count(self, name)
-            if have != want:
-                raise DimensionError(
-                    f"config field {name} = {have} inconsistent with layer "
-                    f"sizes (expected {want})"
-                )
+
+    # crossbar portions, fixed by the layer sizes and bias rows
+    @property
+    def rows1(self) -> int:
+        return self.n_inputs + int(self.bias1)
+
+    @property
+    def cols1(self) -> int:
+        return 2 * self.n_hidden
+
+    @property
+    def rows2(self) -> int:
+        return self.n_hidden + int(self.bias2)
+
+    @property
+    def cols2(self) -> int:
+        return 2 * self.n_outputs
 
     @property
     def device_count(self) -> int:
@@ -78,8 +67,6 @@ class Network:
     xbar2: Crossbar
     hidden_neurons: NeuronBank
     output_neurons: NeuronBank
-    weight_scale1: float = 0.0
-    weight_scale2: float = 0.0
 
     def __post_init__(self):
         c = self.config
@@ -99,9 +86,17 @@ class Network:
             xbar2=self.xbar2.copy(),
             hidden_neurons=self.hidden_neurons.copy(),
             output_neurons=self.output_neurons.copy(),
-            weight_scale1=self.weight_scale1,
-            weight_scale2=self.weight_scale2,
         )
+
+    # import scales in siemens per unit weight: 1/r_f of each bank, so the
+    # r_f transimpedance stage makes the differential voltage W^T v exactly
+    @property
+    def weight_scale1(self) -> float:
+        return 1.0 / self.hidden_neurons.params.r_f
+
+    @property
+    def weight_scale2(self) -> float:
+        return 1.0 / self.output_neurons.params.r_f
 
 
 # ---------------------------------------------------------------------------
@@ -114,34 +109,19 @@ def map_weights(
     g_min: float,
     g_max: float,
     *,
-    scale: float | None = None,
+    scale: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Map signed unit weights onto (G+, G-) target pairs.
-
-    Default auto-scale puts max|w| across the full conductance span; passing
-    ``scale`` (siemens per unit weight) fixes the mapping instead, with
-    out-of-span weights clamped at the rails.  Returns (g_plus, g_minus,
-    scale_used); the scale makes weights and pairs mutually convertible via
-    w = (g_plus - g_minus)/scale.
+    """Map signed unit weights onto (G+, G-) target pairs about mid-range at
+    ``scale`` siemens per unit weight, out-of-span weights clamped at the
+    rails.  Returns (g_plus, g_minus, scale); the scale makes weights and
+    pairs mutually convertible via w = (g_plus - g_minus)/scale.
     """
     w = np.asarray(w, dtype=np.float64)
     if not np.all(np.isfinite(w)):
         raise ConfigError("weight matrix must be finite")
     if g_max <= g_min or g_min <= 0:
         raise ConfigError("need 0 < g_min < g_max")
-    if scale is None:
-        w_max = np.abs(w).max() if w.size else 0.0
-        if w_max == 0.0:
-            warnings.warn(
-                "all-zero weights: auto-scale undefined, mapping every pair "
-                "to mid-range (scale 0)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            scale = 0.0
-        else:
-            scale = (g_max - g_min) / w_max
-    elif scale < 0:
+    if scale < 0:
         raise ConfigError("scale must be nonnegative")
     g_mid = 0.5 * (g_min + g_max)
     g_plus = np.clip(g_mid + 0.5 * scale * w, g_min, g_max)
@@ -171,37 +151,22 @@ def pair_difference(grid: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def assemble(
-    config: NetworkConfig,
-    spec: DeviceSpec,
-    seed,
-    *,
-    hidden_params: NeuronParams | None = None,
-    output_params: NeuronParams | None = None,
-) -> Network:
+def assemble(config: NetworkConfig, spec: DeviceSpec, seed) -> Network:
     """Build both crossbars and neuron banks; deterministic under seed.
 
     The two arrays draw from independently spawned seed streams, so the
-    second array's devices do not depend on the first array's size.  Weight
-    scales are fixed at 1/r_f per layer: combined with the r_f transimpedance
-    stage this makes the differential voltage equal W^T v exactly.
+    second array's devices do not depend on the first array's size.  The
+    banks take the stock neuron params, so the weight scales are 1/r_f.
     """
-    hp = hidden_params if hidden_params is not None else NeuronParams()
-    op = output_params if output_params is not None else NeuronParams(
-        is_output_layer=True
-    )
-    if not op.is_output_layer:
-        raise ConfigError("output_params must have is_output_layer set")
     ss = np.random.SeedSequence(seed)
     s1, s2 = ss.spawn(2)
     return Network(
         config=config,
         xbar1=build_crossbar(config.rows1, config.cols1, spec, s1),
         xbar2=build_crossbar(config.rows2, config.cols2, spec, s2),
-        hidden_neurons=make_bank(config.n_hidden, hp),
-        output_neurons=make_bank(config.n_outputs, op),
-        weight_scale1=1.0 / hp.r_f,
-        weight_scale2=1.0 / op.r_f,
+        hidden_neurons=make_bank(config.n_hidden, NeuronParams()),
+        output_neurons=make_bank(config.n_outputs,
+                                 NeuronParams(is_output_layer=True)),
     )
 
 

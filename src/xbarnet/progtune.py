@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import device as dev
-from .crossbar import Crossbar, DefectMap, measure_maps, pulse_all, write_pulse
+from .crossbar import Crossbar, pulse_all, write_pulse
 from .device import DefectKind, FormingMode
 from .errors import (ConfigError, DimensionError, FormingRequiredError,
                      MeasurementError)
@@ -56,22 +56,13 @@ class FormingConfig:
     v_start: float = 2.0
     v_step: float = 0.1
     v_max: float = 5.0
-    i_stop: float = 1e-4
-    width: float = 1e-3
     mode: FormingMode = FormingMode.VOLTAGE
-    max_attempts: int = 2
 
     def __post_init__(self):
         if not self.v_start < self.v_max:
             raise ConfigError("need v_start < v_max")
         if self.v_step <= 0:
             raise ConfigError("v_step must be positive")
-        if self.i_stop <= 0:
-            raise ConfigError("compliance i_stop must be positive")
-        if self.width <= 0:
-            raise ConfigError("width must be positive")
-        if self.max_attempts < 1:
-            raise ConfigError("max_attempts must be at least 1")
 
 
 @dataclass
@@ -288,13 +279,18 @@ def _verify(xbar: Crossbar, row: int, col: int, cfg: TuneConfig) -> float:
     )
 
 
+# Full-amplitude pulses per polarity that decide whether a cell the tuner
+# gave up on is stuck; both imports probe with the same count.
+_PROBE_PULSES = 3
+
+
 def _probe_polarity(xbar: Crossbar, row: int, col: int, sign: float,
-                    cfg: TuneConfig, n_pulses: int = 3) -> bool:
-    """True if the cell's conductance moves at all under n_pulses at full
-    write amplitude.  Exact-zero comparison: a stuck or unresponsive cell
-    produces literally no change in this model."""
+                    cfg: TuneConfig) -> bool:
+    """True if the cell's conductance moves at all under _PROBE_PULSES at
+    full write amplitude.  Exact-zero comparison: a stuck or unresponsive
+    cell produces literally no change in this model."""
     g0 = xbar.g[row, col]
-    for _ in range(n_pulses):
+    for _ in range(_PROBE_PULSES):
         write_pulse(xbar, row, col, sign * cfg.v_write_max, cfg.width,
                     half_select=cfg.half_select)
     return bool(xbar.g[row, col] != g0)
@@ -506,11 +502,11 @@ def _import_parallel(xbar, targets, live, cfg):
     stuck = np.zeros(shape, dtype=bool)
     if active.any():
         g0 = work.g.copy()
-        for _ in range(3):
+        for _ in range(_PROBE_PULSES):
             pulse_all(work, np.where(active, cfg.v_write_max, 0.0), cfg.width)
         set_alive = work.g != g0
         g1 = work.g.copy()
-        for _ in range(3):
+        for _ in range(_PROBE_PULSES):
             pulse_all(work, np.where(active, -cfg.v_write_max, 0.0), cfg.width)
         reset_alive = work.g != g1
         stuck = active & ~set_alive & ~reset_alive
@@ -549,15 +545,15 @@ def _staircase_alive(xbar, row, col, sign, cfg) -> bool:
         v_amp = min(v_amp + cfg.v_write_step, cfg.v_write_max)
 
 
-def diagnose_defects(xbar: Crossbar, cfg: TuneConfig, v_read: float = 0.2
-                     ) -> tuple[Crossbar, DefectMap]:
-    """Recover the stuck-cell map by probing, plus the measured asymmetry map.
+def diagnose_defects(xbar: Crossbar, cfg: TuneConfig
+                     ) -> tuple[Crossbar, np.ndarray]:
+    """Recover the stuck-cell map by probing: per-cell DefectKind flags.
 
     A cell that responds to neither an escalating set staircase nor an
     escalating reset staircase (up to v_write_max) is diagnosed stuck; the
     kind is read off its conductance position.  Healthy cells get nudged by
     the probes (a cheap price; imports re-tune afterwards), so the perturbed
-    array is returned along with the map.
+    array is returned along with the flags.
     """
     work = xbar.copy()
     flags = np.zeros(work.g.shape, dtype=np.int8)
@@ -572,8 +568,7 @@ def diagnose_defects(xbar: Crossbar, cfg: TuneConfig, v_read: float = 0.2
             g = work.g[row, col]
             near_hi = abs(g - work.g_hi[row, col]) <= abs(g - work.g_lo[row, col])
             flags[row, col] = DefectKind.STUCK_ON if near_hi else DefectKind.STUCK_OFF
-    _, asym = measure_maps(work, v_read)
-    return work, DefectMap(flags=flags, asymmetry=asym)
+    return work, flags
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .crossbar import Crossbar, pulse_all, write_pulse
 from .device import DefectKind, DeviceSpec
 from .errors import ConfigError, DimensionError, DivergenceError, \
     require_count, require_finite
-from .network import Network, NetworkConfig, drive_voltages, forward, \
-    pair_difference, with_bias
+from .network import Network, drive_voltages, forward, pair_difference, \
+    with_bias
 from .neuron import NeuronParams
 from .progtune import TuneConfig, TuningReport, diagnose_defects, \
     import_conductance_map
@@ -143,12 +143,11 @@ def measure_network_maps(
     from .crossbar import measure_maps
 
     out = net.copy()
-    xb1, dm1 = diagnose_defects(out.xbar1, cfg, v_read=cfg.v_read)
-    xb2, dm2 = diagnose_defects(out.xbar2, cfg, v_read=cfg.v_read)
-    out.xbar1, out.xbar2 = xb1, xb2
-    g1, asym1 = measure_maps(xb1, cfg.v_read)
-    g2, asym2 = measure_maps(xb2, cfg.v_read)
-    return out, MeasuredMaps(g1, asym1, dm1.flags, g2, asym2, dm2.flags,
+    out.xbar1, flags1 = diagnose_defects(out.xbar1, cfg)
+    out.xbar2, flags2 = diagnose_defects(out.xbar2, cfg)
+    g1, asym1 = measure_maps(out.xbar1, cfg.v_read)
+    g2, asym2 = measure_maps(out.xbar2, cfg.v_read)
+    return out, MeasuredMaps(g1, asym1, flags1, g2, asym2, flags2,
                              cfg.v_read)
 
 
@@ -187,15 +186,14 @@ class LayerModel:
         self.any_frozen = bool(np.any(self.frozen))
 
 
-def _blank_layer(rows: int, pairs: int, limit: float | None) -> LayerModel:
-    lim = np.inf if limit is None else float(limit)
+def _blank_layer(rows: int, pairs: int, limit: float) -> LayerModel:
     shape = (rows, pairs)
     return LayerModel(
         w=np.zeros(shape),
         c=np.zeros(shape),
         d=np.zeros(shape),
-        w_lo=np.full(shape, -lim),
-        w_hi=np.full(shape, lim),
+        w_lo=np.full(shape, -limit),
+        w_hi=np.full(shape, limit),
         frozen=np.zeros(shape, dtype=bool),
         stuck_plus=np.zeros(shape, dtype=bool),
         stuck_minus=np.zeros(shape, dtype=bool),
@@ -269,32 +267,21 @@ class SoftwareNet:
     output_params: NeuronParams
 
 
-def build_software_net(
-    arch: NetworkConfig,
-    *,
-    maps: MeasuredMaps | None = None,
-    spec: DeviceSpec | None = None,
-    hidden_params: NeuronParams | None = None,
-    output_params: NeuronParams | None = None,
-    weight_limit1: float | None = None,
-    weight_limit2: float | None = None,
-) -> SoftwareNet:
-    hp = hidden_params if hidden_params is not None else NeuronParams()
-    op = output_params if output_params is not None else NeuronParams(
-        is_output_layer=True
-    )
-    # None means "the physical box of the default target devices", not
-    # unbounded; pass np.inf explicitly for an unconstrained fit.
-    spec_eff = spec if spec is not None else DeviceSpec()
-    span = spec_eff.g_max - spec_eff.g_min
-    lim1 = weight_limit1 if weight_limit1 is not None else 0.95 * hp.r_f * span
-    lim2 = weight_limit2 if weight_limit2 is not None else 0.95 * op.r_f * span
+def build_software_net(net: Network, maps: MeasuredMaps | None = None
+                       ) -> SoftwareNet:
+    """The differentiable model of net: its architecture, neuron params and
+    device spec, each weight boxed to 0.95 of the conductance span at its
+    layer's import scale.  With maps, the defect-annotated model of the
+    measured arrays; without, ideal pairs and no quadratic terms."""
+    arch, spec = net.config, net.xbar1.spec
+    hp, op = net.hidden_neurons.params, net.output_neurons.params
+    span = spec.g_max - spec.g_min
+    lim1 = 0.95 * span / net.weight_scale1
+    lim2 = 0.95 * span / net.weight_scale2
     if maps is None:
         layer1 = _blank_layer(arch.rows1, arch.n_hidden, lim1)
         layer2 = _blank_layer(arch.rows2, arch.n_outputs, lim2)
     else:
-        if spec is None:
-            raise ConfigError("measured maps need the device spec for bounds")
         if maps.g1.shape != (arch.rows1, arch.cols1) \
                 or maps.g2.shape != (arch.rows2, arch.cols2):
             raise DimensionError("measured maps do not match the architecture")
@@ -420,12 +407,14 @@ def _count_errors(snet: SoftwareNet, x1: np.ndarray,
 
 
 def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
-         hyper: TrainHyper) -> list[int]:
+         hyper: TrainHyper, n_classes: int) -> list[int]:
     """In-place SGD over the software model; returns the error trace.
 
-    The input drive is built once, and the levels are dropped as soon as
-    it exists, so a caller that hands over its only reference does not
-    hold them through the fit.
+    A fit whose loss or weights become non-finite, or whose last epoch
+    scores no better than chance (100 / n_classes percent) on the fit set,
+    raises DivergenceError.  The input drive is built once, and the levels
+    are dropped as soon as it exists, so a caller that hands over its only
+    reference does not hold them through the fit.
     """
     rng = np.random.default_rng(hyper.seed)
     for layer in (snet.layer1, snet.layer2):
@@ -467,50 +456,41 @@ def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
                 break
         else:
             tail = 0
-    return trace
-
-
-def train_defect_aware(
-    dataset: Dataset,
-    arch: NetworkConfig,
-    maps: MeasuredMaps | None,
-    hyper: TrainHyper,
-    *,
-    spec: DeviceSpec | None = None,
-    hidden_params: NeuronParams | None = None,
-    output_params: NeuronParams | None = None,
-    weight_limit1: float | None = None,
-    weight_limit2: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, SoftwareNet, list[int]]:
-    """Gradient training through the defect/asymmetry-annotated model.
-
-    Returns (w1, w2, fitted software model, error trace).  With maps=None
-    this is precursor training: ideal pairs, no quadratic terms, so the fit
-    skips the quadratic products entirely (see software_forward).  A fit
-    whose loss or weights become non-finite, or whose last epoch scores no
-    better than chance on the fit set, raises DivergenceError.
-    """
-    if len(dataset) == 0:
-        raise ConfigError("training dataset is empty")
-    if dataset.labels.max() >= arch.n_outputs:
-        raise ConfigError(
-            f"dataset has label {int(dataset.labels.max())} but the network "
-            f"only has {arch.n_outputs} outputs"
-        )
-    snet = build_software_net(
-        arch, maps=maps, spec=spec, hidden_params=hidden_params,
-        output_params=output_params, weight_limit1=weight_limit1,
-        weight_limit2=weight_limit2,
-    )
-    trace = _fit(snet, encode_levels(dataset), dataset.labels, hyper)
     if trace:
-        fidelity = 100.0 * (1.0 - trace[-1] / len(dataset))
-        if fidelity <= 100.0 / dataset.n_classes:
+        fidelity = 100.0 * (1.0 - trace[-1] / n)
+        if fidelity <= 100.0 / n_classes:
             epoch = len(trace) - 1
             raise DivergenceError(
                 f"fit ended at chance: {fidelity:.2f}% fidelity on the fit "
                 f"set after epoch {epoch}", epoch=epoch
             )
+    return trace
+
+
+def train_defect_aware(
+    dataset: Dataset,
+    net: Network,
+    maps: MeasuredMaps | None,
+    hyper: TrainHyper,
+) -> tuple[np.ndarray, np.ndarray, SoftwareNet, list[int]]:
+    """Gradient training of net's software model (build_software_net)
+    through the defect/asymmetry-annotated maps.
+
+    Returns (w1, w2, fitted software model, error trace).  With maps=None
+    this is precursor training: ideal pairs, no quadratic terms, so the fit
+    skips the quadratic products entirely (see software_forward).  A fit
+    that diverges or ends at chance raises DivergenceError (see _fit).
+    """
+    if len(dataset) == 0:
+        raise ConfigError("training dataset is empty")
+    if dataset.labels.max() >= net.config.n_outputs:
+        raise ConfigError(
+            f"dataset has label {int(dataset.labels.max())} but the network "
+            f"only has {net.config.n_outputs} outputs"
+        )
+    snet = build_software_net(net, maps)
+    trace = _fit(snet, encode_levels(dataset), dataset.labels, hyper,
+                 dataset.n_classes)
     return snet.layer1.w.copy(), snet.layer2.w.copy(), snet, trace
 
 
@@ -855,21 +835,6 @@ def prepare_fit_set(train_set: Dataset, subsample: int | None, seed
     return train_set, None
 
 
-def _fit_for_net(fit_set: Dataset, net: Network, maps: MeasuredMaps | None,
-                 hyper: TrainHyper):
-    """train_defect_aware for net's architecture and neurons, each weight
-    boxed to 0.95 of the device conductance span."""
-    spec = net.xbar1.spec
-    span = spec.g_max - spec.g_min
-    return train_defect_aware(
-        fit_set, net.config, maps, hyper, spec=spec,
-        hidden_params=net.hidden_neurons.params,
-        output_params=net.output_neurons.params,
-        weight_limit1=0.95 * span / net.weight_scale1,
-        weight_limit2=0.95 * span / net.weight_scale2,
-    )
-
-
 def software_weights_for(
     net: Network,
     train_set: Dataset,
@@ -883,7 +848,7 @@ def software_weights_for(
     """
     s_sub = np.random.SeedSequence(hyper.seed).spawn(4)[0]
     fit_set, _ = prepare_fit_set(train_set, subsample, s_sub)
-    w1, w2, _, _ = _fit_for_net(fit_set, net, None, hyper)
+    w1, w2, _, _ = train_defect_aware(fit_set, net, None, hyper)
     return w1, w2
 
 
@@ -949,7 +914,7 @@ def run_scheme(
 
     if scheme is Scheme.DEFECT_AWARE:
         probed, maps = measure_network_maps(net, tune_cfg)
-        _, _, snet, trace = _fit_for_net(fit_set, net, maps, hyper)
+        _, _, snet, trace = train_defect_aware(fit_set, net, maps, hyper)
         t1, t2 = defect_aware_targets(snet, net.xbar1.spec)
         out, _ = import_grids(probed, t1, t2, tune_cfg, import_noise_sigma,
                               import_accuracy, seed=s_import)
@@ -960,7 +925,7 @@ def run_scheme(
             notes.append("software weights supplied by the caller")
             weights, trace = precomputed_weights, []
         else:
-            w1, w2, _, trace = _fit_for_net(fit_set, net, None, hyper)
+            w1, w2, _, trace = train_defect_aware(fit_set, net, None, hyper)
             weights = (w1, w2)
         out, _ = import_weights(net, weights, tune_cfg, import_noise_sigma,
                                 import_accuracy, seed=s_import)

@@ -50,6 +50,8 @@ def test_nonpositive_count_knob(tmp_path, recipe, knobs, capsys):
 @pytest.mark.parametrize("recipe, knobs", [
     ("fig13-temp", {"temperatures": []}),
     ("fig12-mnist", {"scheme": ""}),
+    # "" used to run the procedural digit corpus without a word
+    ("fig12-mnist", {"mnist_dir": ""}),
 ])
 def test_empty_list_or_name_knob(tmp_path, recipe, knobs, capsys):
     conf = write_config(tmp_path, json.dumps({"knobs": knobs}))
@@ -57,6 +59,31 @@ def test_empty_list_or_name_knob(tmp_path, recipe, knobs, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert f"knob {next(iter(knobs))!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, name", [
+    ({"forming": {"i_stop": 1e-4}}, "forming.i_stop"),
+    ({"network": {"rows1": 17}}, "network.rows1"),
+    ({"knobs": {"temperature": 45.0}}, "'temperature'"),
+    ({"hyper": {"seed": 3}}, "hyper.seed"),
+])
+def test_removed_or_run_owned_value(tmp_path, doc, name, capsys):
+    conf = write_config(tmp_path, json.dumps(doc))
+    code = cli.main(["run", "fig2-forming", "--config", conf,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert name in capsys.readouterr().err
+
+
+def test_mnist_dir_without_the_files(tmp_path, capsys):
+    empty = tmp_path / "corpus"
+    empty.mkdir()
+    conf = write_config(tmp_path, json.dumps({"knobs": {"mnist_dir":
+                                                        str(empty)}}))
+    code = cli.main(["run", "fig12-mnist", "--config", conf,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert "lacks: train-images-idx3-ubyte" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("axis", [

@@ -275,15 +275,16 @@ def test_pulse_all_pattern(spec):
 
 
 def test_inject_defect_counts(xbar20):
-    out, dm = inject_cell_defects(xbar20, 0.1, 0.0, seed=13)
-    assert dm.n_stuck == 40
+    out = inject_cell_defects(xbar20, 0.1, 0.0, seed=13)
+    assert (out.defect != DefectKind.NONE).sum() == 40
     assert (out.defect == DefectKind.STUCK_ON).sum() == 40
+    assert not xbar20.defect.any()  # the input array is left as it was
     assert np.all(out.g[out.defect == DefectKind.STUCK_ON]
                   == out.g_hi[out.defect == DefectKind.STUCK_ON])
 
 
 def test_inject_defect_disjoint(xbar20):
-    out, dm = inject_cell_defects(xbar20, 0.05, 0.05, seed=14)
+    out = inject_cell_defects(xbar20, 0.05, 0.05, seed=14)
     on = out.defect == DefectKind.STUCK_ON
     off = out.defect == DefectKind.STUCK_OFF
     assert on.sum() == 20 and off.sum() == 20
@@ -300,7 +301,7 @@ def test_inject_defect_validation(xbar20):
 def test_stuck_cells_ignore_pulses(spec):
     b = build_crossbar(6, 6, spec, seed=2)
     b.g[:] = 50e-6
-    out, _ = inject_cell_defects(b, 0.2, 0.2, seed=3)
+    out = inject_cell_defects(b, 0.2, 0.2, seed=3)
     frozen = out.defect != DefectKind.NONE
     before = out.g[frozen].copy()
     hit = pulse_all(out, np.full((6, 6), 2.5), 1e-2)
@@ -324,7 +325,7 @@ def test_vary_bounds_window_invariants(xbar20):
 
 
 def test_vary_bounds_keeps_stuck_pinned(xbar20):
-    hurt, _ = inject_cell_defects(xbar20, 0.1, 0.1, seed=5)
+    hurt = inject_cell_defects(xbar20, 0.1, 0.1, seed=5)
     out = vary_bounds(hurt, 0.3, seed=6)
     on = out.defect == DefectKind.STUCK_ON
     off = out.defect == DefectKind.STUCK_OFF

@@ -3,10 +3,13 @@ under any worker count, and the pinned summaries of the fast recipes."""
 
 import hashlib
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from xbarnet import harness
+from xbarnet import bench, harness
 from xbarnet.errors import ConfigError
 
 
@@ -24,6 +27,43 @@ def test_config_hash_ignores_workers_and_out_dir():
         config(out_dir="elsewhere", knobs={"workers": 2})) == base
     assert harness.config_hash(
         config(knobs={"import_accuracy": 0.01})) != base
+
+
+# config values that changed no output and were deleted; a document that
+# still sets one is refused, naming it
+REMOVED_VALUES = [
+    ({"forming": {"i_stop": 1e-4}}, "forming.i_stop"),
+    ({"forming": {"width": 1e-3}}, "forming.width"),
+    ({"forming": {"max_attempts": 2}}, "forming.max_attempts"),
+    ({"network": {"rows1": 17}}, "network.rows1"),
+    ({"network": {"cols1": 20}}, "network.cols1"),
+    ({"network": {"rows2": 11}}, "network.rows2"),
+    ({"network": {"cols2": 8}}, "network.cols2"),
+    ({"knobs": {"temperature": 45.0}}, "'temperature'"),
+]
+
+
+@pytest.mark.parametrize("doc, name", REMOVED_VALUES)
+def test_removed_config_values_rejected(doc, name):
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        config(**doc)
+
+
+def test_every_knob_is_read():
+    # a knob no recipe or sweep reads would be accepted and change nothing
+    text = Path(harness.__file__).read_text()
+    unread = [key for key in harness._KNOB_DEFAULTS
+              if f'knobs["{key}"]' not in text
+              and f'_count_knob(cfg, "{key}"' not in text]
+    assert unread == []
+
+
+def test_hyper_seed_is_refused():
+    # every run replaces hyper.seed with its run seed, so setting it did
+    # nothing; the message points to the seed list instead
+    with pytest.raises(ConfigError, match=r"hyper\.seed.*seeds"):
+        config(hyper={"seed": 3})
+    assert config(seeds=[3]).hyper.seed == 0
 
 
 @pytest.mark.parametrize("knobs", [
@@ -72,13 +112,35 @@ def test_count_knobs_must_be_positive(recipe, key, value):
     ("fig13-temp", "temperatures", 25.0),
     ("fig12-mnist", "scheme", ""),
     ("fig12-mnist", "scheme", "sideways"),
+    ("fig12-mnist", "mnist_dir", ""),
 ])
 def test_empty_or_unknown_knob_values_fail(tmp_path, recipe, key, value):
     # an empty list or name used to read as unset: [] ran the six default
-    # temperatures and "" ran the ex-situ scheme
+    # temperatures, "" ran the ex-situ scheme or the procedural digits
     cfg = config(recipe, knobs={key: value})
     with pytest.raises(ConfigError, match=repr(key)):
         harness.run_recipe(cfg, tmp_path)
+
+
+# --- the digit corpus ---------------------------------------------------------
+
+def write_idx_corpus(directory, n_train=12, n_test=6):
+    sets = (bench.synthetic_digits(n_train, 1),
+            bench.synthetic_digits(n_test, 2))
+    names = harness._MNIST_FILES
+    bench.save_idx(sets[0], directory / names[0], directory / names[1])
+    bench.save_idx(sets[1], directory / names[2], directory / names[3])
+    return sets
+
+
+def test_mnist_dir_knob_loads_an_idx_directory(tmp_path):
+    want_train, want_test = write_idx_corpus(tmp_path)
+    cfg = config("fig12-mnist", knobs={"mnist_dir": str(tmp_path)})
+    train, test, note = harness._digit_sets(cfg, None)
+    assert note == f"idx files from {tmp_path}"
+    np.testing.assert_array_equal(train.labels, want_train.labels)
+    np.testing.assert_array_equal(test.labels, want_test.labels)
+    assert len(train) == 12 and len(test) == 6
 
 
 # --- sweeps -------------------------------------------------------------------

@@ -13,7 +13,7 @@ from xbarnet.errors import ConfigError, DimensionError, ReadRegimeError
 from xbarnet.network import (ForwardTrace, NetworkConfig, assemble, classify,
                              drive_voltages, evaluate, forward,
                              interleave_pairs, map_weights, pair_difference)
-from xbarnet.neuron import NeuronParams, bank_outputs
+from xbarnet.neuron import NeuronParams, bank_outputs, make_bank
 
 
 def ideal_net(config=None, seed=0):
@@ -41,13 +41,16 @@ def read_weights(net):
 # --- weight mapping ---------------------------------------------------------
 
 def test_map_weights_zero_is_midrange():
-    gp, gm, scale = map_weights(np.array([[0.0, 1.0]]), 10e-6, 100e-6)
+    gp, gm, scale = map_weights(np.array([[0.0, 1.0]]), 10e-6, 100e-6,
+                                scale=90e-6)
     assert gp[0, 0] == pytest.approx(55e-6)
     assert gm[0, 0] == pytest.approx(55e-6)
 
 
 def test_map_weights_extreme_hits_rails():
-    gp, gm, _ = map_weights(np.array([[1.0, -1.0, 0.5]]), 10e-6, 100e-6)
+    # at 90 uS per unit weight, +-1 spans the whole 10-100 uS window
+    gp, gm, _ = map_weights(np.array([[1.0, -1.0, 0.5]]), 10e-6, 100e-6,
+                            scale=90e-6)
     assert gp[0, 0] == pytest.approx(100e-6)
     assert gm[0, 0] == pytest.approx(10e-6)
     assert gp[0, 1] == pytest.approx(10e-6)
@@ -57,7 +60,7 @@ def test_map_weights_extreme_hits_rails():
 def test_map_weights_roundtrip():
     rng = np.random.default_rng(2)
     w = rng.uniform(-1.7, 1.7, (6, 4))
-    gp, gm, scale = map_weights(w, 10e-6, 100e-6)
+    gp, gm, scale = map_weights(w, 10e-6, 100e-6, scale=90e-6 / 1.7)
     np.testing.assert_allclose((gp - gm) / scale, w, rtol=1e-12)
 
 
@@ -68,18 +71,13 @@ def test_map_weights_fixed_scale_clamps():
     assert gp[0, 0] == 100e-6 and gm[0, 0] == 10e-6
 
 
-def test_map_weights_all_zero_warns():
-    with pytest.warns(RuntimeWarning):
-        gp, gm, scale = map_weights(np.zeros((2, 2)), 10e-6, 100e-6)
-    assert scale == 0.0
-    np.testing.assert_allclose(gp, 55e-6)
-
-
 def test_map_weights_validation():
     with pytest.raises(ConfigError):
-        map_weights(np.array([[np.inf]]), 10e-6, 100e-6)
+        map_weights(np.array([[np.inf]]), 10e-6, 100e-6, scale=1e-6)
     with pytest.raises(ConfigError):
-        map_weights(np.zeros((1, 1)), 100e-6, 10e-6)
+        map_weights(np.zeros((1, 1)), 100e-6, 10e-6, scale=1e-6)
+    with pytest.raises(ConfigError, match="scale"):
+        map_weights(np.zeros((1, 1)), 10e-6, 100e-6, scale=-1e-6)
 
 
 def test_interleave_pair_inverse():
@@ -105,20 +103,15 @@ def test_device_count_letter_task():
 
 
 def test_config_rejects_inconsistent_portions():
-    with pytest.raises(DimensionError):
-        NetworkConfig(rows1=16)
-    cfg = NetworkConfig(rows1=17, cols1=20)  # explicit and consistent
-    assert cfg.device_count == 428
-
-
-def test_config_portions_must_be_integers():
-    # build_crossbar needs integers, so an integral float fails here, as a
-    # config error, not later as a bare TypeError
-    with pytest.raises(ConfigError, match="rows1"):
-        NetworkConfig(rows1=17.0)
-    for rows1 in (17, np.int64(17)):
-        cfg = NetworkConfig(rows1=rows1)
-        assert assemble(cfg, DeviceSpec(), seed=0).xbar1.g.shape == (17, 20)
+    # the portions are derived from the layer sizes and bias rows, so no
+    # value can be given for them, consistent or not
+    for portions in ({"rows1": 16}, {"rows1": 17, "cols1": 20}):
+        with pytest.raises(TypeError, match=next(iter(portions))):
+            NetworkConfig(**portions)
+    cfg = NetworkConfig(bias1=False, bias2=False)
+    assert (cfg.rows1, cfg.rows2) == (16, 10)
+    with pytest.raises(AttributeError):
+        cfg.rows1 = 17
 
 
 def test_digit_scale_config():
@@ -139,14 +132,18 @@ def test_assemble_deterministic():
 def test_assemble_independent_arrays():
     # second array's population must not shift when the first grows
     small = assemble(NetworkConfig(), DeviceSpec(), seed=4)
-    big = assemble(NetworkConfig(n_inputs=32, rows1=33), DeviceSpec(), seed=4)
+    big = assemble(NetworkConfig(n_inputs=32), DeviceSpec(), seed=4)
     np.testing.assert_array_equal(small.xbar2.v_set, big.xbar2.v_set)
 
 
-def test_assemble_output_params_checked():
-    with pytest.raises(ConfigError):
-        assemble(NetworkConfig(), DeviceSpec(), seed=0,
-                 output_params=NeuronParams())
+def test_weight_scales_follow_the_banks():
+    # 1/r_f siemens per unit weight, read from each bank's params
+    net = assemble(NetworkConfig(), DeviceSpec(), seed=0)
+    assert net.weight_scale1 == net.weight_scale2 == 1.0 / 2000.0
+    net.output_neurons = make_bank(4, NeuronParams(r_f=1000.0,
+                                                   is_output_layer=True))
+    assert net.weight_scale2 == 1.0 / 1000.0
+    assert net.copy().weight_scale2 == 1.0 / 1000.0
 
 
 def test_effective_weights_roundtrip():

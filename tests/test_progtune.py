@@ -81,8 +81,6 @@ def test_forming_config_validation():
         FormingConfig(v_start=5.0, v_max=4.0)
     with pytest.raises(ConfigError):
         FormingConfig(v_step=0.0)
-    with pytest.raises(ConfigError):
-        FormingConfig(max_attempts=0)
 
 
 # --- single-cell tuning -----------------------------------------------------
@@ -208,7 +206,7 @@ def test_parallel_import_is_tune_cell_per_cell(seed):
     spec = DeviceSpec()
     cfg = TuneConfig(half_select=False, max_pulses=300)
     fresh = build_crossbar(12, 9, spec, seed=[seed, 0])
-    xbar, _ = inject_cell_defects(fresh, 0.05, 0.05, seed=[seed, 1])
+    xbar = inject_cell_defects(fresh, 0.05, 0.05, seed=[seed, 1])
     rng = np.random.default_rng([seed, 2])
     targets = rng.uniform(15e-6, 95e-6, xbar.g.shape)
     targets[rng.random(xbar.g.shape) < 0.1] = np.nan
@@ -252,15 +250,15 @@ def test_diagnose_recovers_stuck_map(spec):
         xbar.g[r, c] = xbar.g_hi[r, c] if kind == DefectKind.STUCK_ON \
             else xbar.g_lo[r, c]
         truth[r, c] = kind
-    _, dm = diagnose_defects(xbar, TuneConfig())
-    np.testing.assert_array_equal(dm.flags, truth)
-    assert dm.n_stuck == 3
+    _, flags = diagnose_defects(xbar, TuneConfig())
+    np.testing.assert_array_equal(flags, truth)
+    assert (flags != DefectKind.NONE).sum() == 3
 
 
 def test_diagnose_healthy_array_clean(spec):
     xbar = build_crossbar(5, 5, spec, seed=25)
-    _, dm = diagnose_defects(xbar, TuneConfig())
-    assert dm.n_stuck == 0
+    _, flags = diagnose_defects(xbar, TuneConfig())
+    assert (flags == DefectKind.NONE).all()
 
 
 # --- grayscale mapping ------------------------------------------------------

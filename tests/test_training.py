@@ -63,11 +63,26 @@ def dense_grads(snet, levels, labels, loss, target_volts):
     return value, dw1, dw2
 
 
+def letter_net(seed=0):
+    return assemble(NetworkConfig(), DeviceSpec(), seed)
+
+
+def unbounded_software_net():
+    """The letter network's software model with both weight boxes open."""
+    snet = build_software_net(letter_net())
+    for name in ("layer1", "layer2"):
+        layer = getattr(snet, name)
+        setattr(snet, name, dataclasses.replace(
+            layer, w_lo=np.full_like(layer.w_lo, -np.inf),
+            w_hi=np.full_like(layer.w_hi, np.inf)))
+    return snet
+
+
 def random_net(seed, *, quadratic, w_scale=0.5):
     """Letter-sized software net with random weights; with quadratic=True
     every pair gets nonzero c and d and a few pairs are frozen."""
     rng = np.random.default_rng(seed)
-    snet = build_software_net(NetworkConfig())
+    snet = build_software_net(letter_net())
     layers = []
     for layer in (snet.layer1, snet.layer2):
         kw = {"w": rng.normal(0.0, w_scale, layer.w.shape)}
@@ -146,10 +161,8 @@ def test_quadratic_grads_match_finite_differences(loss):
 def test_fit_is_deterministic_under_one_seed():
     train, _ = letter_dataset()
     hyper = TrainHyper(epochs=30, batch_size=7, seed=11)
-    a1, a2, _, trace_a = train_defect_aware(train, NetworkConfig(), None,
-                                            hyper)
-    b1, b2, _, trace_b = train_defect_aware(train, NetworkConfig(), None,
-                                            hyper)
+    a1, a2, _, trace_a = train_defect_aware(train, letter_net(), None, hyper)
+    b1, b2, _, trace_b = train_defect_aware(train, letter_net(), None, hyper)
     assert a1.tobytes() == b1.tobytes() and a2.tobytes() == b2.tobytes()
     assert trace_a == trace_b
 
@@ -158,9 +171,9 @@ def test_fit_with_non_finite_loss_raises():
     # an initial spread of 1e308 overflows to inf weights on the first draw
     train, _ = letter_dataset()
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-        train_defect_aware(train, NetworkConfig(), None,
-                           TrainHyper(epochs=5, init_scale=1e308),
-                           weight_limit1=np.inf, weight_limit2=np.inf)
+        training._fit(unbounded_software_net(), encode_levels(train),
+                      train.labels, TrainHyper(epochs=5, init_scale=1e308),
+                      train.n_classes)
     assert err.value.epoch == 0
 
 
@@ -169,9 +182,9 @@ def test_fit_ending_at_chance_raises():
     # clip; the gradients vanish and the fit would settle at 1 in 4 right
     train, _ = letter_dataset()
     with pytest.raises(DivergenceError, match="chance: 25.00%") as err:
-        train_defect_aware(train, NetworkConfig(), None,
-                           TrainHyper(lr=1e300, epochs=10),
-                           weight_limit1=np.inf, weight_limit2=np.inf)
+        training._fit(unbounded_software_net(), encode_levels(train),
+                      train.labels, TrainHyper(lr=1e300, epochs=10),
+                      train.n_classes)
     assert err.value.epoch == 9
 
 
@@ -179,8 +192,7 @@ def test_fit_with_non_finite_weights_raises():
     # one inf weight per hidden column sums to +-inf, which the neuron clip
     # turns into a finite output and loss; the fit must still refuse it
     train, _ = letter_dataset()
-    snet = build_software_net(NetworkConfig(), weight_limit1=np.inf,
-                              weight_limit2=np.inf)
+    snet = unbounded_software_net()
     frozen = np.zeros_like(snet.layer1.frozen)
     frozen[0, :] = True
     w = np.where(frozen, np.inf, 0.0)
@@ -188,7 +200,8 @@ def test_fit_with_non_finite_weights_raises():
     levels = encode_levels(train)
     with np.errstate(all="ignore"), \
             pytest.raises(DivergenceError, match="weights") as err:
-        training._fit(snet, levels, train.labels, TrainHyper(epochs=3))
+        training._fit(snet, levels, train.labels, TrainHyper(epochs=3),
+                      train.n_classes)
     assert err.value.epoch == 0
 
 
@@ -200,7 +213,7 @@ def test_ideal_hardware_forward_equals_software_forward():
     spec = DeviceSpec(vset_sigma=0.0, vreset_sigma=0.0, kappa_mean=0.0,
                       kappa_sigma=0.0)
     net = assemble(NetworkConfig(), spec, seed=2)
-    snet = build_software_net(NetworkConfig())
+    snet = build_software_net(net)
     rng = np.random.default_rng(5)
     for xbar, layer, scale in ((net.xbar1, snet.layer1, net.weight_scale1),
                                (net.xbar2, snet.layer2, net.weight_scale2)):
@@ -270,8 +283,8 @@ def test_insitu_state_rejects_a_dataset_of_another_length():
 
 def _defective_letter_net(seed):
     net = assemble(NetworkConfig(), DeviceSpec(), [seed, 0])
-    net.xbar1, _ = inject_cell_defects(net.xbar1, 0.05, 0.05, [seed, 1])
-    net.xbar2, _ = inject_cell_defects(net.xbar2, 0.05, 0.05, [seed, 2])
+    net.xbar1 = inject_cell_defects(net.xbar1, 0.05, 0.05, [seed, 1])
+    net.xbar2 = inject_cell_defects(net.xbar2, 0.05, 0.05, [seed, 2])
     return net
 
 
@@ -302,22 +315,11 @@ def _letter_fit(with_maps):
     """The fig9 software fit of seed 0: 5% stuck-on and 5% stuck-off cells,
     retrained through the measured maps (or blind, without them)."""
     train, _ = letter_dataset()
-    spec = DeviceSpec()
-    net = assemble(NetworkConfig(), spec, [0, 0])
-    net.xbar1, _ = inject_cell_defects(net.xbar1, 0.05, 0.05, [0, 1])
-    net.xbar2, _ = inject_cell_defects(net.xbar2, 0.05, 0.05, [0, 2])
+    net = _defective_letter_net(0)
     maps = None
     if with_maps:
         net, maps = measure_network_maps(net, TuneConfig())
-    span = spec.g_max - spec.g_min
-    w1, w2, snet, trace = train_defect_aware(
-        train, net.config, maps, TrainHyper(), spec=spec,
-        hidden_params=net.hidden_neurons.params,
-        output_params=net.output_neurons.params,
-        weight_limit1=0.95 * span / net.weight_scale1,
-        weight_limit2=0.95 * span / net.weight_scale2,
-    )
-    return w1, w2, snet, trace
+    return train_defect_aware(train, net, maps, TrainHyper())
 
 
 @pytest.mark.parametrize("with_maps, quadratic, digest", [
@@ -338,8 +340,7 @@ def test_batched_letter_fit_pinned():
     train, _ = letter_dataset()
     hyper = TrainHyper(epochs=40, batch_size=8, seed=3,
                        loss=Loss.CROSS_ENTROPY_SOFTMAX)
-    w1, w2, _, trace = train_defect_aware(train, NetworkConfig(), None,
-                                          hyper)
+    w1, w2, _, trace = train_defect_aware(train, letter_net(), None, hyper)
     assert weights_digest(w1, w2) == (
         "deebff774da92a2d6ca057f81a4486716919191b862c2297996bb04d0a3a50f9"
     )
