@@ -9,7 +9,6 @@ scoring (bench), and experiment recipes plus sweeps (harness).
 from .device import (
     DefectKind,
     DeviceSpec,
-    FormingMode,
     differential_conductance,
     effective_conductance,
     pulse_delta,
@@ -59,7 +58,6 @@ from .network import (
     classify,
     evaluate,
     forward,
-    map_weights,
 )
 from .training import (
     InSituConfig,
@@ -68,7 +66,6 @@ from .training import (
     Scheme,
     TrainHyper,
     TrainingReport,
-    import_weights,
     insitu_epoch,
     run_scheme,
     train_defect_aware,

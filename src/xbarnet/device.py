@@ -67,14 +67,6 @@ class DefectKind(enum.IntEnum):
     STUCK_OFF = 2
 
 
-class FormingMode(enum.Enum):
-    """Forming stimulus style. Both modes share one decision path; hardware
-    showed no detectable difference between them and neither does the model."""
-
-    VOLTAGE = "voltage"
-    CURRENT = "current"
-
-
 @dataclass(frozen=True)
 class DeviceSpec:
     """Population-level device parameters; per-device values are sampled.

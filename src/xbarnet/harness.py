@@ -4,12 +4,11 @@ Every experiment is driven by one config document (JSON on disk or a plain
 dict): a schema version, a recipe name, a seed list, optional overrides for
 the component config sections, and a flat ``knobs`` table for recipe-level
 settings.  Unknown sections, fields, and knobs are hard errors.  Every
-section field is read by the layer it configures, with two limits: a
-document may not set hyper.seed, because each run takes its seed from the
-seed list, and fig2-forming runs both forming modes whatever forming.mode
-says.  The knobs are one flat table shared by all recipes: each recipe
-reads its own knobs and ignores the rest, and every knob is read by at
-least one recipe or sweep.
+section field is read by the layer it configures, and a document may not
+set hyper.seed, because each run takes its seed from the seed list.  The
+knobs are one flat table shared by all recipes: each recipe reads its own
+knobs and ignores the rest, and every knob is read by at least one recipe
+or sweep.
 
 Determinism contract: a (config, seeds) pair pins every number in every
 output file.  Reruns produce byte-identical CSV/JSON, and the worker count
@@ -47,7 +46,7 @@ from .crossbar import (
     vary_bounds,
     vmm_currents,
 )
-from .device import DeviceSpec, FormingMode
+from .device import DeviceSpec
 from .errors import ConfigError, DataFormatError, DataMissingError
 from .network import Network, NetworkConfig, assemble, evaluate
 from .neuron import (
@@ -69,8 +68,8 @@ from .training import (
     InSituConfig,
     Loss,
     Scheme,
+    SoftwareNet,
     TrainHyper,
-    build_software_net,
     run_scheme,
     software_forward,
     software_weights_for,
@@ -106,7 +105,6 @@ _SECTIONS = {
 # enum-typed fields arrive as their string values in JSON
 _ENUM_FIELDS = {
     ("hyper", "loss"): Loss,
-    ("forming", "mode"): FormingMode,
 }
 
 _KNOB_DEFAULTS: dict = {
@@ -363,7 +361,7 @@ def default_config(recipe: str) -> dict:
 
 
 def _jsonable(value):
-    if isinstance(value, (Loss, FormingMode, Scheme)):
+    if isinstance(value, (Loss, Scheme)):
         return value.value
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -527,7 +525,7 @@ def _base_net(cfg: ExperimentConfig, seed: int) -> Network:
 
 
 def _run(cfg: ExperimentConfig, scheme, train: Dataset, net: Network,
-         test: Dataset, seed: int, *, precomputed=None):
+         test: Dataset, seed: int, *, fit: SoftwareNet | None = None):
     hyper = replace(cfg.hyper, seed=seed)
     sub = cfg.knobs["subsample"]
     return run_scheme(
@@ -540,7 +538,7 @@ def _run(cfg: ExperimentConfig, scheme, train: Dataset, net: Network,
         import_noise_sigma=float(cfg.knobs["import_noise_sigma"]),
         inference_noise_sigma=float(cfg.knobs["inference_noise_sigma"]),
         subsample=None if sub is None else int(sub),
-        precomputed_weights=precomputed,
+        precomputed_fit=fit,
     )
 
 
@@ -637,24 +635,23 @@ def _builtin_face() -> np.ndarray:
 def _recipe_forming(cfg: ExperimentConfig, out: Path):
     rows = _count_knob(cfg, "n_rows", 40)
     cols = _count_knob(cfg, "n_cols", 50)
-    modes = (FormingMode.VOLTAGE, FormingMode.CURRENT)
-    per_mode: dict[str, dict] = {m.value: {"runs": []} for m in modes}
-    volt_pool: dict[str, list] = {m.value: [] for m in modes}
+    modes = ("voltage", "current")  # labels: both form by one rule
+    per_mode: dict[str, dict] = {m: {"runs": []} for m in modes}
+    volt_pool: dict[str, list] = {m: [] for m in modes}
 
     for seed in cfg.seeds:
         for mi, mode in enumerate(modes):
             xbar = build_crossbar(rows, cols, cfg.spec, [seed, mi, 0],
                                   formed=False)
-            fcfg = replace(cfg.forming, mode=mode)
-            formed, rep = form_array(xbar, fcfg, [seed, mi, 1])
-            per_mode[mode.value]["runs"].append({
+            formed, rep = form_array(xbar, cfg.forming, [seed, mi, 1])
+            per_mode[mode]["runs"].append({
                 "seed": seed,
                 "n_auto": rep.n_auto,
                 "n_manual": rep.n_manual,
                 "n_failed": rep.n_failed,
                 "manual_rate": rep.manual_rate,
             })
-            volt_pool[mode.value].append(rep.forming_v[formed.formed])
+            volt_pool[mode].append(rep.forming_v[formed.formed])
 
     for mode in per_mode:
         rates = [r["manual_rate"] for r in per_mode[mode]["runs"]]
@@ -878,11 +875,9 @@ def _recipe_hybrid(cfg: ExperimentConfig, out: Path):
     return summary, files + ["trace.csv"]
 
 
-def _software_error(cfg: ExperimentConfig, net: Network, w1, w2,
+def _software_error(net: Network, snet: SoftwareNet,
                     test: Dataset) -> float:
-    snet = build_software_net(net)
-    snet.layer1.w = w1
-    snet.layer2.w = w2
+    """Test error percentage of the software fit itself."""
     y, *_ = software_forward(snet, bench.encode_levels(test))
     pred = np.argmax(y, axis=1)
     res = bench.score(pred, test.labels, max(test.n_classes,
@@ -912,11 +907,11 @@ def _recipe_mnist(cfg: ExperimentConfig, out: Path):
     for seed in cfg.seeds:
         net = _base_net(cfg, seed)
         hyper = replace(cfg.hyper, seed=seed)
-        w1, w2 = software_weights_for(net, train, hyper,
-                                      None if sub is None else int(sub))
-        sw_err = _software_error(cfg, net, w1, w2, test)
-        pre = (w1, w2) if scheme in ("ex-situ", "hybrid") else None
-        _, rep = _run(cfg, scheme, train, net, test, seed, precomputed=pre)
+        snet = software_weights_for(net, train, hyper,
+                                    None if sub is None else int(sub))
+        sw_err = _software_error(net, snet, test)
+        fit = snet if scheme in ("ex-situ", "hybrid") else None
+        _, rep = _run(cfg, scheme, train, net, test, seed, fit=fit)
         per_seed.append({
             "seed": seed,
             "software_test_error": sw_err,
@@ -1096,18 +1091,18 @@ class _SweepPoint:
     test: Dataset
     value: float
     seed: int
-    weights: tuple | None  # the seed's software fit, shared by the grid
+    fit: SoftwareNet | None  # the seed's software fit, shared, read only
 
     def run(self, scheme: str, net: Network, **knobs):
         """run_scheme at this point with some knobs overridden; (net,
-        report).  Schemes that start from imported weights reuse the fit."""
+        report).  Schemes that import a blind fit reuse the seed's."""
         cfg = self.cfg
         if knobs:
             cfg = replace(cfg)
             cfg.knobs = dict(self.cfg.knobs, **knobs)
-        pre = self.weights if scheme in ("ex-situ", "hybrid") else None
+        fit = self.fit if scheme in ("ex-situ", "hybrid") else None
         return _run(cfg, scheme, self.train, net, self.test, self.seed,
-                    precomputed=pre)
+                    fit=fit)
 
     def fidelity(self, scheme: str, net: Network, **knobs) -> float:
         return self.run(scheme, net, **knobs)[1].final_test_fidelity
@@ -1224,9 +1219,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
     sub = cfg.knobs["subsample"]
     sub = None if sub is None else int(sub)
 
-    # One software fit per seed covers every grid point whose scheme starts
-    # from imported weights; computed up front so the pool tasks are pure.
-    cache: dict[int, tuple] = {}
+    # One software fit per seed covers every grid point whose scheme imports
+    # a blind fit; computed up front, and only read by the pool tasks.
+    cache: dict[int, SoftwareNet] = {}
     if sweep_axis.shares_fit:
         for seed in seeds:
             net0 = _base_net(cfg, seed)
@@ -1281,21 +1276,20 @@ def write_sweep_outputs(cfg: ExperimentConfig, report: SweepReport,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_plotdata(report, out / "plotdata.csv")
+    series = {}
+    for name, fidelity in report.series.items():
+        med, q25, q75 = report.error_stats(name)
+        series[name] = {"fidelity": fidelity.tolist(),
+                        "median_error": med.tolist(),
+                        "q25_error": q25.tolist(),
+                        "q75_error": q75.tolist()}
     summary = {
         "axis": report.axis,
         "values": report.values,
         "seeds": report.seeds,
         "base_recipe": report.base_recipe,
         "notes": report.notes,
-        "series": {
-            name: {
-                "fidelity": report.series[name].tolist(),
-                "median_error": report.error_stats(name)[0].tolist(),
-                "q25_error": report.error_stats(name)[1].tolist(),
-                "q75_error": report.error_stats(name)[2].tolist(),
-            }
-            for name in report.series
-        },
+        "series": series,
     }
     _write_json(out / "sweep.json", summary)
     sweep_id = dict(resolved_dict(cfg), sweep_axis=report.axis,

@@ -1,4 +1,4 @@
-"""Two-crossbar perceptron: assembly, weight mapping, inference, scoring.
+"""Two-crossbar perceptron: assembly, differential pairs, inference, scoring.
 
 The network is a 3-layer perceptron carried by two passive arrays.  Signed
 weights live as differential conductance pairs: adjacent columns (2j, 2j+1)
@@ -100,33 +100,8 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# weight <-> conductance mapping
+# differential pairs (weight targets: training.conductance_targets)
 # ---------------------------------------------------------------------------
-
-
-def map_weights(
-    w: np.ndarray,
-    g_min: float,
-    g_max: float,
-    *,
-    scale: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Map signed unit weights onto (G+, G-) target pairs about mid-range at
-    ``scale`` siemens per unit weight, out-of-span weights clamped at the
-    rails.  Returns (g_plus, g_minus, scale); the scale makes weights and
-    pairs mutually convertible via w = (g_plus - g_minus)/scale.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ConfigError("weight matrix must be finite")
-    if g_max <= g_min or g_min <= 0:
-        raise ConfigError("need 0 < g_min < g_max")
-    if scale < 0:
-        raise ConfigError("scale must be nonnegative")
-    g_mid = 0.5 * (g_min + g_max)
-    g_plus = np.clip(g_mid + 0.5 * scale * w, g_min, g_max)
-    g_minus = np.clip(g_mid - 0.5 * scale * w, g_min, g_max)
-    return g_plus, g_minus, float(scale)
 
 
 def interleave_pairs(g_plus: np.ndarray, g_minus: np.ndarray) -> np.ndarray:

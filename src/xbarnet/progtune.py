@@ -41,7 +41,7 @@ import numpy as np
 
 from . import device as dev
 from .crossbar import Crossbar, pulse_all, write_pulse
-from .device import DefectKind, FormingMode
+from .device import DefectKind
 from .errors import (ConfigError, DimensionError, FormingRequiredError,
                      MeasurementError)
 
@@ -56,7 +56,6 @@ class FormingConfig:
     v_start: float = 2.0
     v_step: float = 0.1
     v_max: float = 5.0
-    mode: FormingMode = FormingMode.VOLTAGE
 
     def __post_init__(self):
         if not self.v_start < self.v_max:
@@ -67,7 +66,6 @@ class FormingConfig:
 
 @dataclass
 class FormingReport:
-    mode: FormingMode
     total: int
     already_formed: int
     auto_mask: np.ndarray
@@ -100,9 +98,9 @@ def form_array(xbar: Crossbar, cfg: FormingConfig, seed) -> tuple[Crossbar, Form
     Per cell the staircase stops at the first amplitude reaching its sampled
     forming voltage.  Cells drawn as needing manual intervention fail the
     automatic attempts and form on the doubled-compliance retry; cells whose
-    forming voltage exceeds v_max are permanent failures.  Voltage- and
-    current-pulse modes run the identical decision path (hardware showed no
-    detectable difference), so the mode is a report label.
+    forming voltage exceeds v_max are permanent failures.  The lab formed
+    with voltage pulses and with current pulses and saw no detectable
+    difference between them, so the model has one stimulus, not a mode.
     """
     target = ~xbar.formed
     rng = np.random.default_rng(seed)
@@ -125,7 +123,6 @@ def form_array(xbar: Crossbar, cfg: FormingConfig, seed) -> tuple[Crossbar, Form
 
     forming_v = np.where(formed_now, v_reach, np.nan)
     report = FormingReport(
-        mode=cfg.mode,
         total=int(xbar.g.size),
         already_formed=int(xbar.formed.sum()),
         auto_mask=auto,

@@ -14,6 +14,10 @@ pair freezes w.  A precursor run is the same engine with c = d = 0 and no
 frozen cells, so defect-aware training with empty maps is bit-identical to
 it under one seed; the engine skips the quadratic products there, which
 are exactly zero.
+
+Import has one rule as well: conductance_targets maps a fitted SoftwareNet,
+the only carrier of a fit to hardware, onto per-cell targets; the blind
+ex-situ import is its map-free case, where no pair is stuck.
 """
 
 from __future__ import annotations
@@ -187,18 +191,20 @@ class LayerModel:
 
 
 def _blank_layer(rows: int, pairs: int, limit: float) -> LayerModel:
+    """A map-free layer.  Only w is an array of its own; every other field
+    is a constant, held as a read-only broadcast view, so a kept fit costs
+    its weights alone."""
     shape = (rows, pairs)
+
+    def const(value, dtype=np.float64):
+        return np.broadcast_to(np.array(value, dtype=dtype), shape)
+
+    no = const(False, bool)
     return LayerModel(
-        w=np.zeros(shape),
-        c=np.zeros(shape),
-        d=np.zeros(shape),
-        w_lo=np.full(shape, -limit),
-        w_hi=np.full(shape, limit),
-        frozen=np.zeros(shape, dtype=bool),
-        stuck_plus=np.zeros(shape, dtype=bool),
-        stuck_minus=np.zeros(shape, dtype=bool),
-        g_stuck_plus=np.full(shape, np.nan),
-        g_stuck_minus=np.full(shape, np.nan),
+        w=np.zeros(shape), c=const(0.0), d=const(0.0),
+        w_lo=const(-limit), w_hi=const(limit),
+        frozen=no, stuck_plus=no, stuck_minus=no,
+        g_stuck_plus=const(np.nan), g_stuck_minus=const(np.nan),
     )
 
 
@@ -526,7 +532,7 @@ def import_grids(
     net: Network,
     targets1: np.ndarray,
     targets2: np.ndarray,
-    tune_cfg: TuneConfig | None = None,
+    tune_cfg: TuneConfig,
     import_noise_sigma: float = 0.0,
     import_accuracy: float | None = None,
     *,
@@ -538,8 +544,7 @@ def import_grids(
     limit and programs conductances directly (a tuner with unbounded
     patience), still honoring stuck cells and NaN skips.
     """
-    cfg = tune_cfg if tune_cfg is not None else TuneConfig()
-    tol = cfg.tolerance if import_accuracy is None else import_accuracy
+    tol = tune_cfg.tolerance if import_accuracy is None else import_accuracy
     if tol < 0:
         raise ConfigError("import accuracy must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -555,57 +560,30 @@ def import_grids(
             xbar.g[live] = np.clip(targets, xbar.g_lo, xbar.g_hi)[live]
         report = ImportReport(None, None, import_noise_sigma, 0.0)
         return out, report
-    cfg = replace(cfg, tolerance=tol)
+    cfg = replace(tune_cfg, tolerance=tol)
     out.xbar1, rep1 = import_conductance_map(out.xbar1, targets1, cfg)
     out.xbar2, rep2 = import_conductance_map(out.xbar2, targets2, cfg)
     return out, ImportReport(rep1, rep2, import_noise_sigma, tol)
 
 
-def weight_targets(net: Network, w1: np.ndarray,
-                   w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit weights -> per-cell conductance target grids at the network's
-    fixed scales (blind mapping: no defect knowledge)."""
-    spec = net.xbar1.spec
-    gp1, gm1, _ = netmod.map_weights(w1, spec.g_min, spec.g_max,
-                                     scale=net.weight_scale1)
-    spec2 = net.xbar2.spec
-    gp2, gm2, _ = netmod.map_weights(w2, spec2.g_min, spec2.g_max,
-                                     scale=net.weight_scale2)
-    return netmod.interleave_pairs(gp1, gm1), netmod.interleave_pairs(gp2, gm2)
+def conductance_targets(snet: SoftwareNet, spec: DeviceSpec
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell conductance target grids of a fitted software model at
+    1/r_f siemens per unit weight; the model is only read.
 
-
-def import_weights(
-    net: Network,
-    weights: tuple[np.ndarray, np.ndarray],
-    tune_cfg: TuneConfig | None = None,
-    import_noise_sigma: float = 0.0,
-    import_accuracy: float | None = None,
-    *,
-    seed=None,
-) -> tuple[Network, ImportReport]:
-    """Map unit weights to differential targets and tune them in."""
-    w1, w2 = weights
-    if w1.shape != (net.config.rows1, net.config.n_hidden) \
-            or w2.shape != (net.config.rows2, net.config.n_outputs):
-        raise DimensionError("weight matrices do not match the network shape")
-    t1, t2 = weight_targets(net, w1, w2)
-    return import_grids(net, t1, t2, tune_cfg, import_noise_sigma,
-                        import_accuracy, seed=seed)
-
-
-def defect_aware_targets(snet: SoftwareNet, spec: DeviceSpec
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Conductance targets from a fitted defect-aware model.
-
-    Free pairs map symmetrically about mid-range; a pair with one stuck
-    device realizes its whole weight on the free device; stuck cells get
-    NaN targets (the importer skips them).
+    Free pairs map symmetrically about mid-range, clip(g_mid +- 0.5*w/r_f),
+    which is every pair of a model built without maps; a pair with one
+    stuck device realizes its whole weight on the free device; stuck cells
+    get NaN targets (the importer skips them).  A non-finite weight raises
+    ConfigError.
     """
+    g_mid = 0.5 * (spec.g_min + spec.g_max)
     out = []
     for layer, params in ((snet.layer1, snet.hidden_params),
                           (snet.layer2, snet.output_params)):
+        if not np.all(np.isfinite(layer.w)):
+            raise ConfigError("weight matrix must be finite")
         s = 1.0 / params.r_f
-        g_mid = 0.5 * (spec.g_min + spec.g_max)
         free = ~layer.stuck_plus & ~layer.stuck_minus
         only_p = layer.stuck_plus & ~layer.stuck_minus
         only_m = ~layer.stuck_plus & layer.stuck_minus
@@ -797,22 +775,23 @@ def insitu_epoch(
     return net, n_err
 
 
+_MIDRANGE_SPREAD = 0.2  # initialize_midrange's jitter, in half-spans
+
+
 def initialize_midrange(
     net: Network,
-    tune_cfg: TuneConfig | None = None,
+    tune_cfg: TuneConfig,
     seed=None,
-    spread: float = 0.2,
 ) -> tuple[Network, ImportReport]:
     """Tune every device to a random intermediate conductance, the starting
     point for purely in-situ training."""
-    if not 0 <= spread < 1:
-        raise ConfigError("spread must lie in [0, 1)")
     rng = np.random.default_rng(seed)
     targets = []
     for xbar in (net.xbar1, net.xbar2):
         mid = 0.5 * (xbar.g_lo + xbar.g_hi)
         half_span = 0.5 * (xbar.g_hi - xbar.g_lo)
-        jitter = spread * half_span * rng.uniform(-1.0, 1.0, xbar.g.shape)
+        jitter = _MIDRANGE_SPREAD * half_span \
+            * rng.uniform(-1.0, 1.0, xbar.g.shape)
         targets.append(mid + jitter)
     return import_grids(net, targets[0], targets[1], tune_cfg)
 
@@ -825,7 +804,7 @@ def initialize_midrange(
 def prepare_fit_set(train_set: Dataset, subsample: int | None, seed
                     ) -> tuple[Dataset, str | None]:
     """Deterministic training subset used by run_scheme; exposed so sweep
-    drivers can reproduce the exact fit set when precomputing weights."""
+    drivers can reproduce the exact fit set when precomputing a fit."""
     if subsample is not None and subsample < len(train_set):
         idx = np.random.default_rng(seed).choice(
             len(train_set), size=subsample, replace=False
@@ -840,16 +819,17 @@ def software_weights_for(
     train_set: Dataset,
     hyper: TrainHyper,
     subsample: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The blind software fit run_scheme would perform for ex-situ or hybrid,
-    bit for bit.  Sweep drivers call this once per seed and hand the result
-    to run_scheme(..., precomputed_weights=...) at every grid point where the
-    fit would otherwise be recomputed unchanged.
+) -> SoftwareNet:
+    """The map-free software fit run_scheme would perform for ex-situ or
+    hybrid, as the fitted model.  Sweep drivers call this once per seed and
+    hand it to run_scheme(..., precomputed_fit=...) at every grid point
+    where the fit would otherwise be recomputed unchanged; that run is the
+    run that fits for itself, bit for bit.  The model is read only from then
+    on, so concurrent runs may share it; nothing may change it.
     """
     s_sub = np.random.SeedSequence(hyper.seed).spawn(4)[0]
     fit_set, _ = prepare_fit_set(train_set, subsample, s_sub)
-    w1, w2, _, _ = train_defect_aware(fit_set, net, None, hyper)
-    return w1, w2
+    return train_defect_aware(fit_set, net, None, hyper)[2]
 
 
 def _insitu_loop(net: Network, fit_set: Dataset, cfg: InSituConfig
@@ -873,14 +853,14 @@ def run_scheme(
     net: Network,
     *,
     test_set: Dataset | None = None,
-    hyper: TrainHyper | None = None,
-    tune_cfg: TuneConfig | None = None,
-    insitu_cfg: InSituConfig | None = None,
+    hyper: TrainHyper,
+    tune_cfg: TuneConfig,
+    insitu_cfg: InSituConfig,
     import_accuracy: float | None = None,
     import_noise_sigma: float = 0.0,
     inference_noise_sigma: float = 0.0,
     subsample: int | None = None,
-    precomputed_weights: tuple[np.ndarray, np.ndarray] | None = None,
+    precomputed_fit: SoftwareNet | None = None,
 ) -> tuple[Network, TrainingReport]:
     """Run one full training scheme against one network instance.
 
@@ -888,19 +868,21 @@ def run_scheme(
     all derive from hyper.seed, so a (network, scheme, seed) triple pins the
     entire run.
 
-    ``precomputed_weights`` lets sweep drivers reuse one software fit across
-    many grid points; only valid for the ex-situ and hybrid schemes, and the
-    caller must have produced the pair from the same (fit set, architecture,
-    hyper) this call would use, or the run stops being the run it claims.
+    Every scheme but in-situ fits, maps the fit with conductance_targets
+    and tunes it in; defect-aware alone probes the arrays first, fits
+    through the measured maps and tunes the probed arrays.  Hybrid and
+    in-situ then run in-situ epochs, in-situ from a random mid-range start.
+
+    ``precomputed_fit`` (software_weights_for) reuses one fit across sweep
+    points; only ex-situ and hybrid take it, and the caller must have
+    fitted it on the same (fit set, architecture, hyper) this call would
+    use.  It is only read.
     """
     scheme = Scheme(scheme) if not isinstance(scheme, Scheme) else scheme
-    hyper = hyper if hyper is not None else TrainHyper()
-    tune_cfg = tune_cfg if tune_cfg is not None else TuneConfig()
-    insitu_cfg = insitu_cfg if insitu_cfg is not None else InSituConfig()
-    if precomputed_weights is not None \
+    if precomputed_fit is not None \
             and scheme not in (Scheme.EX_SITU, Scheme.HYBRID):
         raise ConfigError(
-            "precomputed weights only make sense for ex-situ or hybrid runs"
+            "a precomputed fit only makes sense for ex-situ or hybrid runs"
         )
     t0 = time.perf_counter()
     notes: list[str] = []
@@ -912,23 +894,23 @@ def run_scheme(
     if sub_note:
         notes.append(sub_note)
 
-    if scheme is Scheme.DEFECT_AWARE:
-        probed, maps = measure_network_maps(net, tune_cfg)
-        _, _, snet, trace = train_defect_aware(fit_set, net, maps, hyper)
-        t1, t2 = defect_aware_targets(snet, net.xbar1.spec)
-        out, _ = import_grids(probed, t1, t2, tune_cfg, import_noise_sigma,
-                              import_accuracy, seed=s_import)
-    elif scheme is Scheme.IN_SITU:
+    if scheme is Scheme.IN_SITU:
         out, _ = initialize_midrange(net, tune_cfg, seed=s_init)
-    else:  # ex-situ, or the ex-situ phase of hybrid
-        if precomputed_weights is not None:
-            notes.append("software weights supplied by the caller")
-            weights, trace = precomputed_weights, []
+    else:
+        target_net, maps = net, None
+        if scheme is Scheme.DEFECT_AWARE:
+            target_net, maps = measure_network_maps(net, tune_cfg)
+        if precomputed_fit is None:
+            _, _, snet, trace = train_defect_aware(fit_set, net, maps, hyper)
         else:
-            w1, w2, _, trace = train_defect_aware(fit_set, net, None, hyper)
-            weights = (w1, w2)
-        out, _ = import_weights(net, weights, tune_cfg, import_noise_sigma,
-                                import_accuracy, seed=s_import)
+            notes.append("software fit supplied by the caller")
+            snet, trace = precomputed_fit, []
+        # the target grids live only through the import, not the in-situ
+        # loop that follows
+        out, _ = import_grids(target_net,
+                              *conductance_targets(snet, net.xbar1.spec),
+                              tune_cfg, import_noise_sigma, import_accuracy,
+                              seed=s_import)
 
     if scheme in (Scheme.IN_SITU, Scheme.HYBRID):
         if scheme is Scheme.HYBRID:

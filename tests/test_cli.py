@@ -66,6 +66,7 @@ def test_empty_list_or_name_knob(tmp_path, recipe, knobs, capsys):
     ({"network": {"rows1": 17}}, "network.rows1"),
     ({"knobs": {"temperature": 45.0}}, "'temperature'"),
     ({"hyper": {"seed": 3}}, "hyper.seed"),
+    ({"forming": {"mode": "current"}}, "forming.mode"),
 ])
 def test_removed_or_run_owned_value(tmp_path, doc, name, capsys):
     conf = write_config(tmp_path, json.dumps(doc))

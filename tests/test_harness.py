@@ -1,7 +1,9 @@
 """Harness contracts: the config hash, knob validation, every sweep axis
-under any worker count, and the pinned summaries of the fast recipes."""
+under any worker count, the benchmark's workload documents, and the pinned
+summaries of the fast recipes."""
 
 import hashlib
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -40,6 +42,7 @@ REMOVED_VALUES = [
     ({"network": {"rows2": 11}}, "network.rows2"),
     ({"network": {"cols2": 8}}, "network.cols2"),
     ({"knobs": {"temperature": 45.0}}, "'temperature'"),
+    ({"forming": {"mode": "current"}}, "forming.mode"),
 ]
 
 
@@ -181,6 +184,42 @@ def test_sweep_axis_pinned(axis, workers):
 def test_unknown_sweep_axis_rejected():
     with pytest.raises(ConfigError, match="unknown sweep axis 'width'"):
         harness.run_sweep(fast_sweep_config(), "width", [0.1])
+
+
+# --- the benchmark's workloads -----------------------------------------------
+
+def _benchmark_workloads():
+    """perfbench/workloads.py of this checkout: the config documents the
+    benchmark hands the program."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", list(WORKLOADS.WORKLOADS))
+def test_benchmark_workload_resolves(name, seed):
+    # a schema change that breaks a workload fails here, not in the
+    # benchmark
+    cfg, sweep = WORKLOADS.resolve(harness, name, seed)
+    assert cfg.seeds
+    if sweep is not None:
+        assert sweep["axis"] in harness.SWEEP_AXES
+
+
+def test_benchmark_sweep_runs_with_the_worker_keywords(tmp_path):
+    # the keywords perfbench/worker.py passes, on one value and one seed
+    cfg, sweep = WORKLOADS.resolve(harness, "letters-sweep", 0)
+    report = harness.run_sweep(cfg, sweep["axis"], sweep["values"][:1],
+                               seeds=cfg.seeds[:1], workers=2)
+    harness.write_sweep_outputs(cfg, report, tmp_path)
+    assert report.series["ex-situ"].shape == (1, 1)
+    assert (tmp_path / "sweep.json").is_file()
 
 
 # --- pinned recipe outputs ----------------------------------------------------

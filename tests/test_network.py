@@ -1,4 +1,4 @@
-"""Two-crossbar perceptron: mapping, assembly, inference."""
+"""Two-crossbar perceptron: differential pairs, assembly, inference."""
 
 import tracemalloc
 
@@ -12,8 +12,9 @@ from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError, DimensionError, ReadRegimeError
 from xbarnet.network import (ForwardTrace, NetworkConfig, assemble, classify,
                              drive_voltages, evaluate, forward,
-                             interleave_pairs, map_weights, pair_difference)
+                             interleave_pairs, pair_difference)
 from xbarnet.neuron import NeuronParams, bank_outputs, make_bank
+from xbarnet.training import build_software_net, conductance_targets
 
 
 def ideal_net(config=None, seed=0):
@@ -23,12 +24,10 @@ def ideal_net(config=None, seed=0):
 
 
 def set_weights(net, w1, w2):
-    """Program exact unit weights through the ideal mapping."""
-    for xbar, w, scale in ((net.xbar1, w1, net.weight_scale1),
-                           (net.xbar2, w2, net.weight_scale2)):
-        gp, gm, _ = map_weights(w, xbar.spec.g_min, xbar.spec.g_max,
-                                scale=scale)
-        xbar.g[:] = interleave_pairs(gp, gm)
+    """Program exact unit weights through the import's target rule."""
+    snet = build_software_net(net)
+    snet.layer1.w, snet.layer2.w = w1, w2
+    net.xbar1.g[:], net.xbar2.g[:] = conductance_targets(snet, net.xbar1.spec)
     return net
 
 
@@ -40,45 +39,39 @@ def read_weights(net):
 
 # --- weight mapping ---------------------------------------------------------
 
-def test_map_weights_zero_is_midrange():
-    gp, gm, scale = map_weights(np.array([[0.0, 1.0]]), 10e-6, 100e-6,
-                                scale=90e-6)
-    assert gp[0, 0] == pytest.approx(55e-6)
-    assert gm[0, 0] == pytest.approx(55e-6)
-
-
 def test_map_weights_extreme_hits_rails():
-    # at 90 uS per unit weight, +-1 spans the whole 10-100 uS window
-    gp, gm, _ = map_weights(np.array([[1.0, -1.0, 0.5]]), 10e-6, 100e-6,
-                            scale=90e-6)
-    assert gp[0, 0] == pytest.approx(100e-6)
-    assert gm[0, 0] == pytest.approx(10e-6)
-    assert gp[0, 1] == pytest.approx(10e-6)
-    assert gm[0, 1] == pytest.approx(100e-6)
-
-
-def test_map_weights_roundtrip():
-    rng = np.random.default_rng(2)
-    w = rng.uniform(-1.7, 1.7, (6, 4))
-    gp, gm, scale = map_weights(w, 10e-6, 100e-6, scale=90e-6 / 1.7)
-    np.testing.assert_allclose((gp - gm) / scale, w, rtol=1e-12)
+    # at 1/r_f per unit weight, the +-(g_max-g_min)*r_f box edges span the
+    # whole window and half the edge sits at three quarters of it
+    net = ideal_net()
+    spec = net.xbar1.spec
+    edge = (spec.g_max - spec.g_min) * net.hidden_neurons.params.r_f
+    w1 = np.zeros((17, 10))
+    w1[0, :3] = [edge, -edge, 0.5 * edge]
+    set_weights(net, w1, np.zeros((11, 4)))
+    gp, gm = net.xbar1.g[0, 0::2], net.xbar1.g[0, 1::2]
+    assert gp[0] == pytest.approx(spec.g_max)
+    assert gm[0] == pytest.approx(spec.g_min)
+    assert gp[1] == pytest.approx(spec.g_min)
+    assert gm[1] == pytest.approx(spec.g_max)
+    window = spec.g_max - spec.g_min
+    assert gp[2] == pytest.approx(spec.g_min + 0.75 * window)
+    assert gm[2] == pytest.approx(spec.g_min + 0.25 * window)
 
 
 def test_map_weights_fixed_scale_clamps():
-    gp, gm, scale = map_weights(np.array([[10.0]]), 10e-6, 100e-6,
-                                scale=9e-6)
-    assert scale == 9e-6
-    assert gp[0, 0] == 100e-6 and gm[0, 0] == 10e-6
+    # a weight far outside the box clamps to the rails; the scale stays
+    # the fixed 1/r_f rather than stretching to fit the weight
+    net = ideal_net()
+    spec = net.xbar1.spec
+    w2 = np.zeros((11, 4))
+    w2[0, 0] = 10.0
+    set_weights(net, np.zeros((17, 10)), w2)
+    assert net.weight_scale2 == 1.0 / net.output_neurons.params.r_f
+    assert net.xbar2.g[0, 0] == spec.g_max
+    assert net.xbar2.g[0, 1] == spec.g_min
 
 
-def test_map_weights_validation():
-    with pytest.raises(ConfigError):
-        map_weights(np.array([[np.inf]]), 10e-6, 100e-6, scale=1e-6)
-    with pytest.raises(ConfigError):
-        map_weights(np.zeros((1, 1)), 100e-6, 10e-6, scale=1e-6)
-    with pytest.raises(ConfigError, match="scale"):
-        map_weights(np.zeros((1, 1)), 10e-6, 100e-6, scale=-1e-6)
-
+# --- differential pairs -----------------------------------------------------
 
 def test_interleave_pair_inverse():
     rng = np.random.default_rng(3)

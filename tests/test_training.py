@@ -1,6 +1,7 @@
 """Software fit: forward/backward formulas, determinism, divergence, the
-hardware contracts (ideal devices, in-situ belief), config validation and
-pinned outputs of the precursor and defect-aware fits."""
+conductance-target rule, the hardware contracts (ideal devices, in-situ
+belief, a reused fit), config validation and pinned outputs of the
+precursor and defect-aware fits."""
 
 import dataclasses
 import hashlib
@@ -16,14 +17,14 @@ from xbarnet.crossbar import inject_cell_defects
 from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError, DimensionError, DivergenceError
 from xbarnet.network import (NetworkConfig, assemble, classify,
-                             drive_voltages, forward, interleave_pairs,
-                             map_weights)
+                             drive_voltages, forward, pair_difference)
 from xbarnet.progtune import TuneConfig
 from xbarnet.training import (InSituConfig, InSituState, Loss, Scheme,
-                              TrainHyper, build_software_net, insitu_epoch,
+                              TrainHyper, build_software_net,
+                              conductance_targets, insitu_epoch,
                               loss_and_grads, measure_network_maps,
                               run_scheme, software_forward,
-                              train_defect_aware)
+                              software_weights_for, train_defect_aware)
 
 
 def dense_forward(snet, levels):
@@ -205,6 +206,57 @@ def test_fit_with_non_finite_weights_raises():
     assert err.value.epoch == 0
 
 
+# --- conductance targets -----------------------------------------------------
+# a model built without maps has no stuck pair: the blind ex-situ mapping
+
+G_MID = 0.5 * (DeviceSpec().g_min + DeviceSpec().g_max)
+
+
+def test_zero_weight_targets_mid_range():
+    net = letter_net()
+    t1, t2 = conductance_targets(build_software_net(net), net.xbar1.spec)
+    assert np.all(t1 == G_MID) and np.all(t2 == G_MID)
+
+
+def test_out_of_box_weights_hit_the_rails():
+    net = letter_net()
+    spec = net.xbar1.spec
+    snet = build_software_net(net)
+    for layer in (snet.layer1, snet.layer2):
+        w = np.full(layer.w.shape, 10.0)
+        w[:, 1::2] = -10.0
+        layer.w = w
+    for grid in conductance_targets(snet, spec):
+        plus, minus = grid[:, 0::2], grid[:, 1::2]
+        assert np.all(plus[:, 0::2] == spec.g_max)
+        assert np.all(minus[:, 0::2] == spec.g_min)
+        assert np.all(plus[:, 1::2] == spec.g_min)
+        assert np.all(minus[:, 1::2] == spec.g_max)
+
+
+def test_targets_round_trip_inside_the_box():
+    net = letter_net()
+    snet = build_software_net(net)
+    rng = np.random.default_rng(2)
+    for layer in (snet.layer1, snet.layer2):
+        layer.w = rng.uniform(layer.w_lo, layer.w_hi)
+    t1, t2 = conductance_targets(snet, net.xbar1.spec)
+    np.testing.assert_allclose(pair_difference(t1) / net.weight_scale1,
+                               snet.layer1.w, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(pair_difference(t2) / net.weight_scale2,
+                               snet.layer2.w, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("layer", ["layer1", "layer2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_target_raises(layer, value):
+    net = letter_net()
+    snet = build_software_net(net)
+    getattr(snet, layer).w[0, 0] = value
+    with pytest.raises(ConfigError, match="finite"):
+        conductance_targets(snet, net.xbar1.spec)
+
+
 # --- hardware contracts ---------------------------------------------------
 
 def test_ideal_hardware_forward_equals_software_forward():
@@ -215,12 +267,10 @@ def test_ideal_hardware_forward_equals_software_forward():
     net = assemble(NetworkConfig(), spec, seed=2)
     snet = build_software_net(net)
     rng = np.random.default_rng(5)
-    for xbar, layer, scale in ((net.xbar1, snet.layer1, net.weight_scale1),
-                               (net.xbar2, snet.layer2, net.weight_scale2)):
+    for layer in (snet.layer1, snet.layer2):
         # inside the +-0.18 box the 1/r_f scale maps without clamping
         layer.w = rng.uniform(-0.17, 0.17, layer.w.shape)
-        gp, gm, _ = map_weights(layer.w, spec.g_min, spec.g_max, scale=scale)
-        xbar.g[:] = interleave_pairs(gp, gm)
+    net.xbar1.g[:], net.xbar2.g[:] = conductance_targets(snet, spec)
     levels = encode_levels(letter_dataset()[0])
     hw = forward(net, drive_voltages(net, levels)).output
     sw = software_forward(snet, levels)[0]
@@ -309,6 +359,35 @@ def test_run_scheme_pinned_by_network_scheme_and_seed(scheme):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("scheme", ["ex-situ", "hybrid"])
+def test_precomputed_fit_is_the_run_that_fits_for_itself(scheme):
+    # software_weights_for's contract, which sweeps rely on to fit once
+    train, test = letter_dataset()
+    kw = dict(test_set=test, hyper=TrainHyper(),
+              tune_cfg=TuneConfig(half_select=False),
+              insitu_cfg=InSituConfig(epochs=4, half_select=False))
+    fit = software_weights_for(_defective_letter_net(0), train, kw["hyper"])
+    own_net, own = run_scheme(scheme, train, _defective_letter_net(0), **kw)
+    pre_net, pre = run_scheme(scheme, train, _defective_letter_net(0),
+                              precomputed_fit=fit, **kw)
+    assert pre_net.xbar1.g.tobytes() == own_net.xbar1.g.tobytes()
+    assert pre_net.xbar2.g.tobytes() == own_net.xbar2.g.tobytes()
+    assert pre.final_train_fidelity == own.final_train_fidelity
+    assert pre.final_test_fidelity == own.final_test_fidelity
+    if scheme == "hybrid":
+        assert pre.trace == own.trace
+
+
+@pytest.mark.parametrize("scheme", ["defect-aware", "in-situ"])
+def test_precomputed_fit_refused_where_no_blind_fit_is_imported(scheme):
+    train, _ = letter_dataset()
+    net = letter_net()
+    with pytest.raises(ConfigError, match="precomputed fit"):
+        run_scheme(scheme, train, net, hyper=TrainHyper(),
+                   tune_cfg=TuneConfig(), insitu_cfg=InSituConfig(),
+                   precomputed_fit=build_software_net(net))
+
+
 # --- pinned outputs -----------------------------------------------------------
 
 def _letter_fit(with_maps):
@@ -333,6 +412,17 @@ def test_letter_fit_weights_pinned(with_maps, quadratic, digest):
     assert snet.layer1.quadratic is quadratic
     assert snet.layer2.quadratic is quadratic
     assert weights_digest(w1, w2) == digest
+
+
+def test_blind_letter_targets_pinned():
+    # the map-free fit's targets; pinned from the blind mapping that the
+    # map-free case of conductance_targets replaced, so the two agree bit
+    # for bit
+    _, _, snet, _ = _letter_fit(with_maps=False)
+    t1, t2 = conductance_targets(snet, DeviceSpec())
+    assert hashlib.sha256(t1.tobytes() + t2.tobytes()).hexdigest() == (
+        "ece2bb1999656a7e8773a3b74296686a9761ffca02cb47509d8b9c62a8c22b82"
+    )
 
 
 def test_batched_letter_fit_pinned():
