@@ -44,15 +44,12 @@ def _read_doc(path) -> dict:
     return doc
 
 
-def _config_for(recipe: str, config_path, extra_knobs: dict | None = None
-                ) -> harness.ExperimentConfig:
+def _config_for(recipe: str, config_path) -> harness.ExperimentConfig:
     doc = harness.default_config(recipe)
     if config_path:
         user = _read_doc(config_path)
         user.pop("out_dir", None)  # the --out flag owns the destination
         doc = harness._merge(doc, user)
-    if extra_knobs:
-        doc = harness._merge(doc, {"knobs": extra_knobs})
     doc["recipe"] = recipe
     return harness.config_from_dict(doc)
 
@@ -88,8 +85,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("sweep needs --config naming the base recipe")
-    base = _read_doc(args.config)
-    recipe = base.get("recipe")
+    recipe = _read_doc(args.config).get("recipe")
     if recipe is None:
         raise ConfigError("sweep config must name its base recipe")
     cfg = _config_for(recipe, args.config)
@@ -104,17 +100,6 @@ def _cmd_sweep(args) -> int:
         pairs = ", ".join(f"{v:g}->{m:.2f}%" for v, m in
                           zip(report.values, med))
         print(f"  {name} median error: {pairs}")
-    return EXIT_OK
-
-
-def _cmd_tune_image(args) -> int:
-    cfg = _config_for("fig4-tuning", args.config,
-                      {"targets": "image", "image": args.image})
-    summary = harness.run_recipe(cfg, out_dir=args.out)
-    frac = summary["within_5pct_fraction"]
-    print(f"tuned {summary['n_cells_attempted']} cells; "
-          f"{100.0 * frac:.2f}% within 5% of target; "
-          f"outputs written to {args.out}")
     return EXIT_OK
 
 
@@ -154,13 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="sweep-out",
                          help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_img = sub.add_parser("tune-image",
-                           help="program a grayscale image into an array")
-    p_img.add_argument("--image", required=True, help="PGM or CSV image")
-    p_img.add_argument("--config", help="JSON config overriding defaults")
-    p_img.add_argument("--out", default="tune-out", help="output directory")
-    p_img.set_defaults(func=_cmd_tune_image)
 
     p_form = sub.add_parser("form", help="electroform a fresh array")
     p_form.add_argument("--config", help="JSON config overriding defaults")

@@ -6,9 +6,11 @@ the component config sections, and a flat ``knobs`` table for recipe-level
 settings.  Unknown sections, fields, and knobs are hard errors.  Every
 section field is read by the layer it configures, and a document may not
 set hyper.seed, because each run takes its seed from the seed list.  The
-knobs are one flat table shared by all recipes: each recipe reads its own
-knobs and ignores the rest, and every knob is read by at least one recipe
-or sweep.
+knobs are one flat table shared by all recipes, ``_KNOBS``: each row holds
+a knob's default, the check that types a document's value once, at load,
+and the recipes and sweep axes that read it.  A run refuses a knob set away
+from its default that neither its recipe nor its sweep axis reads, since
+it would change nothing.
 
 Determinism contract: a (config, seeds) pair pins every number in every
 output file.  Reruns produce byte-identical CSV/JSON, and the worker count
@@ -30,6 +32,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -47,7 +50,7 @@ from .crossbar import (
     vmm_currents,
 )
 from .device import DeviceSpec
-from .errors import ConfigError, DataFormatError, DataMissingError
+from .errors import ConfigError, DataMissingError
 from .network import Network, NetworkConfig, assemble, evaluate
 from .neuron import (
     CompensationParams,
@@ -107,46 +110,130 @@ _ENUM_FIELDS = {
     ("hyper", "loss"): Loss,
 }
 
-_KNOB_DEFAULTS: dict = {
+# Knob checks: each returns the typed value, or raises ValueError saying what
+# the value must be; config_from_dict names the knob and the value.
+
+
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("must be an integer")
+    if value < 1:
+        raise ValueError("must be at least 1")
+    return int(value)
+
+
+def _real(low: float = -math.inf, high: float = math.inf, *,
+          strict: bool = False):
+    """Check for a finite real in [low, high], or in (low, high] if strict;
+    an int beyond the float range is not finite."""
+    def check(value) -> float:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not abs(value) <= sys.float_info.max):
+            raise ValueError("must be a finite number")
+        if value > high or (value <= low if strict else value < low):
+            raise ValueError(f"must lie in [{low:g}, {high:g}]"
+                             if high < math.inf else
+                             f"must be {'>' if strict else '>='} {low:g}")
+        return float(value)
+    return check
+
+
+def _choice(*options: str):
+    def check(value) -> str:
+        if value not in options:
+            raise ValueError(f"must be one of: {', '.join(options)}")
+        return value
+    return check
+
+
+def _list_of(item):
+    """Check for a non-empty list whose items pass ``item``."""
+    def check(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError("must be a non-empty list")
+        out = []
+        for v in value:
+            try:
+                out.append(item(v))
+            except ValueError as exc:
+                raise ValueError(f"item {v!r} {exc}") from None
+        return out
+    return check
+
+
+def _directory(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError("must name a directory")
+    return value
+
+
+_FINITE = _real()
+_NONNEG = _real(0.0)
+_POSITIVE = _real(0.0, strict=True)
+_FRACTION = _real(0.0, 1.0)
+
+
+def _swing_map(value) -> dict[int, float]:
+    """Neuron index -> output swing; JSON spells each index as a string."""
+    if isinstance(value, dict) and all(str(k).isdecimal() for k in value):
+        try:
+            return {int(k): _FINITE(swing) for k, swing in value.items()}
+        except ValueError:
+            pass
+    raise ValueError("must map neuron indices to finite swings")
+
+
+_LETTER_RECIPES = ("fig8-exsitu", "fig9-defect-aware", "fig10-insitu",
+                   "fig11-hybrid")
+_AXES = ("import_accuracy", "stuck_fraction", "bounds_sigma", "noise_sigma",
+         "stuck_neuron_fraction", "temperature")
+# every classification recipe and sweep builds its network in _base_net and
+# runs it through _run
+_NETWORK_READERS = _LETTER_RECIPES + ("fig12-mnist",) + _AXES
+_SCHEMES = tuple(s.value for s in Scheme)
+
+# key -> (default, check, readers): a default of None means unset, and the
+# reader picks its own; the check types a document's value; the readers are
+# the recipes and sweep axes that read the knob
+_KNOBS = {
     # geometry for the array-level recipes
-    "n_rows": None,
-    "n_cols": None,
-    "n_devices": None,
+    "n_rows": (None, _count, ("fig2-forming", "fig13-temp")),
+    "n_cols": (None, _count, ("fig2-forming",)),
+    "n_devices": (None, _count, ("fig3-thresholds",)),
     # threshold characterization
-    "v_step": 0.05,
-    "v_limit": 3.0,
-    # tuning recipe
-    "targets": "image",
-    "image": None,
-    "r_white": 84e3,
-    "r_black": 7e3,
+    "v_step": (0.05, _POSITIVE, ("fig3-thresholds",)),
+    "v_limit": (3.0, _POSITIVE, ("fig3-thresholds",)),
+    # tuning recipe: the resistances of white and black image levels
+    "r_white": (84e3, _POSITIVE, ("fig4-tuning",)),
+    "r_black": (7e3, _POSITIVE, ("fig4-tuning",)),
     # classification recipes
-    "n_classes": None,
-    "scheme": None,
-    "schemes": None,
-    "import_accuracy": None,
-    "import_noise_sigma": 0.0,
-    "inference_noise_sigma": 0.0,
-    "noise_phase": "both",
-    "subsample": None,
-    "stuck_on_frac": 0.0,
-    "stuck_off_frac": 0.0,
-    "stuck_neuron_high_frac": 0.0,
-    "stuck_neuron_low_frac": 0.0,
-    "swing_overrides": None,
-    "swing_sigma": 0.0,
+    "n_classes": (None, _count, _LETTER_RECIPES),
+    "scheme": (None, _choice(*_SCHEMES), ("fig12-mnist",)),
+    "schemes": (None, _list_of(_choice(*_SCHEMES)), ("stuck_fraction",)),
+    "import_accuracy": (None, _NONNEG, _NETWORK_READERS),
+    "import_noise_sigma": (0.0, _NONNEG, _NETWORK_READERS),
+    "inference_noise_sigma": (0.0, _NONNEG, _NETWORK_READERS),
+    "noise_phase": ("both", _choice("import", "inference", "both"),
+                    ("noise_sigma",)),
+    "subsample": (None, _count, _NETWORK_READERS),
+    "stuck_on_frac": (0.0, _FRACTION, _NETWORK_READERS),
+    "stuck_off_frac": (0.0, _FRACTION, _NETWORK_READERS),
+    "stuck_neuron_high_frac": (0.0, _FRACTION, _NETWORK_READERS),
+    "stuck_neuron_low_frac": (0.0, _FRACTION, _NETWORK_READERS),
+    "swing_overrides": (None, _swing_map, _NETWORK_READERS),
+    "swing_sigma": (0.0, _NONNEG, _NETWORK_READERS),
     # digit corpus
-    "mnist_dir": None,
-    "n_train_digits": 8000,
-    "n_test_digits": 2000,
+    "mnist_dir": (None, _directory, ("fig12-mnist",)),
+    "n_train_digits": (8000, _count, ("fig12-mnist",)),
+    "n_test_digits": (2000, _count, ("fig12-mnist",)),
     # temperature study
-    "temperatures": None,
-    "g_bias_high": 80e-6,
-    "g_bias_low": 15e-6,
-    "v_bias": 0.2,
-    "v_in": 0.2,
+    "temperatures": (None, _list_of(_FINITE), ("fig13-temp",)),
+    "g_bias_high": (80e-6, _NONNEG, ("fig13-temp",)),
+    "g_bias_low": (15e-6, _NONNEG, ("fig13-temp",)),
+    "v_bias": (0.2, _FINITE, ("fig13-temp",)),
+    "v_in": (0.2, _FINITE, ("fig13-temp",)),
     # sweep execution (never part of the config hash)
-    "workers": 1,
+    "workers": (1, _count, _AXES),
 }
 
 _TOP_LEVEL_KEYS = {"schema_version", "recipe", "seeds", "out_dir",
@@ -193,58 +280,6 @@ def _build_section(name: str, cls, overrides: dict):
     return cls(**kw)
 
 
-def _require_finite_knob(key: str, value):
-    """Knobs are untyped, so check every number in them, nested ones too: a
-    NaN fraction passes every range test and silently does nothing."""
-    if isinstance(value, dict):
-        for item in value.values():
-            _require_finite_knob(key, item)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _require_finite_knob(key, item)
-    elif isinstance(value, numbers.Real) and not math.isfinite(value):
-        raise ConfigError(f"knob {key!r} must hold finite numbers, "
-                          f"got {value!r}")
-
-
-# Knobs that count things; recipes pass them through int(), which would
-# run 10.9 as 10 without a word, and none of them has a meaningful 0.
-_COUNT_KNOBS = ("n_rows", "n_cols", "n_devices", "n_classes", "subsample",
-                "n_train_digits", "n_test_digits", "workers")
-
-
-def _require_count_knob(key: str, value):
-    """A count knob is a non-bool integer of at least 1, or None where None
-    is its default."""
-    if value is None and _KNOB_DEFAULTS[key] is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"knob {key!r} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigError(f"knob {key!r} must be at least 1, got {value!r}")
-
-
-def _count_knob(cfg: ExperimentConfig, key: str, default: int) -> int:
-    """A count knob's value, or ``default`` where it is unset (None)."""
-    value = cfg.knobs[key]
-    return default if value is None else int(value)
-
-
-def _normalize_overrides(raw) -> dict[int, float] | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        raise ConfigError("swing_overrides must map neuron index to swing")
-    out = {}
-    for key, value in raw.items():
-        try:
-            idx = int(key)
-        except (TypeError, ValueError):
-            raise ConfigError(f"swing_overrides key {key!r} is not an index")
-        out[idx] = float(value)
-    return out
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Validate and resolve one config document. Unknown keys anywhere are
     errors, not warnings; silent typos have burned enough sweep-days."""
@@ -274,18 +309,20 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for name, cls in _SECTIONS.items():
         sections[name] = _build_section(name, cls, doc.get(name, {}))
 
-    knobs = dict(_KNOB_DEFAULTS)
+    knobs = {key: default for key, (default, _, _) in _KNOBS.items()}
     raw_knobs = doc.get("knobs", {})
     if not isinstance(raw_knobs, dict):
         raise ConfigError("knobs must be an object")
     for key, value in raw_knobs.items():
-        if key not in _KNOB_DEFAULTS:
+        if key not in _KNOBS:
             raise ConfigError(f"unknown knob {key!r}")
-        _require_finite_knob(key, value)
-        if key in _COUNT_KNOBS:
-            _require_count_knob(key, value)
-        knobs[key] = value
-    knobs["swing_overrides"] = _normalize_overrides(knobs["swing_overrides"])
+        default, check, _ = _KNOBS[key]
+        try:
+            # None sets a knob back to unset where unset is its default
+            knobs[key] = None if value is None and default is None \
+                else check(value)
+        except ValueError as exc:
+            raise ConfigError(f"knob {key!r} {exc}, got {value!r}") from None
 
     return ExperimentConfig(
         recipe=recipe,
@@ -299,6 +336,21 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         forming=sections["forming"],
         knobs=knobs,
     )
+
+
+def _knob(cfg: ExperimentConfig, key: str, default):
+    """A knob's value, or the reader's ``default`` where it is unset (None)."""
+    value = cfg.knobs[key]
+    return default if value is None else value
+
+
+def _refuse_unread_knobs(cfg: ExperimentConfig, *names: str):
+    """Refuse a knob set away from its default that none of the recipes or
+    sweep axes ``names`` reads: it would change nothing."""
+    for key, (default, _, readers) in _KNOBS.items():
+        if cfg.knobs[key] != default and not set(names) & set(readers):
+            raise ConfigError(f"knob {key!r} is not read by "
+                              f"{' or '.join(names)}")
 
 
 def _merge(base: dict, extra: dict) -> dict:
@@ -444,7 +496,7 @@ def _median_q(values) -> dict:
 
 
 def _letter_sets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    return bench.letter_dataset(n_classes=_count_knob(cfg, "n_classes", 4))
+    return bench.letter_dataset(n_classes=_knob(cfg, "n_classes", 4))
 
 
 _SYNTH_TRAIN_SEED = 20260214
@@ -457,13 +509,7 @@ def _digit_sets(cfg: ExperimentConfig, cache_dir: Path | None
     environment variable), else the procedural corpus.  With a cache
     directory the procedural corpus is written out as IDX and read back, so
     the loader path is exercised either way."""
-    src = cfg.knobs["mnist_dir"]
-    if src is None:
-        src = os.environ.get(MNIST_ENV_VAR) or None
-    elif not isinstance(src, str) or not src:
-        raise ConfigError(
-            f"knob 'mnist_dir' must name a directory, got {src!r}"
-        )
+    src = _knob(cfg, "mnist_dir", os.environ.get(MNIST_ENV_VAR) or None)
     if src is not None:
         d = Path(src)
         missing = [name for name in _MNIST_FILES if not (d / name).exists()]
@@ -475,8 +521,8 @@ def _digit_sets(cfg: ExperimentConfig, cache_dir: Path | None
         test = bench.load_mnist(d / _MNIST_FILES[2], d / _MNIST_FILES[3])
         return train, test, f"idx files from {d}"
 
-    n_train = int(cfg.knobs["n_train_digits"])
-    n_test = int(cfg.knobs["n_test_digits"])
+    n_train = cfg.knobs["n_train_digits"]
+    n_test = cfg.knobs["n_test_digits"]
     train = bench.synthetic_digits(n_train, _SYNTH_TRAIN_SEED)
     test = bench.synthetic_digits(n_test, _SYNTH_TEST_SEED)
     note = f"procedural digit corpus ({n_train} train / {n_test} test)"
@@ -506,16 +552,16 @@ def _base_net(cfg: ExperimentConfig, seed: int) -> Network:
     """Assemble one network instance and apply the config's standing
     hardware imperfections (stuck cells, neuron faults, swing spread)."""
     net = assemble(cfg.network, cfg.spec, [seed, 0])
-    on = float(cfg.knobs["stuck_on_frac"])
-    off = float(cfg.knobs["stuck_off_frac"])
+    on = cfg.knobs["stuck_on_frac"]
+    off = cfg.knobs["stuck_off_frac"]
     if on > 0 or off > 0:
         net.xbar1 = inject_cell_defects(net.xbar1, on, off, [seed, 1])
         net.xbar2 = inject_cell_defects(net.xbar2, on, off, [seed, 2])
-    sigma = float(cfg.knobs["swing_sigma"])
+    sigma = cfg.knobs["swing_sigma"]
     if sigma > 0:
         net.hidden_neurons = vary_swing(net.hidden_neurons, sigma, [seed, 3])
-    high = float(cfg.knobs["stuck_neuron_high_frac"])
-    low = float(cfg.knobs["stuck_neuron_low_frac"])
+    high = cfg.knobs["stuck_neuron_high_frac"]
+    low = cfg.knobs["stuck_neuron_low_frac"]
     overrides = cfg.knobs["swing_overrides"]
     if high > 0 or low > 0 or overrides:
         net.hidden_neurons = inject_neuron_faults(
@@ -524,10 +570,14 @@ def _base_net(cfg: ExperimentConfig, seed: int) -> Network:
     return net
 
 
+# the schemes that import a blind software fit, which a caller may fit once
+# and hand to several runs
+_FIT_SCHEMES = (Scheme.EX_SITU.value, Scheme.HYBRID.value)
+
+
 def _run(cfg: ExperimentConfig, scheme, train: Dataset, net: Network,
          test: Dataset, seed: int, *, fit: SoftwareNet | None = None):
     hyper = replace(cfg.hyper, seed=seed)
-    sub = cfg.knobs["subsample"]
     return run_scheme(
         scheme, train, net,
         test_set=test,
@@ -535,96 +585,11 @@ def _run(cfg: ExperimentConfig, scheme, train: Dataset, net: Network,
         tune_cfg=cfg.tune,
         insitu_cfg=cfg.insitu,
         import_accuracy=cfg.knobs["import_accuracy"],
-        import_noise_sigma=float(cfg.knobs["import_noise_sigma"]),
-        inference_noise_sigma=float(cfg.knobs["inference_noise_sigma"]),
-        subsample=None if sub is None else int(sub),
+        import_noise_sigma=cfg.knobs["import_noise_sigma"],
+        inference_noise_sigma=cfg.knobs["inference_noise_sigma"],
+        subsample=cfg.knobs["subsample"],
         precomputed_fit=fit,
     )
-
-
-# ---------------------------------------------------------------------------
-# image handling for the tuning recipe
-# ---------------------------------------------------------------------------
-
-
-def _read_pgm(p: Path) -> np.ndarray:
-    data = p.read_bytes()
-    # header = magic, width, height, maxval as whitespace-separated tokens,
-    # comments running # to end-of-line
-    tokens: list[bytes] = []
-    i = 0
-    while len(tokens) < 4 and i < len(data):
-        c = data[i:i + 1]
-        if c == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j:j + 1].isspace():
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    if len(tokens) < 4 or tokens[0] not in (b"P2", b"P5"):
-        raise DataFormatError(f"{p}: not a P2/P5 PGM file")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-    except ValueError:
-        raise DataFormatError(f"{p}: non-numeric PGM header")
-    if maxval <= 0 or maxval > 65535:
-        raise DataFormatError(f"{p}: PGM maxval {maxval} out of range")
-    n = width * height
-    if tokens[0] == b"P5":
-        i += 1  # single whitespace after maxval
-        itemsize = 1 if maxval < 256 else 2
-        raw = data[i:i + n * itemsize]
-        if len(raw) != n * itemsize:
-            raise DataFormatError(f"{p}: PGM payload truncated")
-        dtype = np.uint8 if itemsize == 1 else np.dtype(">u2")
-        pix = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-    else:
-        try:
-            pix = np.array([int(t) for t in data[i:].split()],
-                           dtype=np.float64)
-        except ValueError:
-            raise DataFormatError(f"{p}: non-numeric P2 sample")
-        if pix.size != n:
-            raise DataFormatError(
-                f"{p}: expected {n} samples, found {pix.size}"
-            )
-    return (pix * (255.0 / maxval)).reshape(height, width)
-
-
-def load_image_levels(path) -> np.ndarray:
-    """Grayscale image as levels in [0, 255]: PGM (P2/P5) or a CSV grid."""
-    p = Path(path)
-    if not p.exists():
-        raise DataMissingError(f"image file not found: {p}")
-    if p.suffix.lower() == ".pgm":
-        return _read_pgm(p)
-    if p.suffix.lower() == ".csv":
-        try:
-            arr = np.loadtxt(p, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise DataFormatError(f"{p}: bad CSV image: {exc}")
-        if arr.min() < 0 or arr.max() > 255:
-            raise DataFormatError(f"{p}: CSV levels outside [0, 255]")
-        return arr
-    raise ConfigError(f"unsupported image format {p.suffix!r} (pgm or csv)")
-
-
-def _builtin_face() -> np.ndarray:
-    """20x20 test pattern: a face on white background, strokes at level 0."""
-    yy, xx = np.mgrid[0:20, 0:20].astype(np.float64)
-    img = np.full((20, 20), 255.0)
-    r = np.hypot(xx - 9.5, yy - 9.5)
-    img[np.abs(r - 8.0) <= 0.9] = 0.0
-    img[5:8, 5:7] = 0.0
-    img[5:8, 13:15] = 0.0
-    mouth = np.hypot(xx - 9.5, yy - 6.5)
-    img[(np.abs(mouth - 7.0) <= 0.7) & (yy >= 12)] = 0.0
-    return img
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +598,8 @@ def _builtin_face() -> np.ndarray:
 
 
 def _recipe_forming(cfg: ExperimentConfig, out: Path):
-    rows = _count_knob(cfg, "n_rows", 40)
-    cols = _count_knob(cfg, "n_cols", 50)
+    rows = _knob(cfg, "n_rows", 40)
+    cols = _knob(cfg, "n_cols", 50)
     modes = ("voltage", "current")  # labels: both form by one rule
     per_mode: dict[str, dict] = {m: {"runs": []} for m in modes}
     volt_pool: dict[str, list] = {m: [] for m in modes}
@@ -691,13 +656,12 @@ def _recipe_forming(cfg: ExperimentConfig, out: Path):
 
 
 def _recipe_thresholds(cfg: ExperimentConfig, out: Path):
-    n = _count_knob(cfg, "n_devices", 200)
-    v_step = float(cfg.knobs["v_step"])
-    v_limit = float(cfg.knobs["v_limit"])
+    n = _knob(cfg, "n_devices", 200)
     rows = []
     for seed in cfg.seeds:
         cells = sample_cells(cfg.spec, [[seed, i] for i in range(n)])
-        m_set, m_reset = extract_thresholds(cells, v_step, v_limit)
+        m_set, m_reset = extract_thresholds(cells, cfg.knobs["v_step"],
+                                            cfg.knobs["v_limit"])
         for i in range(n):
             rows.append((seed, i, cells.v_set[i, 0], m_set[i, 0],
                          cells.v_reset[i, 0], m_reset[i, 0]))
@@ -723,29 +687,28 @@ def _recipe_thresholds(cfg: ExperimentConfig, out: Path):
     return summary, ["thresholds.csv"]
 
 
+def _builtin_face() -> np.ndarray:
+    """20x20 test pattern: a face on white background, strokes at level 0."""
+    yy, xx = np.mgrid[0:20, 0:20].astype(np.float64)
+    img = np.full((20, 20), 255.0)
+    r = np.hypot(xx - 9.5, yy - 9.5)
+    img[np.abs(r - 8.0) <= 0.9] = 0.0
+    img[5:8, 5:7] = 0.0
+    img[5:8, 13:15] = 0.0
+    mouth = np.hypot(xx - 9.5, yy - 6.5)
+    img[(np.abs(mouth - 7.0) <= 0.7) & (yy >= 12)] = 0.0
+    return img
+
+
 def _recipe_tuning(cfg: ExperimentConfig, out: Path):
-    mode = cfg.knobs["targets"]
-    if mode not in ("image", "random"):
-        raise ConfigError(f"targets knob must be 'image' or 'random', "
-                          f"got {mode!r}")
-    if mode == "image":
-        levels = (_builtin_face() if cfg.knobs["image"] is None
-                  else load_image_levels(cfg.knobs["image"]))
-        targets_fixed = image_to_targets(levels, float(cfg.knobs["r_white"]),
-                                         float(cfg.knobs["r_black"]))
-        if targets_fixed.max() > cfg.spec.g_max \
-                or targets_fixed.min() < cfg.spec.g_min:
-            raise ConfigError(
-                "image maps outside the device range "
-                f"[{cfg.spec.g_min}, {cfg.spec.g_max}] S; adjust r_white/"
-                "r_black or the device section"
-            )
-        shape = targets_fixed.shape
-    else:
-        rows = _count_knob(cfg, "n_rows", 20)
-        cols = _count_knob(cfg, "n_cols", 20)
-        shape = (rows, cols)
-        targets_fixed = None
+    targets = image_to_targets(_builtin_face(), cfg.knobs["r_white"],
+                               cfg.knobs["r_black"])
+    if targets.max() > cfg.spec.g_max or targets.min() < cfg.spec.g_min:
+        raise ConfigError(
+            "image maps outside the device range "
+            f"[{cfg.spec.g_min}, {cfg.spec.g_max}] S; adjust r_white/"
+            "r_black or the device section"
+        )
 
     errors_pct = []
     converged_errors_pct = []
@@ -753,12 +716,7 @@ def _recipe_tuning(cfg: ExperimentConfig, out: Path):
     pulse_medians = []
     files = []
     for si, seed in enumerate(cfg.seeds):
-        if targets_fixed is None:
-            rng = np.random.default_rng([seed, 1])
-            targets = rng.uniform(cfg.spec.g_min, cfg.spec.g_max, shape)
-        else:
-            targets = targets_fixed
-        xbar = build_crossbar(shape[0], shape[1], cfg.spec, [seed, 0])
+        xbar = build_crossbar(*targets.shape, cfg.spec, [seed, 0])
         tuned, rep = import_conductance_map(xbar, targets, cfg.tune)
         attempted = ~rep.skipped_mask
         errors_pct.append(100.0 * rep.rel_error[attempted])
@@ -780,8 +738,8 @@ def _recipe_tuning(cfg: ExperimentConfig, out: Path):
                _hist_rows(pooled, edges))
     files.append("tuning_errors.csv")
     summary = {
-        "targets": mode,
-        "array": list(shape),
+        "targets": "image",
+        "array": list(targets.shape),
         "n_cells_attempted": n_cells,
         "n_stuck": n_stuck,
         "n_failed": n_failed,
@@ -885,32 +843,17 @@ def _software_error(net: Network, snet: SoftwareNet,
     return 100.0 - res.fidelity
 
 
-def _scheme_knob(cfg: ExperimentConfig) -> str:
-    """The scheme knob's value, or ex-situ where it is unset (None)."""
-    scheme = cfg.knobs["scheme"]
-    if scheme is None:
-        return Scheme.EX_SITU.value
-    try:
-        return Scheme(scheme).value
-    except ValueError:
-        choices = ", ".join(e.value for e in Scheme)
-        raise ConfigError(
-            f"knob 'scheme' must be one of: {choices} (got {scheme!r})"
-        ) from None
-
-
 def _recipe_mnist(cfg: ExperimentConfig, out: Path):
-    scheme = _scheme_knob(cfg)
+    scheme = _knob(cfg, "scheme", Scheme.EX_SITU.value)
     train, test, note = _digit_sets(cfg, out)
     sub = cfg.knobs["subsample"]
     per_seed = []
     for seed in cfg.seeds:
         net = _base_net(cfg, seed)
         hyper = replace(cfg.hyper, seed=seed)
-        snet = software_weights_for(net, train, hyper,
-                                    None if sub is None else int(sub))
+        snet = software_weights_for(net, train, hyper, sub)
         sw_err = _software_error(net, snet, test)
-        fit = snet if scheme in ("ex-situ", "hybrid") else None
+        fit = snet if scheme in _FIT_SCHEMES else None
         _, rep = _run(cfg, scheme, train, net, test, seed, fit=fit)
         per_seed.append({
             "seed": seed,
@@ -939,19 +882,12 @@ def _recipe_mnist(cfg: ExperimentConfig, out: Path):
 
 
 def _recipe_temperature(cfg: ExperimentConfig, out: Path):
-    rows_n = _count_knob(cfg, "n_rows", 16)
-    v_in = float(cfg.knobs["v_in"])
-    v_bias = float(cfg.knobs["v_bias"])
-    temps = cfg.knobs["temperatures"]
-    if temps is None:
-        temps = [25.0, 35.0, 45.0, 55.0, 65.0, 75.0]
-    elif not isinstance(temps, list) or not temps:
-        raise ConfigError(
-            f"knob 'temperatures' must be a non-empty list, got {temps!r}"
-        )
-    temps = [float(t) for t in temps]
-    biases = {"high": float(cfg.knobs["g_bias_high"]),
-              "low": float(cfg.knobs["g_bias_low"])}
+    rows_n = _knob(cfg, "n_rows", 16)
+    v_in = cfg.knobs["v_in"]
+    v_bias = cfg.knobs["v_bias"]
+    temps = _knob(cfg, "temperatures", [25.0, 35.0, 45.0, 55.0, 65.0, 75.0])
+    biases = {"high": cfg.knobs["g_bias_high"],
+              "low": cfg.knobs["g_bias_low"]}
     dep_spec = cfg.spec if cfg.spec.alpha_exponent != 0 else \
         replace(cfg.spec, alpha_exponent=1.0)
     variants = {"matched": replace(dep_spec, alpha_exponent=0.0),
@@ -1038,6 +974,7 @@ def run_recipe(cfg: ExperimentConfig, out_dir=None) -> dict:
     if target is None:
         raise ConfigError("no output directory: set out_dir in the config "
                           "or pass one explicitly")
+    _refuse_unread_knobs(cfg, cfg.recipe)
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
     summary, files = RECIPES[cfg.recipe](cfg, out)
@@ -1096,11 +1033,8 @@ class _SweepPoint:
     def run(self, scheme: str, net: Network, **knobs):
         """run_scheme at this point with some knobs overridden; (net,
         report).  Schemes that import a blind fit reuse the seed's."""
-        cfg = self.cfg
-        if knobs:
-            cfg = replace(cfg)
-            cfg.knobs = dict(self.cfg.knobs, **knobs)
-        fit = self.fit if scheme in ("ex-situ", "hybrid") else None
+        cfg = replace(self.cfg, knobs=dict(self.cfg.knobs, **knobs))
+        fit = self.fit if scheme in _FIT_SCHEMES else None
         return _run(cfg, scheme, self.train, net, self.test, self.seed,
                     fit=fit)
 
@@ -1113,23 +1047,8 @@ def _exsitu_series(cfg: ExperimentConfig) -> list[str]:
 
 
 def _scheme_series(cfg: ExperimentConfig) -> list[str]:
-    schemes = cfg.knobs["schemes"]
-    if schemes is None:
-        schemes = ["ex-situ", "hybrid"] if cfg.recipe == "fig12-mnist" \
-            else ["ex-situ"]
-    if not isinstance(schemes, list) or not schemes:
-        raise ConfigError("schemes knob must be a non-empty list")
-    for s in schemes:
-        Scheme(s)
-    return list(schemes)
-
-
-def _noise_phase_series(cfg: ExperimentConfig) -> list[str]:
-    phase = cfg.knobs["noise_phase"]
-    if phase not in ("import", "inference", "both"):
-        raise ConfigError(f"noise_phase must be import, inference or "
-                          f"both, got {phase!r}")
-    return [phase]
+    return _knob(cfg, "schemes", ["ex-situ", "hybrid"]
+                 if cfg.recipe == "fig12-mnist" else ["ex-situ"])
 
 
 def _sweep_import_accuracy(p: _SweepPoint, net: Network) -> dict:
@@ -1170,23 +1089,24 @@ def _sweep_stuck_neuron_fraction(p: _SweepPoint, net: Network) -> dict:
 def _sweep_temperature(p: _SweepPoint, net: Network) -> dict:
     final, _ = p.run("ex-situ", net)
     res = evaluate(final, p.test, t=p.value,
-                   noise_sigma=float(p.cfg.knobs["inference_noise_sigma"]),
+                   noise_sigma=p.cfg.knobs["inference_noise_sigma"],
                    rng=np.random.default_rng([p.seed, 26]))
     return {"ex-situ": res.fidelity}
 
 
 class _SweepAxis(NamedTuple):
-    series: Callable[[ExperimentConfig], list]  # validated series names
+    series: Callable[[ExperimentConfig], list]  # series names
     run: Callable[[_SweepPoint, Network], dict]  # series name -> fidelity
-    shares_fit: bool = True  # runs start from the per-seed software fit
+    # the scheme every series runs; None: each series names its scheme
+    scheme: str | None = None
 
 
 SWEEP_AXES = {
     "import_accuracy": _SweepAxis(_exsitu_series, _sweep_import_accuracy),
     "stuck_fraction": _SweepAxis(_scheme_series, _sweep_stuck_fraction),
-    "bounds_sigma": _SweepAxis(lambda cfg: ["in-situ"], _sweep_bounds_sigma,
-                               shares_fit=False),
-    "noise_sigma": _SweepAxis(_noise_phase_series, _sweep_noise_sigma),
+    "bounds_sigma": _SweepAxis(lambda cfg: ["in-situ"], _sweep_bounds_sigma),
+    "noise_sigma": _SweepAxis(lambda cfg: [cfg.knobs["noise_phase"]],
+                              _sweep_noise_sigma, scheme="ex-situ"),
     "stuck_neuron_fraction": _SweepAxis(_exsitu_series,
                                         _sweep_stuck_neuron_fraction),
     "temperature": _SweepAxis(_exsitu_series, _sweep_temperature),
@@ -1207,26 +1127,27 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
             f"unknown sweep axis {axis!r}; available: "
             + ", ".join(SWEEP_AXES)
         )
+    _refuse_unread_knobs(cfg, cfg.recipe, axis)
     sweep_axis = SWEEP_AXES[axis]
     values = [float(v) for v in values]
     seeds = list(seeds) if seeds is not None else list(cfg.seeds)
-    n_workers = int(workers if workers is not None else cfg.knobs["workers"])
+    n_workers = workers if workers is not None else cfg.knobs["workers"]
     if n_workers < 1:
         raise ConfigError("workers must be at least 1")
 
     train, test, note = _datasets_for(cfg)
     names = sweep_axis.series(cfg)
-    sub = cfg.knobs["subsample"]
-    sub = None if sub is None else int(sub)
+    schemes = [sweep_axis.scheme] if sweep_axis.scheme else names
 
     # One software fit per seed covers every grid point whose scheme imports
     # a blind fit; computed up front, and only read by the pool tasks.
     cache: dict[int, SoftwareNet] = {}
-    if sweep_axis.shares_fit:
+    if not set(schemes).isdisjoint(_FIT_SCHEMES):
         for seed in seeds:
             net0 = _base_net(cfg, seed)
             cache[seed] = software_weights_for(
-                net0, train, replace(cfg.hyper, seed=seed), sub
+                net0, train, replace(cfg.hyper, seed=seed),
+                cfg.knobs["subsample"]
             )
 
     def task(value: float, seed: int) -> dict:

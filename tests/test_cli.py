@@ -20,6 +20,26 @@ def test_run_succeeds(tmp_path):
     assert (out / "summary.json").exists()
 
 
+def test_form_succeeds(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["form", "--out", str(out)]) == cli.EXIT_OK
+    assert (out / "forming_voltages.csv").exists()
+    assert "median manual-forming rate" in capsys.readouterr().out
+
+
+def test_sweep_succeeds(tmp_path, capsys):
+    # one value and one seed, with ideal import and whole-array writes
+    conf = write_config(tmp_path, json.dumps({
+        "recipe": "fig8-exsitu", "knobs": {"import_accuracy": 0.0},
+        "tune": {"half_select": False}}))
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", conf, "--axis", "stuck_fraction=0.1",
+                     "--seeds", "1", "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads((out / "sweep.json").read_text())["seeds"] == [0]
+    assert "ex-situ median error" in capsys.readouterr().out
+
+
 def test_unknown_recipe(tmp_path, capsys):
     code = cli.main(["run", "fig99-nothing", "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
@@ -52,6 +72,16 @@ def test_nonpositive_count_knob(tmp_path, recipe, knobs, capsys):
     ("fig12-mnist", {"scheme": ""}),
     # "" used to run the procedural digit corpus without a word
     ("fig12-mnist", {"mnist_dir": ""}),
+    # these ran, or stopped with exit 1, before knobs were checked at load
+    ("fig8-exsitu", {"stuck_on_frac": "0.05"}),
+    ("fig8-exsitu", {"import_noise_sigma": True}),
+    ("fig8-exsitu", {"noise_phase": "bogus"}),
+    ("fig8-exsitu", {"r_white": -5}),
+    ("fig13-temp", {"v_in": "abc"}),
+    ("fig8-exsitu", {"swing_overrides": {"0": "x"}}),
+    # well-typed, but fig8 reads neither
+    ("fig8-exsitu", {"noise_phase": "import"}),
+    ("fig8-exsitu", {"r_white": 50e3}),
 ])
 def test_empty_list_or_name_knob(tmp_path, recipe, knobs, capsys):
     conf = write_config(tmp_path, json.dumps({"knobs": knobs}))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xbarnet import bench, harness
+from xbarnet import bench, harness, training
 from xbarnet.errors import ConfigError
 
 
@@ -55,10 +55,17 @@ def test_removed_config_values_rejected(doc, name):
 def test_every_knob_is_read():
     # a knob no recipe or sweep reads would be accepted and change nothing
     text = Path(harness.__file__).read_text()
-    unread = [key for key in harness._KNOB_DEFAULTS
+    unread = [key for key in harness._KNOBS
               if f'knobs["{key}"]' not in text
-              and f'_count_knob(cfg, "{key}"' not in text]
+              and f'_knob(cfg, "{key}"' not in text]
     assert unread == []
+
+
+def test_knob_readers_are_recipes_or_axes():
+    names = set(harness.RECIPES) | set(harness.SWEEP_AXES)
+    assert set(harness._AXES) == set(harness.SWEEP_AXES)
+    for key, (_, _, readers) in harness._KNOBS.items():
+        assert readers and set(readers) <= names, key
 
 
 def test_hyper_seed_is_refused():
@@ -116,13 +123,75 @@ def test_count_knobs_must_be_positive(recipe, key, value):
     ("fig12-mnist", "scheme", ""),
     ("fig12-mnist", "scheme", "sideways"),
     ("fig12-mnist", "mnist_dir", ""),
+    # values each reader used to take or cast on its own: the first four
+    # ran, the last two stopped with a bare ValueError
+    ("fig8-exsitu", "stuck_on_frac", "0.05"),
+    ("fig8-exsitu", "import_noise_sigma", True),
+    ("fig8-exsitu", "noise_phase", "bogus"),
+    ("fig8-exsitu", "r_white", -5),
+    ("fig13-temp", "v_in", "abc"),
+    ("fig8-exsitu", "swing_overrides", {"0": "x"}),
 ])
-def test_empty_or_unknown_knob_values_fail(tmp_path, recipe, key, value):
+def test_empty_or_unknown_knob_values_fail(recipe, key, value):
     # an empty list or name used to read as unset: [] ran the six default
-    # temperatures, "" ran the ex-situ scheme or the procedural digits
-    cfg = config(recipe, knobs={key: value})
-    with pytest.raises(ConfigError, match=repr(key)):
+    # temperatures, "" ran the ex-situ scheme or the procedural digits;
+    # every value is now checked when the document is loaded
+    with pytest.raises(ConfigError, match=f"knob {key!r}"):
+        config(recipe, knobs={key: value})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("noise_phase", "Import", "must be one of: import, inference, both"),
+    ("schemes", ["ex-situ", "sideways"], "item 'sideways' must be one of"),
+    ("temperatures", [25.0, "hot"], "item 'hot' must be a finite number"),
+    ("stuck_off_frac", 1.5, r"must lie in \[0, 1\]"),
+    ("import_accuracy", -0.01, "must be >= 0"),
+    ("v_in", 10**400, "must be a finite number"),
+    ("v_step", 0.0, "must be > 0"),
+    ("swing_overrides", {"first": 0.2}, "must map neuron indices to finite"),
+    ("swing_overrides", {"-1": 0.2}, "must map neuron indices to finite"),
+    ("swing_overrides", [0.2], "must map neuron indices to finite"),
+    ("mnist_dir", 7, "must name a directory"),
+])
+def test_knob_check_says_what_the_value_must_be(key, value, message):
+    with pytest.raises(ConfigError, match=f"knob {key!r} {message}"):
+        config(knobs={key: value})
+
+
+def test_knob_values_are_typed_at_load():
+    knobs = config(knobs={"swing_overrides": {"3": 0.2, 4: 1},
+                          "temperatures": [25, 30.5],
+                          "import_accuracy": 0,
+                          "subsample": np.int64(40)}).knobs
+    assert knobs["swing_overrides"] == {3: 0.2, 4: 1.0}
+    assert knobs["temperatures"] == [25.0, 30.5]
+    assert type(knobs["temperatures"][0]) is float
+    assert type(knobs["import_accuracy"]) is float
+    assert type(knobs["subsample"]) is int
+    # null puts a knob back to unset where unset is its default
+    assert config("fig12-mnist", knobs={"subsample": None}).knobs[
+        "subsample"] is None
+
+
+# --- knobs a run does not read ----------------------------------------------
+
+def test_knob_the_recipe_does_not_read_is_refused(tmp_path):
+    cfg = config(knobs={"noise_phase": "import"})
+    with pytest.raises(ConfigError, match="'noise_phase' is not read by "
+                                          "fig8-exsitu"):
         harness.run_recipe(cfg, tmp_path)
+    with pytest.raises(ConfigError, match="'noise_phase' is not read"):
+        harness.run_sweep(cfg, "stuck_fraction", [0.0])
+    # the noise_sigma axis reads it, and a value equal to the default is no
+    # setting at all
+    harness._refuse_unread_knobs(cfg, "fig8-exsitu", "noise_sigma")
+    harness._refuse_unread_knobs(config(knobs={"noise_phase": "both"}),
+                                 "fig8-exsitu")
+
+
+@pytest.mark.parametrize("recipe", list(harness.RECIPES))
+def test_stock_recipes_set_only_knobs_they_read(recipe):
+    harness._refuse_unread_knobs(config(recipe), recipe)
 
 
 # --- the digit corpus ---------------------------------------------------------
@@ -181,9 +250,33 @@ def test_sweep_axis_pinned(axis, workers):
     assert {name: s.tolist() for name, s in report.series.items()} == want
 
 
+def test_sweep_fits_only_for_schemes_that_import_the_fit(monkeypatch):
+    # a defect-aware-only sweep used to fit the map-free model per seed too
+    # and never read it
+    calls = []
+    real = training.train_defect_aware
+
+    def counted(fit_set, net, maps, hyper):
+        calls.append(maps is None)
+        return real(fit_set, net, maps, hyper)
+
+    monkeypatch.setattr(training, "train_defect_aware", counted)
+    cfg = config(seeds=[0], knobs={"import_accuracy": 0.0,
+                                   "schemes": ["defect-aware"]},
+                 tune={"half_select": False})
+    harness.run_sweep(cfg, "stuck_fraction", [0.1])
+    assert calls == [False]
+
+
 def test_unknown_sweep_axis_rejected():
     with pytest.raises(ConfigError, match="unknown sweep axis 'width'"):
         harness.run_sweep(fast_sweep_config(), "width", [0.1])
+
+
+def test_sweep_needs_a_worker():
+    with pytest.raises(ConfigError, match="workers must be at least 1"):
+        harness.run_sweep(fast_sweep_config(), "import_accuracy", [0.0],
+                          workers=0)
 
 
 # --- the benchmark's workloads -----------------------------------------------
@@ -208,8 +301,11 @@ def test_benchmark_workload_resolves(name, seed):
     # benchmark
     cfg, sweep = WORKLOADS.resolve(harness, name, seed)
     assert cfg.seeds
-    if sweep is not None:
+    if sweep is None:
+        harness._refuse_unread_knobs(cfg, cfg.recipe)
+    else:
         assert sweep["axis"] in harness.SWEEP_AXES
+        harness._refuse_unread_knobs(cfg, cfg.recipe, sweep["axis"])
 
 
 def test_benchmark_sweep_runs_with_the_worker_keywords(tmp_path):
@@ -232,6 +328,20 @@ def test_benchmark_sweep_runs_with_the_worker_keywords(tmp_path):
 ])
 def test_fast_recipe_summary_pinned(recipe, prefix, tmp_path):
     harness.run_recipe(config(recipe), out_dir=tmp_path)
+    summary = (tmp_path / "summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest()[:16] == prefix
+
+
+@pytest.mark.parametrize("recipe, extra, prefix", [
+    # alpha_exponent 0 makes the dependent leg fall back to exponent 1.0,
+    # the stock value, so the summary is the stock one
+    ("fig13-temp", {"device": {"alpha_exponent": 0.0}}, "91345a8cbbafd9f0"),
+    # swing spread on the hidden bank; at 0.1 no pattern flips and the
+    # summary equals the stock one, so 0.3 shows the branch ran
+    ("fig8-exsitu", {"knobs": {"swing_sigma": 0.3}}, "885381d552368630"),
+])
+def test_branch_summary_pinned(recipe, extra, prefix, tmp_path):
+    harness.run_recipe(config(recipe, **extra), out_dir=tmp_path)
     summary = (tmp_path / "summary.json").read_bytes()
     assert hashlib.sha256(summary).hexdigest()[:16] == prefix
 
