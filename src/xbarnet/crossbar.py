@@ -86,6 +86,22 @@ class Crossbar:
             g_hi=self.g_hi.copy(),
         )
 
+    def _row_view(self, rows: slice) -> "Crossbar":
+        """The cells of ``rows`` as a Crossbar whose fields are views of
+        this one's, so pulsing it pulses these cells in place."""
+        return Crossbar(
+            spec=self.spec,
+            g=self.g[rows],
+            v_set=self.v_set[rows],
+            v_reset=self.v_reset[rows],
+            kappa=self.kappa[rows],
+            v_form=self.v_form[rows],
+            formed=self.formed[rows],
+            defect=self.defect[rows],
+            g_lo=self.g_lo[rows],
+            g_hi=self.g_hi[rows],
+        )
+
     def _check_index(self, row: int, col: int):
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise DimensionError(
@@ -258,7 +274,9 @@ def _pulse_cells(xbar: Crossbar, rows_idx, cols_idx, v, width: float):
         xbar.spec.beta_set, xbar.spec.beta_reset,
         xbar.g_lo[sel], xbar.g_hi[sel],
     )
-    movable = xbar.formed[sel] & (xbar.defect[sel] == DefectKind.NONE)
+    # .value: numpy compares with the IntEnum member itself several times
+    # more slowly
+    movable = xbar.formed[sel] & (xbar.defect[sel] == DefectKind.NONE.value)
     g_new = np.clip(g + delta, xbar.g_lo[sel], xbar.g_hi[sel])
     xbar.g[sel] = np.where(movable, g_new, g)
 
@@ -327,6 +345,13 @@ def write_pulse(
     return xbar
 
 
+# rows per _pulse_cells call in pulse_all: a block's temporaries stay in
+# cache, where a whole-array call allocates a fresh multi-MB array for each
+# step of the kernel and spends more on those allocations than on the
+# arithmetic
+_PULSE_BLOCK_ROWS = 16
+
+
 def pulse_all(
     xbar: Crossbar,
     v: np.ndarray,
@@ -337,7 +362,10 @@ def pulse_all(
 
     This is the fully parallel write abstraction used by the vectorized
     tuner and trainer; there is no half-select disturb because every cell
-    gets exactly its commanded amplitude.
+    gets exactly its commanded amplitude.  The pattern goes through
+    _pulse_cells _PULSE_BLOCK_ROWS rows at a time.  That equals one
+    whole-array call bit for bit, since each cell's update reads only its
+    own fields, and it keeps every temporary a block in size.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != xbar.g.shape:
@@ -347,7 +375,9 @@ def pulse_all(
         )
     if width <= 0:
         raise ConfigError(f"pulse width must be positive, got {width}")
-    _pulse_cells(xbar, slice(None), slice(None), v, width)
+    for start in range(0, xbar.rows, _PULSE_BLOCK_ROWS):
+        rows = slice(start, start + _PULSE_BLOCK_ROWS)
+        _pulse_cells(xbar, rows, slice(None), v[rows], width)
     return xbar
 
 

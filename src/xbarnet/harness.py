@@ -1099,14 +1099,19 @@ class _SweepAxis(NamedTuple):
     run: Callable[[_SweepPoint, Network], dict]  # series name -> fidelity
     # the scheme every series runs; None: each series names its scheme
     scheme: str | None = None
+    # knobs the axis sets at every point, so a base value is never read
+    sets: tuple[str, ...] = ()
 
 
 SWEEP_AXES = {
-    "import_accuracy": _SweepAxis(_exsitu_series, _sweep_import_accuracy),
+    "import_accuracy": _SweepAxis(_exsitu_series, _sweep_import_accuracy,
+                                  sets=("import_accuracy",)),
     "stuck_fraction": _SweepAxis(_scheme_series, _sweep_stuck_fraction),
     "bounds_sigma": _SweepAxis(lambda cfg: ["in-situ"], _sweep_bounds_sigma),
     "noise_sigma": _SweepAxis(lambda cfg: [cfg.knobs["noise_phase"]],
-                              _sweep_noise_sigma, scheme="ex-situ"),
+                              _sweep_noise_sigma, scheme="ex-situ",
+                              sets=("import_noise_sigma",
+                                    "inference_noise_sigma")),
     "stuck_neuron_fraction": _SweepAxis(_exsitu_series,
                                         _sweep_stuck_neuron_fraction),
     "temperature": _SweepAxis(_exsitu_series, _sweep_temperature),
@@ -1118,7 +1123,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
     """Run one knob axis over a value grid x seed grid.
 
     All other settings come from the base config; the base recipe decides
-    the dataset (fig12-mnist means digits, anything else letters).  Results
+    the dataset (fig12-mnist means digits, anything else letters).  A base
+    config that sets a knob the axis sets at every point (its ``sets``)
+    raises ConfigError, since that value would be ignored.  Results
     are keyed by (value index, seed index), so the worker count changes
     wall time and nothing else.
     """
@@ -1129,6 +1136,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
         )
     _refuse_unread_knobs(cfg, cfg.recipe, axis)
     sweep_axis = SWEEP_AXES[axis]
+    for key in sweep_axis.sets:
+        if cfg.knobs[key] != _KNOBS[key][0]:
+            raise ConfigError(f"knob {key!r} is set by the {axis} sweep at "
+                              f"every point; leave it out of the base config")
     values = [float(v) for v in values]
     seeds = list(seeds) if seeds is not None else list(cfg.seeds)
     n_workers = workers if workers is not None else cfg.knobs["workers"]

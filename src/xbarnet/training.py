@@ -31,7 +31,7 @@ import numpy as np
 from . import device as dev
 from . import network as netmod
 from .bench import Dataset, encode_levels
-from .crossbar import Crossbar, pulse_all, write_pulse
+from .crossbar import _PULSE_BLOCK_ROWS, Crossbar, pulse_all, write_pulse
 from .device import DefectKind, DeviceSpec
 from .errors import ConfigError, DimensionError, DivergenceError, \
     require_count, require_finite
@@ -406,10 +406,21 @@ def _loss_and_grads(snet: SoftwareNet, x1: np.ndarray, labels: np.ndarray,
     return value, _dw(x1, delta1, snet.layer1), _dw(x2, delta2, l2), n_err
 
 
+# patterns per _forward in _count_errors: the per-epoch error count holds a
+# chunk's activations at a time, not the fit set's
+_COUNT_CHUNK_ROWS = 250
+
+
 def _count_errors(snet: SoftwareNet, x1: np.ndarray,
                   labels: np.ndarray) -> int:
-    y, *_ = _forward(snet, x1)
-    return int(np.sum(np.argmax(y, axis=1) != labels))
+    """Misclassified rows of x1, counted _COUNT_CHUNK_ROWS at a time; a
+    row's output does not depend on the other rows of its batch."""
+    errors = 0
+    for start in range(0, x1.shape[0], _COUNT_CHUNK_ROWS):
+        rows = slice(start, start + _COUNT_CHUNK_ROWS)
+        y, *_ = _forward(snet, x1[rows])
+        errors += int(np.sum(np.argmax(y, axis=1) != labels[rows]))
+    return errors
 
 
 def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
@@ -444,9 +455,12 @@ def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
                 raise DivergenceError(
                     f"loss became non-finite at epoch {epoch}", epoch=epoch
                 )
+            # w - lr * dw, clipped, computed in dw's buffer: the same
+            # operations in the same order, with no whole-layer temporary
             for layer, dw in ((snet.layer1, dw1), (snet.layer2, dw2)):
-                layer.w = np.clip(layer.w - hyper.lr * dw,
-                                  layer.w_lo, layer.w_hi)
+                dw *= hyper.lr
+                np.subtract(layer.w, dw, out=dw)
+                layer.w = np.clip(dw, layer.w_lo, layer.w_hi, out=dw)
         # a skipped quadratic term cannot turn non-finite weights into a
         # NaN loss, and clipping the outputs can hide them, so check here
         if not (np.isfinite(snet.layer1.w).all()
@@ -626,12 +640,16 @@ def _sign_amp_maps(signs: np.ndarray, cfg: InSituConfig
     signs is per-pair: +1 pushes the weight up (set G+, reset G-), -1 down.
     """
     rows, pairs = signs.shape
-    set_amps = np.zeros((rows, 2 * pairs))
-    reset_amps = np.zeros((rows, 2 * pairs))
-    set_amps[:, 0::2] = np.where(signs > 0, cfg.v_pulse_set, 0.0)
-    set_amps[:, 1::2] = np.where(signs < 0, cfg.v_pulse_set, 0.0)
-    reset_amps[:, 0::2] = np.where(signs < 0, -cfg.v_pulse_reset, 0.0)
-    reset_amps[:, 1::2] = np.where(signs > 0, -cfg.v_pulse_reset, 0.0)
+    up, down = signs > 0, signs < 0
+    set_amps = np.empty((rows, 2 * pairs))
+    reset_amps = np.empty((rows, 2 * pairs))
+    # a mask times an amplitude, not np.where, which is several times slower
+    # on a scattered mask; a false entry of a reset map is -0.0, which every
+    # reader takes as the 0 V pulse it is
+    np.multiply(up, cfg.v_pulse_set, out=set_amps[:, 0::2])
+    np.multiply(down, cfg.v_pulse_set, out=set_amps[:, 1::2])
+    np.multiply(down, -cfg.v_pulse_reset, out=reset_amps[:, 0::2])
+    np.multiply(up, -cfg.v_pulse_reset, out=reset_amps[:, 1::2])
     return set_amps, reset_amps
 
 
@@ -687,15 +705,19 @@ class InSituState:
 def _believe_sign_pulses(bg: np.ndarray, signs: np.ndarray,
                          cfg: InSituConfig, spec: DeviceSpec):
     """Advance believed conductances by the nominal-device response to the
-    same commanded pulse maps the hardware just received."""
+    same commanded pulse maps the hardware just received, in the row blocks
+    pulse_all uses and for the same reason."""
     for amps in _sign_amp_maps(signs, cfg):
-        bg += dev.pulse_delta(
-            bg, amps, cfg.width,
-            spec.vset_mean, spec.vreset_mean,
-            spec.beta_set, spec.beta_reset,
-            spec.g_min, spec.g_max,
-        )
-        np.clip(bg, spec.g_min, spec.g_max, out=bg)
+        for start in range(0, bg.shape[0], _PULSE_BLOCK_ROWS):
+            rows = slice(start, start + _PULSE_BLOCK_ROWS)
+            block = bg[rows]
+            block += dev.pulse_delta(
+                block, amps[rows], cfg.width,
+                spec.vset_mean, spec.vreset_mean,
+                spec.beta_set, spec.beta_reset,
+                spec.g_min, spec.g_max,
+            )
+            np.clip(block, spec.g_min, spec.g_max, out=block)
 
 
 def _error_accumulators(net: Network, labels: np.ndarray,

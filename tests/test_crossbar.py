@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xbarnet import crossbar
 from xbarnet.crossbar import (Crossbar, _pulse_cells, build_crossbar,
                               inject_cell_defects, map_to_csv, measure_maps,
                               pulse_all, vary_bounds, vmm_currents,
@@ -364,3 +365,26 @@ def test_pulse_all_bounds_property(seed, frac):
     v = rng.uniform(-3, 3, b.g.shape) * frac
     out = pulse_all(b, v, 1e-2)
     assert np.all(out.g >= out.g_lo) and np.all(out.g <= out.g_hi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3 * crossbar._PULSE_BLOCK_ROWS), st.integers(1, 6),
+       st.integers(0, 2**31))
+def test_blocked_pulse_all_equals_one_whole_array_call(rows, cols, seed):
+    # pulse_all sends its map through _pulse_cells a few rows at a time;
+    # that must equal one whole-array call bit for bit, on maps with zeros,
+    # both polarities, stuck cells and unformed cells, whether or not the
+    # row count is a multiple of the block
+    spec = DeviceSpec()
+    b = build_crossbar(rows, cols, spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    b.g[:] = rng.uniform(spec.g_min, spec.g_max, b.g.shape)
+    b = inject_cell_defects(b, 0.1, 0.1, seed=[seed, 1])
+    b.formed[rng.random(b.g.shape) < 0.1] = False
+    v = rng.uniform(-3, 3, b.g.shape)
+    v[rng.random(b.g.shape) < 0.3] = 0.0
+    want = b.copy()
+    _pulse_cells(want, slice(None), slice(None), v, 1e-2)
+    got = pulse_all(b, v, 1e-2)
+    np.testing.assert_array_equal(got.g, want.g)
+

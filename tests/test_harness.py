@@ -230,10 +230,11 @@ SWEEP_PINS = {
 }
 
 
-def fast_sweep_config():
-    # ideal import and whole-array in-situ writes keep every axis fast
-    return config(seeds=[0, 1], knobs={"import_accuracy": 0.0},
-                  tune={"half_select": False},
+def fast_sweep_config(axis=None):
+    # ideal import and whole-array in-situ writes keep every axis fast; the
+    # import_accuracy axis sets the ideal import itself
+    knobs = {} if axis == "import_accuracy" else {"import_accuracy": 0.0}
+    return config(seeds=[0, 1], knobs=knobs, tune={"half_select": False},
                   insitu={"half_select": False, "epochs": 3})
 
 
@@ -245,7 +246,7 @@ def test_every_axis_is_pinned():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_axis_pinned(axis, workers):
     values, want = SWEEP_PINS[axis]
-    report = harness.run_sweep(fast_sweep_config(), axis, values,
+    report = harness.run_sweep(fast_sweep_config(axis), axis, values,
                                workers=workers)
     assert {name: s.tolist() for name, s in report.series.items()} == want
 
@@ -268,6 +269,20 @@ def test_sweep_fits_only_for_schemes_that_import_the_fit(monkeypatch):
     assert calls == [False]
 
 
+@pytest.mark.parametrize("axis, knobs", [
+    ("noise_sigma", {"import_noise_sigma": 0.5, "inference_noise_sigma": 0.5}),
+    ("noise_sigma", {"inference_noise_sigma": 0.5}),
+    ("import_accuracy", {"import_accuracy": 0.3}),
+])
+def test_sweep_refuses_a_base_knob_its_axis_sets(axis, knobs):
+    # the axis overwrites these knobs at every point, so the base values
+    # used to be accepted and ignored
+    key = next(iter(knobs))
+    with pytest.raises(ConfigError, match=f"{key!r} is set by the {axis} "
+                                          f"sweep"):
+        harness.run_sweep(config(knobs=knobs), axis, [0.02], seeds=[0])
+
+
 def test_unknown_sweep_axis_rejected():
     with pytest.raises(ConfigError, match="unknown sweep axis 'width'"):
         harness.run_sweep(fast_sweep_config(), "width", [0.1])
@@ -275,8 +290,8 @@ def test_unknown_sweep_axis_rejected():
 
 def test_sweep_needs_a_worker():
     with pytest.raises(ConfigError, match="workers must be at least 1"):
-        harness.run_sweep(fast_sweep_config(), "import_accuracy", [0.0],
-                          workers=0)
+        harness.run_sweep(fast_sweep_config("import_accuracy"),
+                          "import_accuracy", [0.0], workers=0)
 
 
 # --- the benchmark's workloads -----------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xbarnet import progtune
 from xbarnet.crossbar import build_crossbar, inject_cell_defects
 from xbarnet.device import DefectKind, DeviceSpec
 from xbarnet.errors import ConfigError, DimensionError, FormingRequiredError
@@ -221,6 +222,50 @@ def test_parallel_import_is_tune_cell_per_cell(seed):
     np.testing.assert_array_equal(parallel.g, walked.g)
     np.testing.assert_array_equal(rep.pulses, pulses)
     np.testing.assert_array_equal(rep.stuck_mask, stuck)
+
+
+def test_blocked_parallel_import_is_tune_cell_per_cell():
+    # the parallel import runs one row block at a time; on an array taller
+    # than a block, whose row count is not a multiple of it, with stuck
+    # cells in several blocks, the report still equals tune_cell walked
+    # row-major over the live cells, failures included
+    spec = DeviceSpec()
+    cfg = TuneConfig(half_select=False, max_pulses=200)
+    block = progtune._IMPORT_BLOCK_ROWS
+    rows = 2 * block + 5
+    xbar = build_crossbar(rows, 9, spec, seed=[7, 0])
+    rng = np.random.default_rng([7, 2])
+    targets = rng.uniform(15e-6, 95e-6, xbar.g.shape)
+    targets[rng.random(xbar.g.shape) < 0.1] = np.nan
+    for r, c, kind in ((1, 4, DefectKind.STUCK_ON),
+                       (block + 3, 0, DefectKind.STUCK_OFF),
+                       (2 * block + 4, 8, DefectKind.STUCK_ON)):
+        xbar.defect[r, c] = kind
+        xbar.g[r, c] = xbar.g_hi[r, c] if kind == DefectKind.STUCK_ON \
+            else xbar.g_lo[r, c]
+        targets[r, c] = 50e-6
+    parallel, rep = import_conductance_map(xbar, targets, cfg)
+
+    walked = xbar.copy()
+    shape = xbar.g.shape
+    pulses = np.zeros(shape, dtype=np.int64)
+    stuck = np.zeros(shape, dtype=bool)
+    ok = np.zeros(shape, dtype=bool)
+    rel_error = np.full(shape, np.nan)
+    failed = []
+    for r, c in np.argwhere(np.isfinite(targets)):
+        _, res = tune_cell(walked, r, c, targets[r, c], cfg)
+        pulses[r, c], stuck[r, c], ok[r, c] = res.pulses, res.stuck, res.ok
+        rel_error[r, c] = res.rel_error
+        if not res.ok:
+            failed.append((int(r), int(c)))
+    assert {r // block for r, _ in np.argwhere(stuck)} == {0, 1, 2}
+    np.testing.assert_array_equal(parallel.g, walked.g)
+    np.testing.assert_array_equal(rep.pulses, pulses)
+    np.testing.assert_array_equal(rep.stuck_mask, stuck)
+    np.testing.assert_array_equal(rep.ok_mask, ok)
+    np.testing.assert_array_equal(rep.rel_error, rel_error)
+    assert [(f.row, f.col) for f in rep.failures] == failed
 
 
 def test_import_validation(spec, rng):

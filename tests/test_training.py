@@ -388,6 +388,33 @@ def test_precomputed_fit_refused_where_no_blind_fit_is_imported(scheme):
                    precomputed_fit=build_software_net(net))
 
 
+def test_import_report_counts_the_failures_of_both_crossbars():
+    # stuck cells in both crossbars cannot reach their targets
+    net = _defective_letter_net(3)
+    rng = np.random.default_rng(3)
+    t1 = rng.uniform(15e-6, 95e-6, net.xbar1.g.shape)
+    t2 = rng.uniform(15e-6, 95e-6, net.xbar2.g.shape)
+    _, rep = training.import_grids(
+        net, t1, t2, TuneConfig(half_select=False, max_pulses=100))
+    assert rep.report1.n_failed > 0 and rep.report2.n_failed > 0
+    assert rep.n_failed == rep.report1.n_failed + rep.report2.n_failed
+
+
+def test_chunked_error_count_equals_the_whole_batch_count():
+    # _count_errors runs the forward pass a chunk of rows at a time; on a
+    # batch that is not a multiple of the chunk it counts what one
+    # whole-batch pass counts
+    snet, _, _ = random_net(4, quadratic=True)
+    n = 2 * training._COUNT_CHUNK_ROWS + 117
+    rng = np.random.default_rng(4)
+    x1 = training._input_drive(snet, rng.choice([-1.0, 1.0], (n, 16)))
+    labels = rng.integers(0, 4, n)
+    y, *_ = training._forward(snet, x1)
+    want = int(np.sum(np.argmax(y, axis=1) != labels))
+    assert 0 < want < n
+    assert training._count_errors(snet, x1, labels) == want
+
+
 # --- pinned outputs -----------------------------------------------------------
 
 def _letter_fit(with_maps):
