@@ -6,12 +6,11 @@ stand-ins with one deliberately engineered property: all 40 patterns are
 pairwise Hamming distance >= 3 apart.  That makes the single-pixel-flip test
 construction a true bijection — every flip pattern is distance 1 from
 exactly its generating train pattern — which the flip-test semantics need.
-External pattern files are accepted for anyone holding the real bitmaps.
 
 Digit data loads from IDX files (the standard big-endian layout).  A
 procedural 28x28 digit generator doubles as a stand-in corpus for
-environments without the real files; it writes valid IDX so the loader path
-stays identical either way.
+environments without the real files; it quantizes pixels to 8 bits exactly
+as the loader does, so a corpus and its IDX round trip agree bit for bit.
 """
 
 from __future__ import annotations
@@ -107,31 +106,7 @@ def _flip_test_set(train: Dataset) -> Dataset:
     return Dataset(pix, labels, train.n_classes, train.encoding)
 
 
-def _parse_pattern_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    rows, labels = [], []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2 or len(parts[0]) != 16 \
-                or set(parts[0]) - set("01") or not parts[1].isdigit():
-            raise DataFormatError(
-                f"{path}:{lineno}: expected 16 chars of 0/1 and a label, "
-                f"got {line!r}"
-            )
-        rows.append([1.0 if c == "1" else -1.0 for c in parts[0]])
-        labels.append(int(parts[1]))
-    if not rows:
-        raise DataFormatError(f"{path}: no patterns found")
-    return np.array(rows), np.array(labels, dtype=np.int64)
-
-
-def letter_dataset(
-    pattern_file: str | Path | None = None,
-    *,
-    n_classes: int = 4,
-) -> tuple[Dataset, Dataset]:
+def letter_dataset(*, n_classes: int = 4) -> tuple[Dataset, Dataset]:
     """(train, test) letter sets: 10 patterns per class, plus every
     single-pixel flip of every train pattern as test (label inherited).
 
@@ -139,20 +114,10 @@ def letter_dataset(
     """
     if n_classes not in (3, 4):
         raise ConfigError("letter task supports 3 or 4 classes")
-    if pattern_file is None:
-        pix = np.array(
-            [[1.0 if c == "1" else -1.0 for c in p] for p in _LETTER_PATTERNS]
-        )
-        labels = np.repeat(np.arange(4, dtype=np.int64), 10)
-    else:
-        path = Path(pattern_file)
-        if not path.exists():
-            raise DataMissingError(f"pattern file not found: {path}")
-        pix, labels = _parse_pattern_file(path)
-        if labels.max() >= n_classes:
-            raise DataFormatError(
-                f"{path}: label {labels.max()} outside {n_classes} classes"
-            )
+    pix = np.array(
+        [[1.0 if c == "1" else -1.0 for c in p] for p in _LETTER_PATTERNS]
+    )
+    labels = np.repeat(np.arange(4, dtype=np.int64), 10)
     keep = labels < n_classes
     train = Dataset(pix[keep], labels[keep], n_classes, "pm1")
     return train, _flip_test_set(train)

@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except Exception as exc:  # pragma: no cover - last resort
+    except Exception as exc:  # last resort
         print(f"unexpected error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_UNEXPECTED

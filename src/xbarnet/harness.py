@@ -12,6 +12,13 @@ and the recipes and sweep axes that read it.  A run refuses a knob set away
 from its default that neither its recipe nor its sweep axis reads, since
 it would change nothing.
 
+Recipes are one table, ``RECIPES``: each row holds the recipe's run
+function and its overrides of the stock config document.  The four letter
+studies are rows of data (``_LetterStudy``: schemes, epoch-trace file,
+seed tally) for one engine.  The digit corpus comes from the IDX directory
+the ``mnist_dir`` knob names, or is built in memory by the procedural
+generator; the config alone decides which.
+
 Determinism contract: a (config, seeds) pair pins every number in every
 output file.  Reruns produce byte-identical CSV/JSON, and the worker count
 used for sweep parallelism is excluded from both the results and the config
@@ -25,13 +32,13 @@ mean would let one wrecked seed dominate the curve.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field, replace
 import hashlib
 import json
 import math
 import numbers
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -54,7 +61,6 @@ from .errors import ConfigError, DataMissingError
 from .network import Network, NetworkConfig, assemble, evaluate
 from .neuron import (
     CompensationParams,
-    NeuronParams,
     compensated_output,
     inject_neuron_faults,
     vary_swing,
@@ -79,9 +85,6 @@ from .training import (
 )
 
 SCHEMA_VERSION = 1
-
-# Default location of the digit corpus IDX files; the mnist_dir knob wins.
-MNIST_ENV_VAR = "XBARNET_MNIST_DIR"
 
 _MNIST_FILES = (
     "train-images-idx3-ubyte",
@@ -294,16 +297,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             f"config schema_version must be {SCHEMA_VERSION}, got {version!r}"
         )
     recipe = doc.get("recipe")
-    if recipe not in RECIPES:
-        names = ", ".join(sorted(RECIPES))
-        raise ConfigError(f"unknown recipe {recipe!r}; available: {names}")
-
-    seeds = doc.get("seeds", [0])
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and s >= 0 for s in seeds)):
-        raise ConfigError("seeds must be a non-empty list of ints >= 0")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
+    _recipe(recipe)
+    seeds = _checked_seeds(doc.get("seeds", [0]))
 
     sections = {}
     for name, cls in _SECTIONS.items():
@@ -326,7 +321,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         recipe=recipe,
-        seeds=list(seeds),
+        seeds=seeds,
         out_dir=doc.get("out_dir"),
         spec=sections["device"],
         network=sections["network"],
@@ -336,6 +331,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         forming=sections["forming"],
         knobs=knobs,
     )
+
+
+def _checked_seeds(seeds) -> list:
+    """A run's seed list: non-empty, distinct ints >= 0, and no bools."""
+    if (not isinstance(seeds, list) or not seeds
+            or not all(type(s) is int and s >= 0 for s in seeds)):
+        raise ConfigError("seeds must be a non-empty list of ints >= 0")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be distinct")
+    return list(seeds)
 
 
 def _knob(cfg: ExperimentConfig, key: str, default):
@@ -363,53 +368,19 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
-# The swing pattern measured on the hidden bank of the hybrid study board:
-# three neurons clip at twice the nominal swing, three at half of it.
-_HYBRID_SWINGS = {0: 0.4, 6: 0.4, 7: 0.4, 1: 0.1, 3: 0.1, 4: 0.1}
-
-_RECIPE_TWEAKS: dict[str, dict] = {
-    "fig2-forming": {},
-    "fig3-thresholds": {},
-    # the built-in test image maps down to 7 kOhm, i.e. 143 uS, so the
-    # tuning demo needs devices with more headroom than the stock 100 uS
-    "fig4-tuning": {"device": {"g_max": 150e-6}},
-    "fig8-exsitu": {},
-    "fig9-defect-aware": {
-        "knobs": {"stuck_on_frac": 0.05, "stuck_off_frac": 0.05},
-    },
-    "fig10-insitu": {
-        "network": {"n_outputs": 3},
-        "knobs": {"n_classes": 3},
-    },
-    "fig11-hybrid": {
-        "knobs": {
-            "stuck_on_frac": 0.05,
-            "stuck_off_frac": 0.05,
-            "swing_overrides": dict(_HYBRID_SWINGS),
-        },
-    },
-    "fig12-mnist": {
-        "network": {"n_inputs": 784, "n_hidden": 300, "n_outputs": 10},
-        "hyper": {"epochs": 15, "batch_size": 100, "lr": 0.05,
-                  "loss": "cross-entropy-softmax"},
-        "tune": {"half_select": False},
-        # refinement, not training from scratch: narrow pulses so the fast
-        # tail of the threshold spread cannot erase the imported fit
-        "insitu": {"epochs": 12, "half_select": False, "width": 1e-3},
-        "knobs": {"subsample": 8000},
-    },
-    "fig13-temp": {},
-}
+def _recipe(name) -> "_Recipe":
+    """The RECIPES row of a recipe name; the one unknown-recipe error."""
+    if not isinstance(name, str) or name not in RECIPES:
+        names = ", ".join(sorted(RECIPES))
+        raise ConfigError(f"unknown recipe {name!r}; available: {names}")
+    return RECIPES[name]
 
 
 def default_config(recipe: str) -> dict:
     """The stock config document for a recipe (still a plain dict; callers
     may merge their own overrides before config_from_dict)."""
-    if recipe not in _RECIPE_TWEAKS:
-        names = ", ".join(sorted(_RECIPE_TWEAKS))
-        raise ConfigError(f"unknown recipe {recipe!r}; available: {names}")
     base = {"schema_version": SCHEMA_VERSION, "recipe": recipe, "seeds": [0]}
-    return _merge(base, _RECIPE_TWEAKS[recipe])
+    return _merge(base, copy.deepcopy(_recipe(recipe).stock))
 
 
 def _jsonable(value):
@@ -495,21 +466,14 @@ def _median_q(values) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _letter_sets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    return bench.letter_dataset(n_classes=_knob(cfg, "n_classes", 4))
-
-
 _SYNTH_TRAIN_SEED = 20260214
 _SYNTH_TEST_SEED = 20260215
 
 
-def _digit_sets(cfg: ExperimentConfig, cache_dir: Path | None
-                ) -> tuple[Dataset, Dataset, str]:
-    """Digit corpus: an IDX directory if configured (knob first, then the
-    environment variable), else the procedural corpus.  With a cache
-    directory the procedural corpus is written out as IDX and read back, so
-    the loader path is exercised either way."""
-    src = _knob(cfg, "mnist_dir", os.environ.get(MNIST_ENV_VAR) or None)
+def _digit_sets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, str]:
+    """Digit corpus: the IDX files in the directory the mnist_dir knob
+    names, else the procedural corpus, built in memory."""
+    src = cfg.knobs["mnist_dir"]
     if src is not None:
         d = Path(src)
         missing = [name for name in _MNIST_FILES if not (d / name).exists()]
@@ -525,26 +489,14 @@ def _digit_sets(cfg: ExperimentConfig, cache_dir: Path | None
     n_test = cfg.knobs["n_test_digits"]
     train = bench.synthetic_digits(n_train, _SYNTH_TRAIN_SEED)
     test = bench.synthetic_digits(n_test, _SYNTH_TEST_SEED)
-    note = f"procedural digit corpus ({n_train} train / {n_test} test)"
-    if cache_dir is not None:
-        data_dir = cache_dir / "data"
-        data_dir.mkdir(parents=True, exist_ok=True)
-        bench.save_idx(train, data_dir / _MNIST_FILES[0],
-                       data_dir / _MNIST_FILES[1])
-        bench.save_idx(test, data_dir / _MNIST_FILES[2],
-                       data_dir / _MNIST_FILES[3])
-        train = bench.load_mnist(data_dir / _MNIST_FILES[0],
-                                 data_dir / _MNIST_FILES[1])
-        test = bench.load_mnist(data_dir / _MNIST_FILES[2],
-                                data_dir / _MNIST_FILES[3])
-    return train, test, note
+    return train, test, (f"procedural digit corpus ({n_train} train / "
+                         f"{n_test} test)")
 
 
-def _datasets_for(cfg: ExperimentConfig, cache_dir: Path | None = None
-                  ) -> tuple[Dataset, Dataset, str]:
+def _datasets_for(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, str]:
     if cfg.recipe == "fig12-mnist":
-        return _digit_sets(cfg, cache_dir)
-    train, test = _letter_sets(cfg)
+        return _digit_sets(cfg)
+    train, test = bench.letter_dataset(n_classes=_knob(cfg, "n_classes", 4))
     return train, test, "engineered letter set"
 
 
@@ -570,13 +522,13 @@ def _base_net(cfg: ExperimentConfig, seed: int) -> Network:
     return net
 
 
-# the schemes that import a blind software fit, which a caller may fit once
-# and hand to several runs
+# the schemes that import a blind software fit: _run hands a caller's fit
+# to these alone, so one fit per seed can serve several runs
 _FIT_SCHEMES = (Scheme.EX_SITU.value, Scheme.HYBRID.value)
 
 
 def _run(cfg: ExperimentConfig, scheme, train: Dataset, net: Network,
-         test: Dataset, seed: int, *, fit: SoftwareNet | None = None):
+         test: Dataset, seed: int, fit: SoftwareNet | None = None):
     hyper = replace(cfg.hyper, seed=seed)
     return run_scheme(
         scheme, train, net,
@@ -588,7 +540,7 @@ def _run(cfg: ExperimentConfig, scheme, train: Dataset, net: Network,
         import_noise_sigma=cfg.knobs["import_noise_sigma"],
         inference_noise_sigma=cfg.knobs["inference_noise_sigma"],
         subsample=cfg.knobs["subsample"],
-        precomputed_fit=fit,
+        precomputed_fit=fit if scheme in _FIT_SCHEMES else None,
     )
 
 
@@ -639,8 +591,7 @@ def _recipe_forming(cfg: ExperimentConfig, out: Path):
                       cfg.forming.v_step)
     hist_rows = []
     for mode in per_mode:
-        pooled = np.concatenate(volt_pool[mode]) if volt_pool[mode] else \
-            np.empty(0)
+        pooled = np.concatenate(volt_pool[mode])
         for lo, hi, count in _hist_rows(pooled, edges):
             hist_rows.append((lo, hi, count, mode))
     _write_csv(out / "forming_voltages.csv",
@@ -751,86 +702,57 @@ def _recipe_tuning(cfg: ExperimentConfig, out: Path):
     return summary, files
 
 
-def _paired_scheme_recipe(cfg: ExperimentConfig, out: Path, schemes):
-    """Shared engine for the classification studies: run each scheme on the
-    same per-seed hardware and report paired fidelities."""
-    train, test, note = _datasets_for(cfg, out)
-    per_seed = []
-    reports = {}
-    for seed in cfg.seeds:
-        base = _base_net(cfg, seed)
-        row = {"seed": seed}
-        for scheme in schemes:
-            _, rep = _run(cfg, scheme, train, base.copy(), test, seed)
-            row[f"{scheme}_train"] = rep.final_train_fidelity
-            row[f"{scheme}_test"] = rep.final_test_fidelity
-            row[f"{scheme}_epochs"] = len(rep.trace)
-            reports.setdefault(scheme, []).append(rep)
-        per_seed.append(row)
+@dataclass(frozen=True)
+class _LetterStudy:
+    """A letter recipe as data.  Each seed's schemes run on copies of the
+    same hardware and report paired fidelities (fidelity.csv)."""
 
-    summary = {"schemes": list(schemes), "data": note, "per_seed": per_seed}
-    for scheme in schemes:
-        summary[scheme] = {
-            "train": _median_q([r[f"{scheme}_train"] for r in per_seed]),
-            "test": _median_q([r[f"{scheme}_test"] for r in per_seed]),
-        }
+    schemes: tuple[str, ...]
+    # (file, schemes): the first seed's per-epoch error counts
+    trace: tuple[str, tuple[str, ...]] | None = None
+    # (summary key, test of a per-seed row): how many seeds pass
+    tally: tuple[str, Callable[[dict], bool]] | None = None
 
-    plot_rows = [
-        (row["seed"], scheme, row[f"{scheme}_train"], row[f"{scheme}_test"])
-        for row in per_seed for scheme in schemes
-    ]
-    _write_csv(out / "fidelity.csv",
-               "seed,scheme,train_fidelity,test_fidelity", plot_rows)
-    return summary, reports, ["fidelity.csv"]
+    def __call__(self, cfg: ExperimentConfig, out: Path):
+        train, test, note = _datasets_for(cfg)
+        per_seed = []
+        traces = {}
+        for seed in cfg.seeds:
+            base = _base_net(cfg, seed)
+            row = {"seed": seed}
+            for scheme in self.schemes:
+                _, rep = _run(cfg, scheme, train, base.copy(), test, seed)
+                row[f"{scheme}_train"] = rep.final_train_fidelity
+                row[f"{scheme}_test"] = rep.final_test_fidelity
+                row[f"{scheme}_epochs"] = len(rep.trace)
+                traces.setdefault(scheme, rep.trace)
+            per_seed.append(row)
 
-
-def _trace_rows(reports: dict, seed_index: int = 0):
-    rows = []
-    for scheme, reps in reports.items():
-        for epoch, errors in enumerate(reps[seed_index].trace):
-            rows.append((epoch, errors, scheme))
-    return rows
-
-
-def _recipe_exsitu(cfg: ExperimentConfig, out: Path):
-    summary, reports, files = _paired_scheme_recipe(cfg, out, ["ex-situ"])
-    _write_csv(out / "trace.csv", "epoch,error_count,scheme",
-               _trace_rows(reports))
-    return summary, files + ["trace.csv"]
-
-
-def _recipe_defect_aware(cfg: ExperimentConfig, out: Path):
-    summary, reports, files = _paired_scheme_recipe(
-        cfg, out, ["ex-situ", "defect-aware"]
-    )
-    aware = [r["defect-aware_train"] for r in summary["per_seed"]]
-    summary["n_seeds_full_train_fidelity"] = int(
-        sum(1 for f in aware if f >= 100.0)
-    )
-    return summary, files
-
-
-def _recipe_insitu(cfg: ExperimentConfig, out: Path):
-    summary, reports, files = _paired_scheme_recipe(
-        cfg, out, ["in-situ", "ex-situ"]
-    )
-    _write_csv(out / "plotdata.csv", "epoch,error_count,scheme",
-               _trace_rows(reports))
-    return summary, files + ["plotdata.csv"]
-
-
-def _recipe_hybrid(cfg: ExperimentConfig, out: Path):
-    summary, reports, files = _paired_scheme_recipe(
-        cfg, out, ["ex-situ", "hybrid"]
-    )
-    _write_csv(out / "trace.csv", "epoch,error_count,scheme",
-               _trace_rows({"hybrid": reports["hybrid"]}))
-    improved = sum(
-        1 for r in summary["per_seed"]
-        if r["hybrid_test"] >= r["ex-situ_test"]
-    )
-    summary["n_seeds_hybrid_at_least_exsitu"] = int(improved)
-    return summary, files + ["trace.csv"]
+        summary = {"schemes": list(self.schemes), "data": note,
+                   "per_seed": per_seed}
+        for scheme in self.schemes:
+            summary[scheme] = {
+                "train": _median_q([r[f"{scheme}_train"] for r in per_seed]),
+                "test": _median_q([r[f"{scheme}_test"] for r in per_seed]),
+            }
+        plot_rows = [
+            (row["seed"], scheme, row[f"{scheme}_train"],
+             row[f"{scheme}_test"])
+            for row in per_seed for scheme in self.schemes
+        ]
+        _write_csv(out / "fidelity.csv",
+                   "seed,scheme,train_fidelity,test_fidelity", plot_rows)
+        files = ["fidelity.csv"]
+        if self.trace is not None:
+            name, schemes = self.trace
+            _write_csv(out / name, "epoch,error_count,scheme",
+                       [(epoch, errors, scheme) for scheme in schemes
+                        for epoch, errors in enumerate(traces[scheme])])
+            files.append(name)
+        if self.tally is not None:
+            key, passes = self.tally
+            summary[key] = sum(1 for row in per_seed if passes(row))
+        return summary, files
 
 
 def _software_error(net: Network, snet: SoftwareNet,
@@ -845,7 +767,7 @@ def _software_error(net: Network, snet: SoftwareNet,
 
 def _recipe_mnist(cfg: ExperimentConfig, out: Path):
     scheme = _knob(cfg, "scheme", Scheme.EX_SITU.value)
-    train, test, note = _digit_sets(cfg, out)
+    train, test, note = _digit_sets(cfg)
     sub = cfg.knobs["subsample"]
     per_seed = []
     for seed in cfg.seeds:
@@ -853,8 +775,7 @@ def _recipe_mnist(cfg: ExperimentConfig, out: Path):
         hyper = replace(cfg.hyper, seed=seed)
         snet = software_weights_for(net, train, hyper, sub)
         sw_err = _software_error(net, snet, test)
-        fit = snet if scheme in _FIT_SCHEMES else None
-        _, rep = _run(cfg, scheme, train, net, test, seed, fit=fit)
+        _, rep = _run(cfg, scheme, train, net, test, seed, snet)
         per_seed.append({
             "seed": seed,
             "software_test_error": sw_err,
@@ -877,8 +798,7 @@ def _recipe_mnist(cfg: ExperimentConfig, out: Path):
              100.0 - r["hardware_test_fidelity"]) for r in per_seed]
     _write_csv(out / "errors.csv", "seed,software_error,hardware_error",
                rows)
-    return summary, ["errors.csv"] + [f"data/{n}" for n in _MNIST_FILES
-                                      if (out / "data" / n).exists()]
+    return summary, ["errors.csv"]
 
 
 def _recipe_temperature(cfg: ExperimentConfig, out: Path):
@@ -954,16 +874,50 @@ def _recipe_temperature(cfg: ExperimentConfig, out: Path):
     return summary, ["drift.csv"]
 
 
+class _Recipe(NamedTuple):
+    run: Callable[[ExperimentConfig, Path], tuple[dict, list]]
+    stock: dict = {}  # overrides of the stock config document
+
+
+# The swing pattern measured on the hidden bank of the hybrid study board:
+# three neurons clip at twice the nominal swing, three at half of it.
+_HYBRID_SWINGS = {0: 0.4, 6: 0.4, 7: 0.4, 1: 0.1, 3: 0.1, 4: 0.1}
+_STUCK_5PCT = {"stuck_on_frac": 0.05, "stuck_off_frac": 0.05}
+
 RECIPES = {
-    "fig2-forming": _recipe_forming,
-    "fig3-thresholds": _recipe_thresholds,
-    "fig4-tuning": _recipe_tuning,
-    "fig8-exsitu": _recipe_exsitu,
-    "fig9-defect-aware": _recipe_defect_aware,
-    "fig10-insitu": _recipe_insitu,
-    "fig11-hybrid": _recipe_hybrid,
-    "fig12-mnist": _recipe_mnist,
-    "fig13-temp": _recipe_temperature,
+    "fig2-forming": _Recipe(_recipe_forming),
+    "fig3-thresholds": _Recipe(_recipe_thresholds),
+    # the built-in test image maps down to 7 kOhm, i.e. 143 uS, so the
+    # tuning demo needs devices with more headroom than the stock 100 uS
+    "fig4-tuning": _Recipe(_recipe_tuning, {"device": {"g_max": 150e-6}}),
+    "fig8-exsitu": _Recipe(_LetterStudy(
+        ("ex-situ",), trace=("trace.csv", ("ex-situ",)))),
+    "fig9-defect-aware": _Recipe(
+        _LetterStudy(("ex-situ", "defect-aware"),
+                     tally=("n_seeds_full_train_fidelity",
+                            lambda r: r["defect-aware_train"] >= 100.0)),
+        {"knobs": _STUCK_5PCT}),
+    "fig10-insitu": _Recipe(
+        _LetterStudy(("in-situ", "ex-situ"),
+                     trace=("plotdata.csv", ("in-situ", "ex-situ"))),
+        {"network": {"n_outputs": 3}, "knobs": {"n_classes": 3}}),
+    "fig11-hybrid": _Recipe(
+        _LetterStudy(("ex-situ", "hybrid"),
+                     trace=("trace.csv", ("hybrid",)),
+                     tally=("n_seeds_hybrid_at_least_exsitu",
+                            lambda r: r["hybrid_test"] >= r["ex-situ_test"])),
+        {"knobs": dict(_STUCK_5PCT, swing_overrides=_HYBRID_SWINGS)}),
+    "fig12-mnist": _Recipe(_recipe_mnist, {
+        "network": {"n_inputs": 784, "n_hidden": 300, "n_outputs": 10},
+        "hyper": {"epochs": 15, "batch_size": 100, "lr": 0.05,
+                  "loss": "cross-entropy-softmax"},
+        "tune": {"half_select": False},
+        # refinement, not training from scratch: narrow pulses so the fast
+        # tail of the threshold spread cannot erase the imported fit
+        "insitu": {"epochs": 12, "half_select": False, "width": 1e-3},
+        "knobs": {"subsample": 8000},
+    }),
+    "fig13-temp": _Recipe(_recipe_temperature),
 }
 
 
@@ -977,7 +931,7 @@ def run_recipe(cfg: ExperimentConfig, out_dir=None) -> dict:
     _refuse_unread_knobs(cfg, cfg.recipe)
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
-    summary, files = RECIPES[cfg.recipe](cfg, out)
+    summary, files = RECIPES[cfg.recipe].run(cfg, out)
     _write_json(out / "summary.json", summary)
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -1009,9 +963,6 @@ class SweepReport:
     def error_stats(self, name: str):
         """Per-value (median, q25, q75) of the error percentage."""
         err = 100.0 - self.series[name]
-        if err.size == 0:
-            empty = np.empty(0)
-            return empty, empty, empty
         med = np.median(err, axis=1)
         q25 = np.percentile(err, 25, axis=1)
         q75 = np.percentile(err, 75, axis=1)
@@ -1034,9 +985,8 @@ class _SweepPoint:
         """run_scheme at this point with some knobs overridden; (net,
         report).  Schemes that import a blind fit reuse the seed's."""
         cfg = replace(self.cfg, knobs=dict(self.cfg.knobs, **knobs))
-        fit = self.fit if scheme in _FIT_SCHEMES else None
         return _run(cfg, scheme, self.train, net, self.test, self.seed,
-                    fit=fit)
+                    self.fit)
 
     def fidelity(self, scheme: str, net: Network, **knobs) -> float:
         return self.run(scheme, net, **knobs)[1].final_test_fidelity
@@ -1125,9 +1075,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
     All other settings come from the base config; the base recipe decides
     the dataset (fig12-mnist means digits, anything else letters).  A base
     config that sets a knob the axis sets at every point (its ``sets``)
-    raises ConfigError, since that value would be ignored.  Results
-    are keyed by (value index, seed index), so the worker count changes
-    wall time and nothing else.
+    raises ConfigError, since that value would be ignored, and so does an
+    empty value grid or a ``seeds`` list that breaks the config's seed rule.
+    Results are keyed by (value index, seed index), so the worker count
+    changes wall time and nothing else.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(
@@ -1141,7 +1092,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
             raise ConfigError(f"knob {key!r} is set by the {axis} sweep at "
                               f"every point; leave it out of the base config")
     values = [float(v) for v in values]
-    seeds = list(seeds) if seeds is not None else list(cfg.seeds)
+    if not values:
+        raise ConfigError("a sweep needs at least one value")
+    seeds = _checked_seeds(list(seeds)) if seeds is not None \
+        else list(cfg.seeds)
     n_workers = workers if workers is not None else cfg.knobs["workers"]
     if n_workers < 1:
         raise ConfigError("workers must be at least 1")
@@ -1185,7 +1139,6 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
         name: np.array([[results[iv][isd][name]
                          for isd in range(len(seeds))]
                         for iv in range(len(values))], dtype=np.float64)
-        if values else np.empty((0, len(seeds)))
         for name in names
     }
     return SweepReport(axis=axis, values=values, seeds=seeds, series=series,

@@ -55,27 +55,6 @@ def test_train_patterns_well_separated():
     assert off_diag.min() >= 3
 
 
-def test_pattern_file_roundtrip(tmp_path):
-    path = tmp_path / "pats.txt"
-    path.write_text("# comment\n1111011001100110 0\n1001100101100110 3\n")
-    train, test = letter_dataset(path)
-    assert len(train) == 2 and len(test) == 32
-    assert list(train.labels) == [0, 3]
-
-
-def test_pattern_file_errors(tmp_path):
-    with pytest.raises(DataMissingError):
-        letter_dataset(tmp_path / "absent.txt")
-    bad = tmp_path / "bad.txt"
-    bad.write_text("110 0\n")
-    with pytest.raises(DataFormatError):
-        letter_dataset(bad)
-    short = tmp_path / "label.txt"
-    short.write_text("1111011001100110 7\n")
-    with pytest.raises(DataFormatError):
-        letter_dataset(short)
-
-
 def test_encode_levels_pm1_passthrough():
     train, _ = letter_dataset()
     np.testing.assert_array_equal(encode_levels(train), train.pixels)

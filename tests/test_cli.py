@@ -1,5 +1,6 @@
 """Command-line exit codes follow the error taxonomy: 0 success, 2 config,
-3 missing or malformed config file, 4 a simulation failure."""
+3 missing or malformed config file, 4 a simulation failure, 1 anything
+else."""
 
 import json
 
@@ -128,6 +129,19 @@ def test_malformed_axis(tmp_path, axis):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_sweep_without_seeds(tmp_path, seeds, capsys):
+    # an empty seed range used to exit 0 and write empty series
+    conf = write_config(tmp_path, json.dumps({"recipe": "fig8-exsitu"}))
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", conf, "--axis",
+                     "stuck_fraction=0.0,0.1", "--seeds", seeds,
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "seeds must be a non-empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
 def test_missing_or_unreadable_config(tmp_path, text, capsys):
     conf = str(tmp_path / "absent.json") if text is None \
@@ -145,3 +159,13 @@ def test_read_outside_regime_is_a_runtime_failure(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_RUNTIME
     assert "read regime" in capsys.readouterr().err
+
+
+def test_unexpected_failure_exits_1(tmp_path, monkeypatch, capsys):
+    def broken(cfg, out_dir=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.harness, "run_recipe", broken)
+    code = cli.main(["run", "fig2-forming", "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_UNEXPECTED
+    assert "unexpected error: RuntimeError: boom" in capsys.readouterr().err

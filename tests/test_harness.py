@@ -1,8 +1,7 @@
 """Harness contracts: the config hash, knob validation, every sweep axis
 under any worker count, the benchmark's workload documents, and the pinned
-summaries of the fast recipes."""
+outputs of the fast recipes."""
 
-import hashlib
 import importlib.util
 import math
 import re
@@ -52,6 +51,29 @@ def test_removed_config_values_rejected(doc, name):
         config(**doc)
 
 
+STOCK = {"schema_version": 1, "recipe": "fig8-exsitu"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([STOCK], "config root must be an object"),
+    (dict(STOCK, extras={}), "unknown config section 'extras'"),
+    (dict(STOCK, schema_version=2), "schema_version must be 1, got 2"),
+    (dict(STOCK, recipe="fig99-nothing"), "unknown recipe 'fig99-nothing'"),
+    (dict(STOCK, recipe=["fig8-exsitu"]), "unknown recipe"),
+    (dict(STOCK, seeds=[]), "seeds must be a non-empty list"),
+    (dict(STOCK, seeds=[0, -1]), "seeds must be a non-empty list"),
+    (dict(STOCK, seeds=[1, 1]), "seeds must be distinct"),
+    # True ran as seed 1 under another config hash
+    (dict(STOCK, seeds=[True]), "seeds must be a non-empty list"),
+    (dict(STOCK, device=[]), "section 'device' must be an object"),
+    (dict(STOCK, hyper={"loss": "hinge"}), "hyper.loss must be one of"),
+    (dict(STOCK, knobs=[]), "knobs must be an object"),
+])
+def test_config_document_shape_rejected(doc, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        harness.config_from_dict(doc)
+
+
 def test_every_knob_is_read():
     # a knob no recipe or sweep reads would be accepted and change nothing
     text = Path(harness.__file__).read_text()
@@ -66,6 +88,13 @@ def test_knob_readers_are_recipes_or_axes():
     assert set(harness._AXES) == set(harness.SWEEP_AXES)
     for key, (_, _, readers) in harness._KNOBS.items():
         assert readers and set(readers) <= names, key
+
+
+def test_stock_document_is_a_fresh_copy():
+    # the stock document used to share its nested dicts with the recipe
+    # table, so a caller's edit changed every later stock config
+    harness.default_config("fig9-defect-aware")["knobs"]["stuck_on_frac"] = 0
+    assert config("fig9-defect-aware").knobs["stuck_on_frac"] == 0.05
 
 
 def test_hyper_seed_is_refused():
@@ -208,11 +237,23 @@ def write_idx_corpus(directory, n_train=12, n_test=6):
 def test_mnist_dir_knob_loads_an_idx_directory(tmp_path):
     want_train, want_test = write_idx_corpus(tmp_path)
     cfg = config("fig12-mnist", knobs={"mnist_dir": str(tmp_path)})
-    train, test, note = harness._digit_sets(cfg, None)
+    train, test, note = harness._digit_sets(cfg)
     assert note == f"idx files from {tmp_path}"
     np.testing.assert_array_equal(train.labels, want_train.labels)
     np.testing.assert_array_equal(test.labels, want_test.labels)
     assert len(train) == 12 and len(test) == 6
+
+
+def test_environment_does_not_choose_the_digit_corpus(tmp_path,
+                                                      monkeypatch):
+    # the corpus used to fall back to a directory named in the environment,
+    # which changed the outputs but not the config hash
+    write_idx_corpus(tmp_path)
+    monkeypatch.setenv("XBARNET_MNIST_DIR", str(tmp_path))
+    cfg = config("fig12-mnist", knobs={"n_train_digits": 12,
+                                       "n_test_digits": 6})
+    *_, note = harness._digit_sets(cfg)
+    assert note == "procedural digit corpus (12 train / 6 test)"
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -283,6 +324,20 @@ def test_sweep_refuses_a_base_knob_its_axis_sets(axis, knobs):
         harness.run_sweep(config(knobs=knobs), axis, [0.02], seeds=[0])
 
 
+@pytest.mark.parametrize("values, seeds, message", [
+    ([0.1], [], "seeds must be a non-empty list"),
+    ([0.1], [-1], "seeds must be a non-empty list"),
+    # the same seed twice used to run twice
+    ([0.1], [0, 0], "seeds must be distinct"),
+    # an empty grid used to run nothing and write empty series
+    ([], [0], "a sweep needs at least one value"),
+])
+def test_sweep_grid_must_be_non_empty_and_distinct(values, seeds, message):
+    with pytest.raises(ConfigError, match=message):
+        harness.run_sweep(fast_sweep_config(), "stuck_fraction", values,
+                          seeds=seeds)
+
+
 def test_unknown_sweep_axis_rejected():
     with pytest.raises(ConfigError, match="unknown sweep axis 'width'"):
         harness.run_sweep(fast_sweep_config(), "width", [0.1])
@@ -335,16 +390,21 @@ def test_benchmark_sweep_runs_with_the_worker_keywords(tmp_path):
 
 # --- pinned recipe outputs ----------------------------------------------------
 
+# output files pinned with the summary; test_fast_recipe_table_pinned pins
+# the others
+SUMMARY_TABLES = {"fig2-forming": {"forming_voltages.csv": "0d40c43fec90d803"}}
+
+
 @pytest.mark.parametrize("recipe, prefix", [
     ("fig2-forming", "7dea09bf8a9e9a79"),
     ("fig3-thresholds", "5cda0ff73338f921"),
     # fig13 reads single vectors through the exact term-by-term sum
     ("fig13-temp", "91345a8cbbafd9f0"),
 ])
-def test_fast_recipe_summary_pinned(recipe, prefix, tmp_path):
+def test_fast_recipe_summary_pinned(recipe, prefix, tmp_path, output_pins):
     harness.run_recipe(config(recipe), out_dir=tmp_path)
-    summary = (tmp_path / "summary.json").read_bytes()
-    assert hashlib.sha256(summary).hexdigest()[:16] == prefix
+    output_pins(tmp_path, {"summary.json": prefix,
+                           **SUMMARY_TABLES.get(recipe, {})})
 
 
 @pytest.mark.parametrize("recipe, extra, prefix", [
@@ -355,10 +415,10 @@ def test_fast_recipe_summary_pinned(recipe, prefix, tmp_path):
     # summary equals the stock one, so 0.3 shows the branch ran
     ("fig8-exsitu", {"knobs": {"swing_sigma": 0.3}}, "885381d552368630"),
 ])
-def test_branch_summary_pinned(recipe, extra, prefix, tmp_path):
+def test_branch_summary_pinned(recipe, extra, prefix, tmp_path,
+                               output_pins):
     harness.run_recipe(config(recipe, **extra), out_dir=tmp_path)
-    summary = (tmp_path / "summary.json").read_bytes()
-    assert hashlib.sha256(summary).hexdigest()[:16] == prefix
+    output_pins(tmp_path, {"summary.json": prefix})
 
 
 @pytest.mark.parametrize("recipe, name, prefix", [
@@ -366,7 +426,7 @@ def test_branch_summary_pinned(recipe, extra, prefix, tmp_path):
     ("fig3-thresholds", "thresholds.csv", "b0013814aacc7111"),
     ("fig13-temp", "drift.csv", "1d6a5fc15b1d5e84"),
 ])
-def test_fast_recipe_table_pinned(recipe, name, prefix, tmp_path):
+def test_fast_recipe_table_pinned(recipe, name, prefix, tmp_path,
+                                  output_pins):
     harness.run_recipe(config(recipe), out_dir=tmp_path)
-    table = (tmp_path / name).read_bytes()
-    assert hashlib.sha256(table).hexdigest()[:16] == prefix
+    output_pins(tmp_path, {name: prefix})
