@@ -72,7 +72,6 @@ from .training import (
 )
 from .bench import (
     Dataset,
-    ScoreResult,
     letter_dataset,
     load_mnist,
     save_idx,

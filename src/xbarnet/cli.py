@@ -35,6 +35,8 @@ def _read_doc(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise DataMissingError(f"config file not found: {p}")
+    if not p.is_file():
+        raise DataFormatError(f"config {p} is not a regular file")
     try:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:

@@ -27,7 +27,7 @@ increment, and an in-bounds g plus zero, clipped, is g itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +50,11 @@ class Crossbar:
     v_form: np.ndarray
     formed: np.ndarray
     defect: np.ndarray
-    g_lo: np.ndarray = field(default=None)  # type: ignore[arg-type]
-    g_hi: np.ndarray = field(default=None)  # type: ignore[arg-type]
+    g_lo: np.ndarray
+    g_hi: np.ndarray
 
     def __post_init__(self):
         shape = self.g.shape
-        if self.g_lo is None:
-            self.g_lo = np.full(shape, self.spec.g_min)
-        if self.g_hi is None:
-            self.g_hi = np.full(shape, self.spec.g_max)
         for name in ("v_set", "v_reset", "kappa", "v_form", "formed",
                      "defect", "g_lo", "g_hi"):
             if getattr(self, name).shape != shape:

@@ -132,9 +132,6 @@ def thermal_coefficient(g, spec: DeviceSpec):
     The reference conductance is pinned to g_min, so alpha0 is the relative
     drift per degree of the most drift-prone (lowest conductance) state.
     """
-    if spec.alpha_exponent == 0:
-        return np.broadcast_to(np.float64(spec.alpha0), np.shape(g)).copy() \
-            if np.ndim(g) else spec.alpha0
     return spec.alpha0 * (spec.g_min / g) ** spec.alpha_exponent
 
 

@@ -760,9 +760,8 @@ def _software_error(net: Network, snet: SoftwareNet,
     """Test error percentage of the software fit itself."""
     y, *_ = software_forward(snet, bench.encode_levels(test))
     pred = np.argmax(y, axis=1)
-    res = bench.score(pred, test.labels, max(test.n_classes,
-                                            net.config.n_outputs))
-    return 100.0 - res.fidelity
+    return 100.0 - bench.score(pred, test.labels,
+                               max(test.n_classes, net.config.n_outputs))
 
 
 def _recipe_mnist(cfg: ExperimentConfig, out: Path):
@@ -1038,10 +1037,10 @@ def _sweep_stuck_neuron_fraction(p: _SweepPoint, net: Network) -> dict:
 
 def _sweep_temperature(p: _SweepPoint, net: Network) -> dict:
     final, _ = p.run("ex-situ", net)
-    res = evaluate(final, p.test, t=p.value,
-                   noise_sigma=p.cfg.knobs["inference_noise_sigma"],
-                   rng=np.random.default_rng([p.seed, 26]))
-    return {"ex-situ": res.fidelity}
+    return {"ex-situ": evaluate(
+        final, p.test, t=p.value,
+        noise_sigma=p.cfg.knobs["inference_noise_sigma"],
+        rng=np.random.default_rng([p.seed, 26]))}
 
 
 class _SweepAxis(NamedTuple):

@@ -156,13 +156,11 @@ _CHUNK_ROWS = 1000
 
 @dataclass
 class ForwardTrace:
-    """Everything observable inside one batched hardware forward pass."""
+    """What one batched hardware forward pass leaves for its readers: the
+    hidden outputs, layer 2's row voltages and the output voltages."""
 
-    v_in: np.ndarray
-    vdiff1: np.ndarray
     hidden: np.ndarray
     v_in2: np.ndarray
-    vdiff2: np.ndarray
     output: np.ndarray
 
 
@@ -211,10 +209,11 @@ def forward(
     drive_voltages builds it from input levels.
 
     Layer 1 reads the batch in chunks of _CHUNK_ROWS patterns, so its
-    temporaries (squared drive, column currents, noise terms) are a chunk
-    in size, not a batch.  That is exact on the assumption that a matmul
-    split by rows equals the whole product bit for bit, which holds on a
-    single-threaded BLAS because each row keeps its own reduction order;
+    temporaries (squared drive, column currents, noise terms,
+    pre-activations) are a chunk in size, not a batch.  That is exact on
+    the assumption that a matmul split by rows equals the whole product bit
+    for bit, which holds on a single-threaded BLAS because each row keeps
+    its own reduction order;
     tests/test_network.py compares the chunked pass with the whole-batch
     one and fails if a BLAS breaks it.  Layer 2 runs over the whole batch,
     and only after every layer-1 chunk, so with read noise the generator
@@ -229,20 +228,19 @@ def forward(
             f"(n, {net.xbar1.rows})"
         )
     r_f1 = net.hidden_neurons.params.r_f
-    vdiff1 = np.empty((v_in.shape[0], net.config.n_hidden))
-    hidden = np.empty_like(vdiff1)
+    hidden = np.empty((v_in.shape[0], net.config.n_hidden))
     for start in range(0, v_in.shape[0], _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         i1 = vmm_currents_batch(net.xbar1, v_in[rows], t=t,
                                 noise_sigma=noise_sigma, rng=gen)
-        vdiff1[rows] = r_f1 * pair_difference(i1)
-        hidden[rows] = bank_outputs(net.hidden_neurons, vdiff1[rows])
+        hidden[rows] = bank_outputs(net.hidden_neurons,
+                                    r_f1 * pair_difference(i1))
     v_in2 = with_bias(hidden, net.config.bias2, net.config.input_voltage)
     i2 = vmm_currents_batch(net.xbar2, v_in2, t=t, noise_sigma=noise_sigma,
                             rng=gen)
-    vdiff2 = net.output_neurons.params.r_f * pair_difference(i2)
-    output = bank_outputs(net.output_neurons, vdiff2)
-    return ForwardTrace(v_in, vdiff1, hidden, v_in2, vdiff2, output)
+    output = bank_outputs(net.output_neurons,
+                          net.output_neurons.params.r_f * pair_difference(i2))
+    return ForwardTrace(hidden, v_in2, output)
 
 
 def classify(output_volts: np.ndarray) -> np.ndarray:
@@ -257,8 +255,8 @@ def evaluate(
     *,
     noise_sigma: float = 0.0,
     rng=None,
-) -> bench.ScoreResult:
-    """Classification fidelity (percent) plus confusion counts."""
+) -> float:
+    """Classification fidelity (percent) of net on dataset."""
     if len(dataset) == 0:
         raise ConfigError("dataset is empty")
     # the levels are a temporary: only the drive outlives this line

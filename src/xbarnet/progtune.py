@@ -38,7 +38,7 @@ characterization (staircase sweeps over every cell at once) lives here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,13 +244,11 @@ class CellTuneResult:
 
 @dataclass
 class TuningReport:
-    tolerance: float
     rel_error: np.ndarray
     pulses: np.ndarray
     ok_mask: np.ndarray
     stuck_mask: np.ndarray
     skipped_mask: np.ndarray
-    failures: list[CellTuneResult] = field(default_factory=list)
 
     @property
     def n_tuned(self) -> int:
@@ -258,7 +256,8 @@ class TuningReport:
 
     @property
     def n_failed(self) -> int:
-        return len(self.failures)
+        """Cells with a target that did not end in band, stuck or not."""
+        return int((~self.skipped_mask & ~self.ok_mask).sum())
 
     @property
     def converged_fraction(self) -> float:
@@ -434,8 +433,7 @@ def _import_sequential(xbar, targets, live, cfg):
         meas = dev.differential_conductance(work.g, work.kappa, cfg.v_read,
                                             work.spec)
         with np.errstate(invalid="ignore"):
-            rel = np.where(live, (meas - targets) / targets, np.nan)
-        return meas, rel
+            return np.where(live, (meas - targets) / targets, np.nan)
 
     todo = ordered(live)
     for _ in range(_VERIFY_PASSES):
@@ -445,23 +443,15 @@ def _import_sequential(xbar, targets, live, cfg):
             work, res = tune_cell(work, row, col, targets[row, col], inner)
             pulses[row, col] += res.pulses
             stuck[row, col] = res.stuck
-        _, rel_error = band_errors()
+        rel_error = band_errors()
         out_of_band = live & ~stuck & (np.abs(rel_error) > cfg.tolerance)
         if not out_of_band.any():
             break
         todo = ordered(out_of_band)
 
-    meas, rel_error = band_errors()
+    rel_error = band_errors()
     ok = live & ~stuck & (np.abs(rel_error) <= cfg.tolerance)
-    failures = [
-        CellTuneResult(int(r), int(c), False, bool(stuck[r, c]),
-                       int(pulses[r, c]), float(rel_error[r, c]),
-                       float(meas[r, c]))
-        for r, c in np.argwhere(live & ~ok)
-    ]
-    report = TuningReport(cfg.tolerance, rel_error, pulses, ok, stuck, ~live,
-                          failures)
-    return work, report
+    return work, TuningReport(rel_error, pulses, ok, stuck, ~live)
 
 
 # Rows per block of the parallel import.  Cells never interact there, so
@@ -485,16 +475,7 @@ def _import_parallel(xbar, targets, live, cfg):
             work._row_view(rows), targets[rows], live[rows], cfg)
 
     rel_error = np.where(live, (meas - targets) / targets, np.nan)
-    ok = live & ~active
-    failures = [
-        CellTuneResult(int(r), int(c), False, bool(stuck[r, c]),
-                       int(pulses[r, c]), float(rel_error[r, c]),
-                       float(meas[r, c]))
-        for r, c in np.argwhere(active)
-    ]
-    report = TuningReport(cfg.tolerance, rel_error, pulses, ok, stuck, ~live,
-                          failures)
-    return work, report
+    return work, TuningReport(rel_error, pulses, live & ~active, stuck, ~live)
 
 
 def _tune_block(block, targets, live, cfg):

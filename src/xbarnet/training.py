@@ -23,7 +23,6 @@ ex-situ import is its map-free case, where no pair is stuck.
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -109,15 +108,9 @@ class InSituConfig:
 
 @dataclass
 class TrainingReport:
-    scheme: str
     trace: list[int]
     final_train_fidelity: float
     final_test_fidelity: float | None
-    seeds: dict
-    wall_time_s: float
-    n_train: int
-    subsample: int | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +745,7 @@ def _error_accumulators(net: Network, labels: np.ndarray,
     delta1 = (delta2 @ state.believed_w2(net).T)[:, : net.config.n_hidden] \
         * (hp.gain * hp.out_swing / hp.v_sat)
     delta1 *= gate1
-    a1 = trace.v_in.T @ delta1
+    a1 = state.drive.T @ delta1
     return n_err, a1, a2
 
 
@@ -824,16 +817,15 @@ def initialize_midrange(
 
 
 def prepare_fit_set(train_set: Dataset, subsample: int | None, seed
-                    ) -> tuple[Dataset, str | None]:
+                    ) -> Dataset:
     """Deterministic training subset used by run_scheme; exposed so sweep
     drivers can reproduce the exact fit set when precomputing a fit."""
     if subsample is not None and subsample < len(train_set):
         idx = np.random.default_rng(seed).choice(
             len(train_set), size=subsample, replace=False
         )
-        return (train_set.subset(np.sort(idx)),
-                f"subsampled training set to {subsample} patterns")
-    return train_set, None
+        return train_set.subset(np.sort(idx))
+    return train_set
 
 
 def software_weights_for(
@@ -850,7 +842,7 @@ def software_weights_for(
     on, so concurrent runs may share it; nothing may change it.
     """
     s_sub = np.random.SeedSequence(hyper.seed).spawn(4)[0]
-    fit_set, _ = prepare_fit_set(train_set, subsample, s_sub)
+    fit_set = prepare_fit_set(train_set, subsample, s_sub)
     return train_defect_aware(fit_set, net, None, hyper)[2]
 
 
@@ -906,15 +898,10 @@ def run_scheme(
         raise ConfigError(
             "a precomputed fit only makes sense for ex-situ or hybrid runs"
         )
-    t0 = time.perf_counter()
-    notes: list[str] = []
-
     ss = np.random.SeedSequence(hyper.seed)
     s_sub, s_import, s_init, s_eval = ss.spawn(4)
 
-    fit_set, sub_note = prepare_fit_set(train_set, subsample, s_sub)
-    if sub_note:
-        notes.append(sub_note)
+    fit_set = prepare_fit_set(train_set, subsample, s_sub)
 
     if scheme is Scheme.IN_SITU:
         out, _ = initialize_midrange(net, tune_cfg, seed=s_init)
@@ -925,7 +912,6 @@ def run_scheme(
         if precomputed_fit is None:
             _, _, snet, trace = train_defect_aware(fit_set, net, maps, hyper)
         else:
-            notes.append("software fit supplied by the caller")
             snet, trace = precomputed_fit, []
         # the target grids live only through the import, not the in-situ
         # loop that follows
@@ -935,31 +921,15 @@ def run_scheme(
                               seed=s_import)
 
     if scheme in (Scheme.IN_SITU, Scheme.HYBRID):
-        if scheme is Scheme.HYBRID:
-            notes.append(
-                f"ex-situ phase ran {len(trace)} software epochs before the "
-                f"in-situ loop"
-            )
         trace = _insitu_loop(out, fit_set, insitu_cfg)
 
     eval_rng = np.random.default_rng(s_eval)
     final_train = netmod.evaluate(out, train_set,
                                   noise_sigma=inference_noise_sigma,
-                                  rng=eval_rng).fidelity
+                                  rng=eval_rng)
     final_test = None
     if test_set is not None:
         final_test = netmod.evaluate(out, test_set,
                                      noise_sigma=inference_noise_sigma,
-                                     rng=eval_rng).fidelity
-    report = TrainingReport(
-        scheme=scheme.value,
-        trace=list(trace),
-        final_train_fidelity=final_train,
-        final_test_fidelity=final_test,
-        seeds={"hyper": hyper.seed},
-        wall_time_s=time.perf_counter() - t0,
-        n_train=len(fit_set),
-        subsample=subsample,
-        notes=notes,
-    )
-    return out, report
+                                     rng=eval_rng)
+    return out, TrainingReport(list(trace), final_train, final_test)

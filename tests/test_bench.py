@@ -177,24 +177,13 @@ def test_synthetic_digits_classes_distinct():
 
 def test_score_perfect():
     labels = np.array([0, 1, 2, 3, 0])
-    r = score(labels, labels, 4)
-    assert r.fidelity == 100.0
-    assert r.error_rate == 0.0
-    assert np.trace(r.confusion) == 5
+    assert score(labels, labels, 4) == 100.0
 
 
 def test_score_counts():
     pred = np.array([0, 0, 1, 2])
     true = np.array([0, 1, 1, 2])
-    r = score(pred, true, 3)
-    assert r.fidelity == 75.0
-    assert r.confusion[1, 0] == 1
-    assert r.per_class_recall[1] == pytest.approx(0.5)
-
-
-def test_score_empty_class_recall_nan():
-    r = score(np.array([0, 0]), np.array([0, 0]), 3)
-    assert np.isnan(r.per_class_recall[2])
+    assert score(pred, true, 3) == 75.0
 
 
 def test_score_shape_mismatch():
@@ -215,4 +204,4 @@ def test_random_guessing_near_chance():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 4, 20_000)
     preds = rng.integers(0, 4, 20_000)
-    assert score(preds, labels, 4).fidelity == pytest.approx(25.0, abs=1.5)
+    assert score(preds, labels, 4) == pytest.approx(25.0, abs=1.5)

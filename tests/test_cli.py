@@ -152,6 +152,15 @@ def test_missing_or_unreadable_config(tmp_path, text, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_config_path_that_is_a_directory(tmp_path, capsys):
+    # it exited 1 with an unexpected IsADirectoryError
+    code = cli.main(["run", "fig2-forming", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert "not a regular file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_read_outside_regime_is_a_runtime_failure(tmp_path, capsys):
     # a 0.6 V input read is past the 0.5 V non-disturbing window
     conf = write_config(tmp_path, json.dumps({"knobs": {"v_in": 0.6}}))

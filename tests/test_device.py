@@ -94,7 +94,10 @@ def test_thermal_coefficient_law(spec):
     assert thermal_coefficient(spec.g_min * 4, spec) == \
         pytest.approx(spec.alpha0 / 4)
     flat = dataclasses.replace(spec, alpha_exponent=0.0)
-    assert thermal_coefficient(77e-6, flat) == pytest.approx(spec.alpha0)
+    # exponent 0 gives alpha0 bit for bit, for a scalar and elementwise
+    assert thermal_coefficient(77e-6, flat) == spec.alpha0
+    assert np.array_equal(thermal_coefficient(np.array([20e-6, 77e-6]), flat),
+                          [spec.alpha0, spec.alpha0])
 
 
 def test_differential_read_cancels_kappa(spec):

@@ -395,16 +395,29 @@ def test_benchmark_sweep_runs_with_the_worker_keywords(tmp_path):
 SUMMARY_TABLES = {"fig2-forming": {"forming_voltages.csv": "0d40c43fec90d803"}}
 
 
+@pytest.fixture(scope="module")
+def stock_run(tmp_path_factory):
+    """The output directory of a stock recipe's run, made once per module:
+    the summary and table pins of fig3 and fig13 read the same run."""
+    runs = {}
+
+    def run(recipe):
+        if recipe not in runs:
+            runs[recipe] = tmp_path_factory.mktemp(recipe)
+            harness.run_recipe(config(recipe), out_dir=runs[recipe])
+        return runs[recipe]
+    return run
+
+
 @pytest.mark.parametrize("recipe, prefix", [
     ("fig2-forming", "7dea09bf8a9e9a79"),
     ("fig3-thresholds", "5cda0ff73338f921"),
     # fig13 reads single vectors through the exact term-by-term sum
     ("fig13-temp", "91345a8cbbafd9f0"),
 ])
-def test_fast_recipe_summary_pinned(recipe, prefix, tmp_path, output_pins):
-    harness.run_recipe(config(recipe), out_dir=tmp_path)
-    output_pins(tmp_path, {"summary.json": prefix,
-                           **SUMMARY_TABLES.get(recipe, {})})
+def test_fast_recipe_summary_pinned(recipe, prefix, stock_run, output_pins):
+    output_pins(stock_run(recipe), {"summary.json": prefix,
+                                    **SUMMARY_TABLES.get(recipe, {})})
 
 
 @pytest.mark.parametrize("recipe, extra, prefix", [
@@ -426,7 +439,6 @@ def test_branch_summary_pinned(recipe, extra, prefix, tmp_path,
     ("fig3-thresholds", "thresholds.csv", "b0013814aacc7111"),
     ("fig13-temp", "drift.csv", "1d6a5fc15b1d5e84"),
 ])
-def test_fast_recipe_table_pinned(recipe, name, prefix, tmp_path,
+def test_fast_recipe_table_pinned(recipe, name, prefix, stock_run,
                                   output_pins):
-    harness.run_recipe(config(recipe), out_dir=tmp_path)
-    output_pins(tmp_path, {name: prefix})
+    output_pins(stock_run(recipe), {name: prefix})

@@ -242,9 +242,8 @@ def test_evaluate_letters_smoke():
     set_weights(net, rng.uniform(-1, 1, (17, 10)), rng.uniform(-1, 1, (11, 4)))
     train, _ = letter_dataset()
     r = evaluate(net, train)
-    assert 0.0 <= r.fidelity <= 100.0
-    assert r.confusion.sum() == 40
-    assert r.error_rate == pytest.approx(100.0 - r.fidelity)
+    # every one of the 40 patterns is scored
+    assert r in [100.0 * k / 40 for k in range(41)]
 
 
 def test_nan_input_voltage_fails_loudly():
@@ -285,19 +284,19 @@ def whole_batch_forward(net, v_in, *, t=None, noise_sigma=0.0, rng=None):
     gen = np.random.default_rng(rng) if noise_sigma > 0.0 else None
     i1 = vmm_currents_batch(net.xbar1, v_in, t=t, noise_sigma=noise_sigma,
                             rng=gen)
-    vdiff1 = net.hidden_neurons.params.r_f * pair_difference(i1)
-    hidden = bank_outputs(net.hidden_neurons, vdiff1)
+    hidden = bank_outputs(net.hidden_neurons,
+                          net.hidden_neurons.params.r_f * pair_difference(i1))
     v_in2 = np.hstack([hidden, np.full((hidden.shape[0], 1),
                                        net.config.input_voltage)])
     i2 = vmm_currents_batch(net.xbar2, v_in2, t=t, noise_sigma=noise_sigma,
                             rng=gen)
-    vdiff2 = net.output_neurons.params.r_f * pair_difference(i2)
-    output = bank_outputs(net.output_neurons, vdiff2)
-    return ForwardTrace(v_in, vdiff1, hidden, v_in2, vdiff2, output)
+    output = bank_outputs(net.output_neurons,
+                          net.output_neurons.params.r_f * pair_difference(i2))
+    return ForwardTrace(hidden, v_in2, output)
 
 
 def assert_traces_identical(got, want):
-    for name in ("v_in", "vdiff1", "hidden", "v_in2", "vdiff2", "output"):
+    for name in ("hidden", "v_in2", "output"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), (
             f"trace field {name} of the row-chunked forward differs from "
             f"the whole-batch read: a matmul split by rows is not bit-exact "
@@ -338,8 +337,7 @@ def test_chunked_evaluate_equals_whole_batch_with_noise():
     want_out = whole_batch_forward(net, v_in, noise_sigma=0.05,
                                    rng=np.random.default_rng(9)).output
     want = score(classify(want_out), data.labels, 10)
-    assert got.fidelity == want.fidelity
-    assert np.array_equal(got.confusion, want.confusion)
+    assert got == want
 
 
 def test_forward_temporaries_stay_at_chunk_size():
@@ -359,8 +357,7 @@ def test_forward_temporaries_stay_at_chunk_size():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in (trace.vdiff1, trace.hidden,
-                                      trace.v_in2, trace.vdiff2,
+    returned = sum(a.nbytes for a in (trace.hidden, trace.v_in2,
                                       trace.output))
     assert peak <= returned + two_chunks, (
         f"forward allocated {peak / 2**20:.1f} MB over a returned trace of "

@@ -185,8 +185,9 @@ def test_import_stuck_cells_fail_exactly(spec, rng):
     targets = rng.uniform(30e-6, 80e-6, (6, 6))
     _, rep = import_conductance_map(xbar, targets, TuneConfig())
     assert rep.n_failed == 5
-    assert sorted((f.row, f.col) for f in rep.failures) == sorted(picks)
-    assert all(f.stuck for f in rep.failures)
+    failed = ~rep.skipped_mask & ~rep.ok_mask
+    assert sorted(map(tuple, np.argwhere(failed).tolist())) == sorted(picks)
+    assert np.array_equal(rep.stuck_mask, failed)
 
 
 def test_import_parallel_converges(spec, rng):
@@ -228,7 +229,7 @@ def test_blocked_parallel_import_is_tune_cell_per_cell():
     # the parallel import runs one row block at a time; on an array taller
     # than a block, whose row count is not a multiple of it, with stuck
     # cells in several blocks, the report still equals tune_cell walked
-    # row-major over the live cells, failures included
+    # row-major over the live cells, failed cells included
     spec = DeviceSpec()
     cfg = TuneConfig(half_select=False, max_pulses=200)
     block = progtune._IMPORT_BLOCK_ROWS
@@ -258,14 +259,15 @@ def test_blocked_parallel_import_is_tune_cell_per_cell():
         pulses[r, c], stuck[r, c], ok[r, c] = res.pulses, res.stuck, res.ok
         rel_error[r, c] = res.rel_error
         if not res.ok:
-            failed.append((int(r), int(c)))
+            failed.append([int(r), int(c)])
     assert {r // block for r, _ in np.argwhere(stuck)} == {0, 1, 2}
     np.testing.assert_array_equal(parallel.g, walked.g)
     np.testing.assert_array_equal(rep.pulses, pulses)
     np.testing.assert_array_equal(rep.stuck_mask, stuck)
     np.testing.assert_array_equal(rep.ok_mask, ok)
     np.testing.assert_array_equal(rep.rel_error, rel_error)
-    assert [(f.row, f.col) for f in rep.failures] == failed
+    assert rep.n_failed == len(failed)
+    assert np.argwhere(~rep.skipped_mask & ~rep.ok_mask).tolist() == failed
 
 
 def test_import_validation(spec, rng):

@@ -261,21 +261,24 @@ def test_non_finite_weight_target_raises(layer, value):
 
 def test_ideal_hardware_forward_equals_software_forward():
     # kappa = 0 and the 1/r_f import scale make the crossbar forward pass
-    # the software formula, up to float rounding
+    # the software formula, up to float rounding, with or without a bias
+    # row on either layer
     spec = DeviceSpec(vset_sigma=0.0, vreset_sigma=0.0, kappa_mean=0.0,
                       kappa_sigma=0.0)
-    net = assemble(NetworkConfig(), spec, seed=2)
-    snet = build_software_net(net)
-    rng = np.random.default_rng(5)
-    for layer in (snet.layer1, snet.layer2):
-        # inside the +-0.18 box the 1/r_f scale maps without clamping
-        layer.w = rng.uniform(-0.17, 0.17, layer.w.shape)
-    net.xbar1.g[:], net.xbar2.g[:] = conductance_targets(snet, spec)
     levels = encode_levels(letter_dataset()[0])
-    hw = forward(net, drive_voltages(net, levels)).output
-    sw = software_forward(snet, levels)[0]
-    assert np.max(np.abs(hw - sw)) < 1e-12
-    np.testing.assert_array_equal(classify(hw), classify(sw))
+    for bias1, bias2 in ((True, True), (False, False), (True, False),
+                         (False, True)):
+        net = assemble(NetworkConfig(bias1=bias1, bias2=bias2), spec, seed=2)
+        snet = build_software_net(net)
+        rng = np.random.default_rng(5)
+        for layer in (snet.layer1, snet.layer2):
+            # inside the +-0.18 box the 1/r_f scale maps without clamping
+            layer.w = rng.uniform(-0.17, 0.17, layer.w.shape)
+        net.xbar1.g[:], net.xbar2.g[:] = conductance_targets(snet, spec)
+        hw = forward(net, drive_voltages(net, levels)).output
+        sw = software_forward(snet, levels)[0]
+        assert np.max(np.abs(hw - sw)) < 1e-12, (bias1, bias2)
+        np.testing.assert_array_equal(classify(hw), classify(sw))
 
 
 @pytest.mark.parametrize("half_select", [False, True])
@@ -320,6 +323,24 @@ def test_insitu_epoch_pulses_the_network_it_is_given():
     assert not np.array_equal(g2, g2_start)
 
 
+@pytest.mark.parametrize("amplitudes, match", [
+    ({"v_pulse_set": 1.0}, "mean set threshold"),
+    ({"v_pulse_reset": 0.9}, "mean reset threshold"),
+    ({"v_pulse_set": 3.0}, "forming regime"),
+])
+def test_insitu_epoch_refuses_amplitudes_that_cannot_train(amplitudes,
+                                                           match):
+    # the stock device has both mean thresholds at 1.0 V and forms at 3.0 V
+    net = _midrange_letter_net(8)
+    train, _ = letter_dataset()
+    state = InSituState.from_network(net, train)
+    g1, g2 = net.xbar1.g.copy(), net.xbar2.g.copy()
+    with pytest.raises(ConfigError, match=match):
+        insitu_epoch(net, train, InSituConfig(**amplitudes), state)
+    np.testing.assert_array_equal(net.xbar1.g, g1)
+    np.testing.assert_array_equal(net.xbar2.g, g2)
+
+
 def test_insitu_state_rejects_a_dataset_of_another_length():
     net = _midrange_letter_net(7)
     train, _ = letter_dataset()
@@ -353,9 +374,8 @@ def test_run_scheme_pinned_by_network_scheme_and_seed(scheme):
             import_noise_sigma=0.02, inference_noise_sigma=0.02,
             subsample=30,
         )
-        fields = dataclasses.asdict(rep)
-        del fields["wall_time_s"]
-        runs.append((fields, out.xbar1.g.tobytes(), out.xbar2.g.tobytes()))
+        runs.append((dataclasses.asdict(rep), out.xbar1.g.tobytes(),
+                     out.xbar2.g.tobytes()))
     assert runs[0] == runs[1]
 
 
