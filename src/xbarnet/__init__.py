@@ -22,7 +22,6 @@ from .crossbar import (
     pulse_all,
     sample_cells,
     vary_bounds,
-    vmm_currents,
     vmm_currents_batch,
     write_pulse,
 )

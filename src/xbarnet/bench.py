@@ -273,7 +273,7 @@ def score(predictions: np.ndarray, labels: np.ndarray, n_classes: int
           ) -> float:
     """Fidelity percentage: the share of predictions equal to their labels.
 
-    Both arrays must share a shape, and every value must lie in
+    Both arrays must share a non-empty shape, and every value must lie in
     [0, n_classes).
     """
     predictions = np.asarray(predictions)
@@ -282,6 +282,8 @@ def score(predictions: np.ndarray, labels: np.ndarray, n_classes: int
         raise DimensionError(
             f"predictions {predictions.shape} vs labels {labels.shape}"
         )
+    if labels.size == 0:
+        raise DimensionError("cannot score an empty batch")
     for name, values in (("prediction", predictions), ("label", labels)):
         bad = np.flatnonzero((values < 0) | (values >= n_classes))
         if bad.size:
@@ -290,6 +292,5 @@ def score(predictions: np.ndarray, labels: np.ndarray, n_classes: int
                 f"{name} {values.flat[i]} at index {i} lies outside "
                 f"[0, {n_classes})"
             )
-    total = labels.size
     correct = int(np.sum(predictions == labels))
-    return 100.0 * correct / total if total else 0.0
+    return 100.0 * correct / labels.size

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="<knob>=<v1,v2,...>")
     p_sweep.add_argument("--seeds", type=int,
                          help="use seeds 0..N-1 instead of the config's")
-    p_sweep.add_argument("--workers", type=int, default=None,
+    p_sweep.add_argument("--workers", type=int, default=1,
                          help="parallel worker threads")
     p_sweep.add_argument("--out", default="sweep-out",
                          help="output directory")

@@ -11,6 +11,9 @@ ground, the current into column j is
 
     I_j = sum_i g_eff[i, j] * v_i * (1 + kappa[i, j] * v_i)
 
+vmm_currents_batch computes these column currents for every caller; one
+input vector is a batch of one row.
+
 Write path: a pulse of amplitude v addressed to (row, col) puts v across the
 target and v/2 across every other cell sharing the row or the column (the
 usual V/2 half-select scheme); cells whose thresholds sit below v/2 take
@@ -173,23 +176,6 @@ def _sample(spec: DeviceSpec, draw, formed: bool) -> Crossbar:
 # ---------------------------------------------------------------------------
 # read path
 # ---------------------------------------------------------------------------
-
-
-def vmm_currents(
-    xbar: Crossbar,
-    v: np.ndarray,
-    *,
-    t: float | None = None,
-) -> np.ndarray:
-    """Noiseless column currents for one input vector (length ``rows``),
-    summed term by term; read noise lives in vmm_currents_batch."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (xbar.rows,):
-        raise DimensionError(
-            f"input vector has shape {v.shape}, expected ({xbar.rows},)"
-        )
-    return dev.read_terms(xbar.g, xbar.kappa, v[:, None], xbar.spec,
-                          t).sum(axis=0)
 
 
 def vmm_currents_batch(

@@ -20,10 +20,10 @@ the ``mnist_dir`` knob names, or is built in memory by the procedural
 generator; the config alone decides which.
 
 Determinism contract: a (config, seeds) pair pins every number in every
-output file.  Reruns produce byte-identical CSV/JSON, and the worker count
-used for sweep parallelism is excluded from both the results and the config
-hash recorded in the manifest, so the hash changes exactly when the
-semantics of the run change.
+output file.  Reruns produce byte-identical CSV/JSON.  A sweep's worker
+count is an argument of run_sweep, not a config value, so it enters neither
+the results nor the config hash recorded in the manifest, and the hash
+changes exactly when the semantics of the run change.
 
 Summary statistics over seeds are medians and quartiles throughout; runs
 over defective hardware produce heavy-tailed fidelity distributions and a
@@ -54,7 +54,7 @@ from .crossbar import (
     map_to_csv,
     sample_cells,
     vary_bounds,
-    vmm_currents,
+    vmm_currents_batch,
 )
 from .device import DeviceSpec
 from .errors import ConfigError, DataMissingError
@@ -235,8 +235,6 @@ _KNOBS = {
     "g_bias_low": (15e-6, _NONNEG, ("fig13-temp",)),
     "v_bias": (0.2, _FINITE, ("fig13-temp",)),
     "v_in": (0.2, _FINITE, ("fig13-temp",)),
-    # sweep execution (never part of the config hash)
-    "workers": (1, _count, _AXES),
 }
 
 _TOP_LEVEL_KEYS = {"schema_version", "recipe", "seeds", "out_dir",
@@ -399,7 +397,7 @@ def _jsonable(value):
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:
     """The fully-resolved semantic content of a config: defaults applied,
-    output location and worker count stripped."""
+    output location stripped."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "recipe": cfg.recipe,
@@ -408,10 +406,7 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
     for name in _SECTIONS:
         attr = "spec" if name == "device" else name
         doc[name] = _jsonable(dataclasses.asdict(getattr(cfg, attr)))
-    doc["knobs"] = {
-        k: _jsonable(v) for k, v in sorted(cfg.knobs.items())
-        if k != "workers"
-    }
+    doc["knobs"] = {k: _jsonable(v) for k, v in sorted(cfg.knobs.items())}
     return doc
 
 
@@ -825,7 +820,7 @@ def _recipe_temperature(cfg: ExperimentConfig, out: Path):
             xbar, _ = import_conductance_map(xbar, targets, tune)
 
             v = np.full(rows_n, v_in)
-            i_ref = float(vmm_currents(xbar, v)[0])
+            i_ref = float(vmm_currents_batch(xbar, v[None])[0, 0])
             s_factor = float(np.sum(v * (1.0 + xbar.kappa[:, 0] * v)))
             # the feedback device tuned until the column output stops moving
             # with temperature; algebraically that lands on i_ref/s_factor
@@ -841,7 +836,8 @@ def _recipe_temperature(cfg: ExperimentConfig, out: Path):
                     ref = compensated_output(i_ref, comp, t=spec_v.t_ref)
                     drifts = []
                     for t in temps:
-                        i_t = float(vmm_currents(xbar, v, t=t)[0])
+                        i_t = float(
+                            vmm_currents_batch(xbar, v[None], t=t)[0, 0])
                         vo = compensated_output(i_t, comp, t=t)
                         drifts.append(vo - ref)
                         csv_rows.append((seed, t, alpha_name, fb_name,
@@ -1068,7 +1064,7 @@ SWEEP_AXES = {
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
-              seeds=None, workers=None) -> SweepReport:
+              seeds=None, workers=1) -> SweepReport:
     """Run one knob axis over a value grid x seed grid.
 
     All other settings come from the base config; the base recipe decides
@@ -1095,8 +1091,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
         raise ConfigError("a sweep needs at least one value")
     seeds = _checked_seeds(list(seeds)) if seeds is not None \
         else list(cfg.seeds)
-    n_workers = workers if workers is not None else cfg.knobs["workers"]
-    if n_workers < 1:
+    if workers < 1:
         raise ConfigError("workers must be at least 1")
 
     train, test, note = _datasets_for(cfg)
@@ -1120,12 +1115,12 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
         return sweep_axis.run(point, _base_net(cfg, seed))
 
     results: list[list[dict]] = [[{} for _ in seeds] for _ in values]
-    if n_workers == 1:
+    if workers == 1:
         for iv, value in enumerate(values):
             for isd, seed in enumerate(seeds):
                 results[iv][isd] = task(value, seed)
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(task, value, seed): (iv, isd)
                 for iv, value in enumerate(values)

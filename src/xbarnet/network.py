@@ -185,16 +185,17 @@ def with_bias(x: np.ndarray, bias: bool, v: float,
     return out
 
 
-def drive_voltages(net: Network, levels: np.ndarray) -> np.ndarray:
-    """Input drive levels in [-1, 1] -> row voltage batch, bias appended."""
+def drive_voltages(config: NetworkConfig, levels: np.ndarray) -> np.ndarray:
+    """Input drive levels in [-1, 1] -> layer-1 row voltage batch, bias
+    appended: the one input stage of the hardware and the software model."""
     levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
-    if levels.shape[1] != net.config.n_inputs:
+    if levels.shape[1] != config.n_inputs:
         raise DimensionError(
             f"got {levels.shape[1]} inputs, network expects "
-            f"{net.config.n_inputs}"
+            f"{config.n_inputs}"
         )
-    v = net.config.input_voltage
-    return with_bias(levels, net.config.bias1, v, scale=v)
+    v = config.input_voltage
+    return with_bias(levels, config.bias1, v, scale=v)
 
 
 def forward(
@@ -260,7 +261,7 @@ def evaluate(
     if len(dataset) == 0:
         raise ConfigError("dataset is empty")
     # the levels are a temporary: only the drive outlives this line
-    v_in = drive_voltages(net, bench.encode_levels(dataset))
+    v_in = drive_voltages(net.config, bench.encode_levels(dataset))
     trace = forward(net, v_in, t=t, noise_sigma=noise_sigma, rng=rng)
     k = max(dataset.n_classes, net.config.n_outputs)
     return bench.score(classify(trace.output), dataset.labels, k)

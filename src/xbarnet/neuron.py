@@ -43,6 +43,7 @@ class NeuronParams:
     is_output_layer: bool = False
 
     def __post_init__(self):
+        require_finite(self, "r_f", "gain", "v_sat", "out_swing")
         if self.r_f <= 0 or self.gain <= 0 or self.v_sat <= 0:
             raise ConfigError("r_f, gain and v_sat must all be positive")
         if not 0 < self.out_swing <= self.v_sat:

@@ -46,7 +46,7 @@ from . import device as dev
 from .crossbar import Crossbar, pulse_all, write_pulse
 from .device import DefectKind
 from .errors import (ConfigError, DimensionError, FormingRequiredError,
-                     MeasurementError)
+                     MeasurementError, require_count, require_finite)
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,7 @@ class FormingConfig:
     v_max: float = 5.0
 
     def __post_init__(self):
+        require_finite(self, "v_start", "v_step", "v_max")
         if not self.v_start < self.v_max:
             raise ConfigError("need v_start < v_max")
         if self.v_step <= 0:
@@ -215,6 +216,9 @@ class TuneConfig:
     half_select: bool = True
 
     def __post_init__(self):
+        require_finite(self, "tolerance", "v_read", "v_write_start",
+                       "v_write_step", "v_write_max", "width")
+        require_count(self, "max_pulses")
         if not 0 < self.tolerance < 1:
             raise ConfigError("tolerance must lie in (0, 1)")
         if not 0 < self.v_read <= dev.READ_REGIME_MAX:
@@ -271,11 +275,8 @@ class TuningReport:
 
 
 def _verify(xbar: Crossbar, row: int, col: int, cfg: TuneConfig) -> float:
-    return float(
-        dev.differential_conductance(
-            xbar.g[row, col], xbar.kappa[row, col], cfg.v_read, xbar.spec
-        )
-    )
+    return float(dev.differential_conductance(xbar.g[row, col], cfg.v_read,
+                                              xbar.spec))
 
 
 # Full-amplitude pulses per polarity that decide whether a cell the tuner
@@ -429,12 +430,6 @@ def _import_sequential(xbar, targets, live, cfg):
         cells = np.argwhere(mask)
         return cells[np.argsort(margin[tuple(cells.T)], kind="stable")]
 
-    def band_errors():
-        meas = dev.differential_conductance(work.g, work.kappa, cfg.v_read,
-                                            work.spec)
-        with np.errstate(invalid="ignore"):
-            return np.where(live, (meas - targets) / targets, np.nan)
-
     todo = ordered(live)
     for _ in range(_VERIFY_PASSES):
         for row, col in todo:
@@ -443,13 +438,15 @@ def _import_sequential(xbar, targets, live, cfg):
             work, res = tune_cell(work, row, col, targets[row, col], inner)
             pulses[row, col] += res.pulses
             stuck[row, col] = res.stuck
-        rel_error = band_errors()
+        meas = dev.differential_conductance(work.g, cfg.v_read, work.spec)
+        with np.errstate(invalid="ignore"):
+            rel_error = np.where(live, (meas - targets) / targets, np.nan)
         out_of_band = live & ~stuck & (np.abs(rel_error) > cfg.tolerance)
         if not out_of_band.any():
             break
         todo = ordered(out_of_band)
 
-    rel_error = band_errors()
+    # the last pass's read is final: nothing has written to work since
     ok = live & ~stuck & (np.abs(rel_error) <= cfg.tolerance)
     return work, TuningReport(rel_error, pulses, ok, stuck, ~live)
 
@@ -499,8 +496,7 @@ def _tune_block(block, targets, live, cfg):
     last_dir = np.zeros(shape, dtype=np.int8)
     pulses = np.zeros(shape, dtype=np.int64)
 
-    meas = dev.differential_conductance(block.g, block.kappa, cfg.v_read,
-                                        block.spec)
+    meas = dev.differential_conductance(block.g, cfg.v_read, block.spec)
     for _ in range(cfg.max_pulses):
         # a live cell has a finite error and band, and a dead one is
         # inactive already, so ">" is the negation of "<=" here
@@ -521,8 +517,7 @@ def _tune_block(block, targets, live, cfg):
         v_amp = np.maximum(v_amp - cfg.v_write_step * (moved > backoff_floor),
                            cfg.v_write_start)
         pulses += active
-        meas = dev.differential_conductance(block.g, block.kappa, cfg.v_read,
-                                            block.spec)
+        meas = dev.differential_conductance(block.g, cfg.v_read, block.spec)
     active &= np.abs(meas - targets) > band
 
     stuck = np.zeros(shape, dtype=bool)
@@ -537,8 +532,7 @@ def _tune_block(block, targets, live, cfg):
                       cfg.width)
         reset_alive = block.g != g1
         stuck = active & ~set_alive & ~reset_alive
-        meas = dev.differential_conductance(block.g, block.kappa, cfg.v_read,
-                                            block.spec)
+        meas = dev.differential_conductance(block.g, cfg.v_read, block.spec)
     return meas, pulses, active, stuck
 
 

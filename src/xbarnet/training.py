@@ -34,8 +34,8 @@ from .crossbar import _PULSE_BLOCK_ROWS, Crossbar, pulse_all, write_pulse
 from .device import DefectKind, DeviceSpec
 from .errors import ConfigError, DimensionError, DivergenceError, \
     require_count, require_finite
-from .network import Network, drive_voltages, forward, pair_difference, \
-    with_bias
+from .network import Network, NetworkConfig, drive_voltages, forward, \
+    pair_difference, with_bias
 from .neuron import NeuronParams
 from .progtune import TuneConfig, TuningReport, diagnose_defects, \
     import_conductance_map
@@ -72,6 +72,8 @@ class TrainHyper:
         require_finite(self, "lr", "early_stop_fidelity", "target_volts",
                        "init_scale")
         require_count(self, "epochs", "margin_epochs")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be at least 1")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
         if self.batch_size is not None:
@@ -255,13 +257,13 @@ def _layer_from_maps(
 
 @dataclass
 class SoftwareNet:
-    """Differentiable stand-in for the hardware forward pass."""
+    """Differentiable stand-in for the hardware forward pass.  config is
+    the network's own, so both build their row voltages with the one input
+    stage, drive_voltages."""
 
     layer1: LayerModel
     layer2: LayerModel
-    input_voltage: float
-    bias1: bool
-    bias2: bool
+    config: NetworkConfig
     hidden_params: NeuronParams
     output_params: NeuronParams
 
@@ -288,21 +290,12 @@ def build_software_net(net: Network, maps: MeasuredMaps | None = None
                                   maps.v_read, spec, hp.r_f, lim1)
         layer2 = _layer_from_maps(maps.g2, maps.asym2, maps.flags2,
                                   maps.v_read, spec, op.r_f, lim2)
-    return SoftwareNet(layer1, layer2, arch.input_voltage, arch.bias1,
-                       arch.bias2, hp, op)
+    return SoftwareNet(layer1, layer2, arch, hp, op)
 
 
 # ---------------------------------------------------------------------------
 # forward/backward
 # ---------------------------------------------------------------------------
-
-
-def _input_drive(snet: SoftwareNet, levels: np.ndarray) -> np.ndarray:
-    """Layer-1 input volts for a batch of drive levels, bias column
-    included."""
-    levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
-    v = snet.input_voltage
-    return with_bias(levels, snet.bias1, v, scale=v)
 
 
 def _vdiff(x: np.ndarray, layer: LayerModel) -> np.ndarray:
@@ -319,7 +312,7 @@ def _forward(snet: SoftwareNet, x1: np.ndarray):
     hp = snet.hidden_params
     a1 = hp.gain * vdiff1
     hidden = np.clip(a1, -hp.v_sat, hp.v_sat) * (hp.out_swing / hp.v_sat)
-    x2 = with_bias(hidden, snet.bias2, snet.input_voltage)
+    x2 = with_bias(hidden, snet.config.bias2, snet.config.input_voltage)
     vdiff2 = _vdiff(x2, snet.layer2)
     op = snet.output_params
     y = np.clip(op.gain * vdiff2, -op.v_sat, op.v_sat)
@@ -333,7 +326,7 @@ def software_forward(snet: SoftwareNet, levels: np.ndarray):
     whose c and d are all zero (both layers of a precursor fit) the
     quadratic term is exactly zero and is skipped, as is x*x.
     """
-    return _forward(snet, _input_drive(snet, levels))
+    return _forward(snet, drive_voltages(snet.config, levels))
 
 
 def _loss_delta(y: np.ndarray, labels: np.ndarray, loss: Loss,
@@ -366,8 +359,8 @@ def loss_and_grads(
     quadratic terms are skipped on a layer without any, as in
     software_forward.
     """
-    return _loss_and_grads(snet, _input_drive(snet, levels), labels, loss,
-                           target_volts)
+    return _loss_and_grads(snet, drive_voltages(snet.config, levels), labels,
+                           loss, target_volts)
 
 
 def _dw(x: np.ndarray, delta: np.ndarray, layer: LayerModel) -> np.ndarray:
@@ -431,7 +424,7 @@ def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
         init = rng.normal(0.0, hyper.init_scale, layer.w.shape)
         layer.w = np.where(layer.frozen, layer.w,
                            np.clip(init, layer.w_lo, layer.w_hi))
-    x1 = _input_drive(snet, levels)
+    x1 = drive_voltages(snet.config, levels)
     del levels
     n = x1.shape[0]
     bs = hyper.batch_size or n
@@ -469,14 +462,13 @@ def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
                 break
         else:
             tail = 0
-    if trace:
-        fidelity = 100.0 * (1.0 - trace[-1] / n)
-        if fidelity <= 100.0 / n_classes:
-            epoch = len(trace) - 1
-            raise DivergenceError(
-                f"fit ended at chance: {fidelity:.2f}% fidelity on the fit "
-                f"set after epoch {epoch}", epoch=epoch
-            )
+    fidelity = 100.0 * (1.0 - trace[-1] / n)
+    if fidelity <= 100.0 / n_classes:
+        epoch = len(trace) - 1
+        raise DivergenceError(
+            f"fit ended at chance: {fidelity:.2f}% fidelity on the fit set "
+            f"after epoch {epoch}", epoch=epoch
+        )
     return trace
 
 
@@ -689,7 +681,7 @@ class InSituState:
     @classmethod
     def from_network(cls, net: Network, dataset: Dataset) -> "InSituState":
         return cls(bg1=net.xbar1.g.copy(), bg2=net.xbar2.g.copy(),
-                   drive=drive_voltages(net, encode_levels(dataset)))
+                   drive=drive_voltages(net.config, encode_levels(dataset)))
 
     def believed_w2(self, net: Network) -> np.ndarray:
         return pair_difference(self.bg2) / net.weight_scale2

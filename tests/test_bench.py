@@ -191,6 +191,12 @@ def test_score_shape_mismatch():
         score(np.zeros(3), np.zeros(4), 2)
 
 
+def test_score_refuses_an_empty_batch():
+    # no fidelity is defined over zero patterns
+    with pytest.raises(DimensionError, match="empty batch"):
+        score(np.array([], int), np.array([], int), 4)
+
+
 @pytest.mark.parametrize("bad", [3, -1])
 def test_score_out_of_range_index_named(bad):
     pred = np.array([0, 1, bad, 2])

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from xbarnet import crossbar
 from xbarnet.crossbar import (Crossbar, _pulse_cells, build_crossbar,
                               inject_cell_defects, map_to_csv, measure_maps,
-                              pulse_all, vary_bounds, vmm_currents,
-                              vmm_currents_batch, write_pulse)
+                              pulse_all, vary_bounds, vmm_currents_batch,
+                              write_pulse)
 from xbarnet.device import DefectKind, DeviceSpec
 from xbarnet.errors import (ConfigError, DimensionError, FormingRequiredError,
                             ReadRegimeError)
@@ -54,49 +54,63 @@ def test_build_rejects_bad_dims(spec):
 
 
 def test_vmm_matches_dense_oracle(xbar20):
+    # one input vector is a one-row batch; the oracle sums term by term,
+    # with and without thermal drift
     rng = np.random.default_rng(11)
     v = rng.uniform(-0.2, 0.2, xbar20.rows)
-    got = vmm_currents(xbar20, v)
-    want = dense_vmm(xbar20, v)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
+    for t in (None, 45.0):
+        got = vmm_currents_batch(xbar20, v[None], t=t)[0]
+        want = dense_vmm(xbar20, v, t=t)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
 
 
 def test_vmm_batch_consistent(xbar20):
+    # each row of a batch reads as that row alone, and as the sum of the
+    # device law's per-cell terms
+    from xbarnet import device as dev
     rng = np.random.default_rng(12)
     vb = rng.uniform(-0.2, 0.2, (6, xbar20.rows))
     got = vmm_currents_batch(xbar20, vb)
     for k in range(6):
-        np.testing.assert_allclose(got[k], vmm_currents(xbar20, vb[k]),
-                                   rtol=1e-12)
+        one = vmm_currents_batch(xbar20, vb[k:k + 1])[0]
+        np.testing.assert_allclose(got[k], one, rtol=1e-12)
+        terms = dev.read_terms(xbar20.g, xbar20.kappa, vb[k][:, None],
+                               xbar20.spec)
+        np.testing.assert_allclose(got[k], terms.sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(one, dense_vmm(xbar20, vb[k]),
+                                   rtol=1e-9, atol=1e-15)
 
 
 def test_vmm_homogeneous_when_linear(ideal_spec):
     # kappa=0 array: I(a*v) == a*I(v)
     b = build_crossbar(10, 10, ideal_spec, seed=2)
     b.g[:] = np.random.default_rng(4).uniform(10e-6, 100e-6, b.g.shape)
-    v = np.random.default_rng(5).uniform(-0.1, 0.1, 10)
-    np.testing.assert_allclose(vmm_currents(b, 2 * v), 2 * vmm_currents(b, v),
-                               rtol=1e-12)
+    v = np.random.default_rng(5).uniform(-0.1, 0.1, (1, 10))
+    np.testing.assert_allclose(vmm_currents_batch(b, 2 * v),
+                               2 * vmm_currents_batch(b, v), rtol=1e-12)
 
 
 def test_vmm_read_regime(xbar20):
-    v = np.full(xbar20.rows, 0.7)
+    v = np.full((1, xbar20.rows), 0.7)
     with pytest.raises(ReadRegimeError):
-        vmm_currents(xbar20, v)
+        vmm_currents_batch(xbar20, v)
 
 
 def test_vmm_read_regime_rejects_nan(xbar20):
     v = np.full(xbar20.rows, 0.2)
     v[3] = np.nan
     with pytest.raises(ReadRegimeError):
-        vmm_currents(xbar20, v)
+        vmm_currents_batch(xbar20, v[None])
     with pytest.raises(ReadRegimeError):
         vmm_currents_batch(xbar20, np.vstack([np.full(xbar20.rows, 0.1), v]))
 
 
 def test_vmm_shape_errors(xbar20):
+    # a bare vector is not a batch, and a batch row must span every row
     with pytest.raises(DimensionError):
-        vmm_currents(xbar20, np.zeros(5))
+        vmm_currents_batch(xbar20, np.zeros(xbar20.rows))
+    with pytest.raises(DimensionError):
+        vmm_currents_batch(xbar20, np.zeros((1, 5)))
     with pytest.raises(DimensionError):
         vmm_currents_batch(xbar20, np.zeros((3, 5)))
 
@@ -106,7 +120,7 @@ def test_vmm_noise_zero_mean(xbar20):
     # centred on the clean current with spread sigma * sqrt(sum term^2)
     n, sigma = 4000, 0.05
     v = np.random.default_rng(8).uniform(-0.2, 0.2, xbar20.rows)
-    clean = vmm_currents(xbar20, v)
+    clean = dense_vmm(xbar20, v)
     terms = xbar20.g * v[:, None] * (1.0 + xbar20.kappa * v[:, None])
     spread = sigma * np.sqrt(np.sum(terms * terms, axis=0))
     reads = vmm_currents_batch(xbar20, np.tile(v, (n, 1)), noise_sigma=sigma,
@@ -351,8 +365,8 @@ def test_random_vmm_against_oracle(rows, cols, seed):
     rng = np.random.default_rng(seed + 1)
     b.g[:] = rng.uniform(spec.g_min, spec.g_max, b.g.shape)
     v = rng.uniform(-0.2, 0.2, rows)
-    np.testing.assert_allclose(vmm_currents(b, v), dense_vmm(b, v),
-                               rtol=1e-9, atol=1e-15)
+    np.testing.assert_allclose(vmm_currents_batch(b, v[None])[0],
+                               dense_vmm(b, v), rtol=1e-9, atol=1e-15)
 
 
 @settings(max_examples=20, deadline=None)

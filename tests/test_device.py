@@ -71,13 +71,13 @@ def test_read_regime_enforced(spec):
 
 
 def test_verify_read_regime_rejects_nan(spec):
-    assert dev.differential_conductance(42e-6, 0.3, 0.2, spec) == 42e-6
+    assert dev.differential_conductance(42e-6, 0.2, spec) == 42e-6
     with pytest.raises(ReadRegimeError):
-        dev.differential_conductance(42e-6, 0.3, float("nan"), spec)
+        dev.differential_conductance(42e-6, float("nan"), spec)
     with pytest.raises(ReadRegimeError):
-        dev.differential_conductance(42e-6, 0.3, 0.6, spec)
+        dev.differential_conductance(42e-6, 0.6, spec)
     with pytest.raises(ConfigError):
-        dev.differential_conductance(42e-6, 0.3, 0.0, spec)
+        dev.differential_conductance(42e-6, 0.0, spec)
 
 
 def test_thermal_drift_ratio_exact(spec):
@@ -101,10 +101,15 @@ def test_thermal_coefficient_law(spec):
 
 
 def test_differential_read_cancels_kappa(spec):
+    # the device law's two-point read (I(+v) - I(-v)) / 2v cancels kappa,
+    # so the verify read takes no kappa and returns g itself
     g = np.array([12e-6, 55e-6, 99e-6])
     kappa = np.array([0.0, 0.3, 0.7])
-    out = dev.differential_conductance(g, kappa, 0.2, spec)
+    two_point = (read_terms(g, kappa, 0.2, spec)
+                 - read_terms(g, kappa, -0.2, spec)) / 0.4
+    out = dev.differential_conductance(g, 0.2, spec)
     np.testing.assert_array_equal(out, g)
+    np.testing.assert_allclose(two_point, out, rtol=1e-12)
 
 
 def test_measured_conductance_includes_kappa(spec):

@@ -22,10 +22,9 @@ def config(recipe="fig8-exsitu", **extra):
 
 # --- config -------------------------------------------------------------------
 
-def test_config_hash_ignores_workers_and_out_dir():
+def test_config_hash_ignores_out_dir():
     base = harness.config_hash(config())
-    assert harness.config_hash(
-        config(out_dir="elsewhere", knobs={"workers": 2})) == base
+    assert harness.config_hash(config(out_dir="elsewhere")) == base
     assert harness.config_hash(
         config(knobs={"import_accuracy": 0.01})) != base
 
@@ -42,6 +41,8 @@ REMOVED_VALUES = [
     ({"network": {"cols2": 8}}, "network.cols2"),
     ({"knobs": {"temperature": 45.0}}, "'temperature'"),
     ({"forming": {"mode": "current"}}, "forming.mode"),
+    # the worker count is run_sweep's argument (sim sweep --workers)
+    ({"knobs": {"workers": 2}}, "'workers'"),
 ]
 
 
@@ -126,7 +127,6 @@ def test_non_finite_knobs_rejected(knobs):
     ("n_rows", True),
     ("n_cols", "20"),
     ("n_devices", 2.5),
-    ("workers", None),
 ])
 def test_count_knobs_must_be_integers(key, value):
     # recipes pass count knobs through int(), which would run 10.9 as 10
@@ -412,8 +412,8 @@ def stock_run(tmp_path_factory):
 @pytest.mark.parametrize("recipe, prefix", [
     ("fig2-forming", "7dea09bf8a9e9a79"),
     ("fig3-thresholds", "5cda0ff73338f921"),
-    # fig13 reads single vectors through the exact term-by-term sum
-    ("fig13-temp", "91345a8cbbafd9f0"),
+    # fig13 reads each input vector as a one-row vmm_currents_batch
+    ("fig13-temp", "551f679ece815520"),
 ])
 def test_fast_recipe_summary_pinned(recipe, prefix, stock_run, output_pins):
     output_pins(stock_run(recipe), {"summary.json": prefix,
@@ -423,7 +423,7 @@ def test_fast_recipe_summary_pinned(recipe, prefix, stock_run, output_pins):
 @pytest.mark.parametrize("recipe, extra, prefix", [
     # alpha_exponent 0 makes the dependent leg fall back to exponent 1.0,
     # the stock value, so the summary is the stock one
-    ("fig13-temp", {"device": {"alpha_exponent": 0.0}}, "91345a8cbbafd9f0"),
+    ("fig13-temp", {"device": {"alpha_exponent": 0.0}}, "551f679ece815520"),
     # swing spread on the hidden bank; at 0.1 no pattern flips and the
     # summary equals the stock one, so 0.3 shows the branch ran
     ("fig8-exsitu", {"knobs": {"swing_sigma": 0.3}}, "885381d552368630"),
@@ -437,7 +437,7 @@ def test_branch_summary_pinned(recipe, extra, prefix, tmp_path,
 @pytest.mark.parametrize("recipe, name, prefix", [
     # per-device measured thresholds, from one staircase over each column
     ("fig3-thresholds", "thresholds.csv", "b0013814aacc7111"),
-    ("fig13-temp", "drift.csv", "1d6a5fc15b1d5e84"),
+    ("fig13-temp", "drift.csv", "467ebad0d8662650"),
 ])
 def test_fast_recipe_table_pinned(recipe, name, prefix, stock_run,
                                   output_pins):

@@ -174,7 +174,7 @@ def test_hardware_matches_software_on_ideal_devices():
     net = ideal_net(seed=3)
     set_weights(net, rng.uniform(-1, 1, (17, 10)), rng.uniform(-1, 1, (11, 4)))
     levels = rng.choice([-1.0, 1.0], (25, 16))
-    trace = forward(net, drive_voltages(net, levels))
+    trace = forward(net, drive_voltages(net.config, levels))
     want = software_forward_oracle(net, levels)
     assert np.max(np.abs(trace.output - want)) < 1e-9
 
@@ -184,7 +184,7 @@ def test_all_midrange_ties_to_class_zero():
     mid = 0.5 * (net.xbar1.spec.g_min + net.xbar1.spec.g_max)
     net.xbar1.g[:] = mid
     net.xbar2.g[:] = mid
-    out = forward(net, drive_voltages(net, np.ones((1, 16)))).output
+    out = forward(net, drive_voltages(net.config, np.ones((1, 16)))).output
     assert classify(out)[0] == 0
     np.testing.assert_allclose(out[0], out[0, 0])
 
@@ -193,8 +193,8 @@ def test_hidden_drive_stays_in_read_window():
     rng = np.random.default_rng(9)
     net = ideal_net(seed=7)
     set_weights(net, rng.uniform(-2, 2, (17, 10)), rng.uniform(-1, 1, (11, 4)))
-    trace = forward(net, drive_voltages(net, rng.choice([-1.0, 1.0],
-                                                        (200, 16))))
+    trace = forward(net, drive_voltages(
+        net.config, rng.choice([-1.0, 1.0], (200, 16))))
     swing = net.hidden_neurons.params.out_swing
     assert np.max(np.abs(trace.hidden)) <= swing + 1e-15
     assert np.max(np.abs(trace.v_in2)) <= max(swing,
@@ -210,7 +210,8 @@ def test_inference_never_disturbs_weights():
     g1, g2 = net.xbar1.g.copy(), net.xbar2.g.copy()
     assert min(net.xbar1.v_set.min(), net.xbar1.v_reset.min(),
                net.xbar2.v_set.min(), net.xbar2.v_reset.min()) >= 0.5
-    forward(net, drive_voltages(net, rng.choice([-1.0, 1.0], (10_000, 16))))
+    forward(net, drive_voltages(net.config,
+                                rng.choice([-1.0, 1.0], (10_000, 16))))
     np.testing.assert_array_equal(net.xbar1.g, g1)
     np.testing.assert_array_equal(net.xbar2.g, g2)
 
@@ -229,11 +230,11 @@ def test_classify_tie_lowest_index():
 
 def test_drive_voltages_bias_and_width():
     net = ideal_net()
-    v = drive_voltages(net, np.ones((3, 16)))
+    v = drive_voltages(net.config, np.ones((3, 16)))
     assert v.shape == (3, 17)
     np.testing.assert_allclose(v[:, -1], net.config.input_voltage)
     with pytest.raises(DimensionError):
-        drive_voltages(net, np.ones((3, 15)))
+        drive_voltages(net.config, np.ones((3, 15)))
 
 
 def test_evaluate_letters_smoke():
@@ -255,7 +256,7 @@ def test_nan_input_voltage_fails_loudly():
     levels[1, 5] = np.nan
     net = ideal_net()
     with pytest.raises(ReadRegimeError):
-        forward(net, drive_voltages(net, levels))
+        forward(net, drive_voltages(net.config, levels))
 
 
 def test_evaluate_empty_dataset():
@@ -315,7 +316,7 @@ def test_chunked_forward_equals_whole_batch(t, noise_sigma):
     assert network._CHUNK_ROWS == 1000
     net = digit_net()
     levels = np.random.default_rng(1).uniform(-1.0, 1.0, (2500, 784))
-    v_in = drive_voltages(net, levels)
+    v_in = drive_voltages(net.config, levels)
     gen_got, gen_want = np.random.default_rng(7), np.random.default_rng(7)
     got = forward(net, v_in, t=t, noise_sigma=noise_sigma, rng=gen_got)
     want = whole_batch_forward(net, v_in, t=t, noise_sigma=noise_sigma,
@@ -346,7 +347,7 @@ def test_forward_temporaries_stay_at_chunk_size():
     # and its 4000 x 301 temporaries fit inside it
     net = digit_net()
     v_in = drive_voltages(
-        net, np.random.default_rng(4).uniform(-1.0, 1.0, (4000, 784)))
+        net.config, np.random.default_rng(4).uniform(-1.0, 1.0, (4000, 784)))
     chunk = network._CHUNK_ROWS
     assert v_in.shape[0] > 2 * chunk
     two_chunks = 2 * chunk * (net.xbar1.rows + net.xbar1.cols) * 8

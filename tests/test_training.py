@@ -18,7 +18,8 @@ from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError, DimensionError, DivergenceError
 from xbarnet.network import (NetworkConfig, assemble, classify,
                              drive_voltages, forward, pair_difference)
-from xbarnet.progtune import TuneConfig
+from xbarnet.neuron import NeuronParams
+from xbarnet.progtune import FormingConfig, TuneConfig
 from xbarnet.training import (InSituConfig, InSituState, Loss, Scheme,
                               TrainHyper, build_software_net,
                               conductance_targets, insitu_epoch,
@@ -29,9 +30,9 @@ from xbarnet.training import (InSituConfig, InSituState, Loss, Scheme,
 
 def dense_forward(snet, levels):
     """Both layers in full: x@w + (x*x)@(c + d*w), whatever c and d are."""
-    v = snet.input_voltage
+    v = snet.config.input_voltage
     x1 = v * np.atleast_2d(levels)
-    if snet.bias1:
+    if snet.config.bias1:
         x1 = np.hstack([x1, np.full((x1.shape[0], 1), v)])
     l1, l2 = snet.layer1, snet.layer2
     hp, op = snet.hidden_params, snet.output_params
@@ -39,7 +40,7 @@ def dense_forward(snet, levels):
     hidden = np.clip(hp.gain * vd1, -hp.v_sat, hp.v_sat) \
         * (hp.out_swing / hp.v_sat)
     x2 = hidden
-    if snet.bias2:
+    if snet.config.bias2:
         x2 = np.hstack([x2, np.full((x2.shape[0], 1), v)])
     vd2 = x2 @ l2.w + (x2 * x2) @ (l2.c + l2.d * l2.w)
     y = np.clip(op.gain * vd2, -op.v_sat, op.v_sat)
@@ -275,10 +276,23 @@ def test_ideal_hardware_forward_equals_software_forward():
             # inside the +-0.18 box the 1/r_f scale maps without clamping
             layer.w = rng.uniform(-0.17, 0.17, layer.w.shape)
         net.xbar1.g[:], net.xbar2.g[:] = conductance_targets(snet, spec)
-        hw = forward(net, drive_voltages(net, levels)).output
+        hw = forward(net, drive_voltages(net.config, levels)).output
         sw = software_forward(snet, levels)[0]
         assert np.max(np.abs(hw - sw)) < 1e-12, (bias1, bias2)
         np.testing.assert_array_equal(classify(hw), classify(sw))
+
+
+def test_software_model_takes_the_hardware_input_stage():
+    # the software model reads its input stage from the network's own
+    # config, so a wrong input width is refused as the hardware refuses it
+    net = letter_net()
+    snet = build_software_net(net)
+    assert snet.config is net.config
+    levels = encode_levels(letter_dataset()[0])[:, :15]
+    with pytest.raises(DimensionError, match="got 15 inputs"):
+        software_forward(snet, levels)
+    with pytest.raises(DimensionError, match="got 15 inputs"):
+        loss_and_grads(snet, levels, np.zeros(len(levels), int))
 
 
 @pytest.mark.parametrize("half_select", [False, True])
@@ -427,7 +441,7 @@ def test_chunked_error_count_equals_the_whole_batch_count():
     snet, _, _ = random_net(4, quadratic=True)
     n = 2 * training._COUNT_CHUNK_ROWS + 117
     rng = np.random.default_rng(4)
-    x1 = training._input_drive(snet, rng.choice([-1.0, 1.0], (n, 16)))
+    x1 = drive_voltages(snet.config, rng.choice([-1.0, 1.0], (n, 16)))
     labels = rng.integers(0, 4, n)
     y, *_ = training._forward(snet, x1)
     want = int(np.sum(np.argmax(y, axis=1) != labels))
@@ -491,6 +505,10 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 HYPER_FLOATS = ("lr", "early_stop_fidelity", "target_volts", "init_scale")
 INSITU_FLOATS = ("v_pulse_set", "v_pulse_reset", "width", "target_volts")
 DEVICE_FLOATS = tuple(f.name for f in dataclasses.fields(DeviceSpec))
+TUNE_FLOATS = ("tolerance", "v_read", "v_write_start", "v_write_step",
+               "v_write_max", "width")
+FORMING_FLOATS = ("v_start", "v_step", "v_max")
+NEURON_FLOATS = ("r_f", "gain", "v_sat", "out_swing")
 
 
 @settings(max_examples=150, deadline=None)
@@ -498,6 +516,9 @@ DEVICE_FLOATS = tuple(f.name for f in dataclasses.fields(DeviceSpec))
     [(TrainHyper, f) for f in HYPER_FLOATS]
     + [(InSituConfig, f) for f in INSITU_FLOATS]
     + [(DeviceSpec, f) for f in DEVICE_FLOATS]
+    + [(TuneConfig, f) for f in TUNE_FLOATS]
+    + [(FormingConfig, f) for f in FORMING_FLOATS]
+    + [(NeuronParams, f) for f in NEURON_FLOATS]
     + [(NetworkConfig, "input_voltage")]), value=NON_FINITE)
 def test_non_finite_float_settings_rejected(cls_field, value):
     cls, name = cls_field
@@ -510,13 +531,19 @@ def test_non_finite_float_settings_rejected(cls_field, value):
     [(TrainHyper, "epochs"), (TrainHyper, "margin_epochs"),
      (TrainHyper, "batch_size"), (InSituConfig, "epochs"),
      (NetworkConfig, "n_inputs"), (NetworkConfig, "n_hidden"),
-     (NetworkConfig, "n_outputs")]),
+     (NetworkConfig, "n_outputs"), (TuneConfig, "max_pulses")]),
     value=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                     st.booleans(), st.integers(max_value=-1)))
 def test_non_integer_counts_rejected(cls_field, value):
     cls, name = cls_field
     with pytest.raises(ConfigError, match=name):
         cls(**{name: value})
+
+
+def test_fit_needs_an_epoch():
+    # a fit runs at least one epoch
+    with pytest.raises(ConfigError, match="epochs must be at least 1"):
+        TrainHyper(epochs=0)
 
 
 def test_integer_like_settings_still_accepted():
