@@ -25,6 +25,13 @@ clip, forming starts a cell at g_lo, ``vary_bounds`` re-pins into the new
 window, and the ideal import clips its targets.  It is what makes
 ``write_pulse``'s half-select skip exact: a sub-threshold pulse has a zero
 increment, and an in-bounds g plus zero, clipped, is g itself.
+
+The skip reads each row's and column's smallest threshold of the pulse's
+polarity (``threshold_minima``).  Pulses never change thresholds, so a
+caller that sends many pulses into one array builds the minima once and
+passes them to every ``write_pulse``; they stay valid until something
+writes ``v_set`` or ``v_reset``.  Nothing is cached on the Crossbar itself,
+and a ``write_pulse`` without minima reads the thresholds as they are.
 """
 
 from __future__ import annotations
@@ -281,6 +288,14 @@ def _pulse_cell(xbar: Crossbar, row: int, col: int, v: float, width: float):
     xbar.g[row, col] = min(max(g + delta, lo), hi)
 
 
+def threshold_minima(xbar: Crossbar) -> tuple:
+    """The smallest threshold of every row and column, per polarity, as
+    Python lists: ``((v_set row minima, v_set column minima), (v_reset row
+    minima, v_reset column minima))``."""
+    return tuple((t.min(axis=1).tolist(), t.min(axis=0).tolist())
+                 for t in (xbar.v_set, xbar.v_reset))
+
+
 def write_pulse(
     xbar: Crossbar,
     row: int,
@@ -289,6 +304,7 @@ def write_pulse(
     width: float,
     *,
     half_select: bool = True,
+    minima: tuple | None = None,
 ) -> Crossbar:
     """One addressed programming pulse with the V/2 scheme, in place;
     returns xbar.
@@ -300,6 +316,10 @@ def write_pulse(
     in-bounds conductance exactly as it is, so only neighbours with a lower
     threshold are pulsed, and a row or column whose minimum threshold is
     not crossed is skipped whole.
+
+    ``minima`` is ``threshold_minima(xbar)``, built by a caller that pulses
+    this array many times while its thresholds cannot change; without it
+    the minima are built from the thresholds as they are now.
     """
     xbar._check_index(row, col)
     if width <= 0:
@@ -311,16 +331,19 @@ def write_pulse(
             f"cell ({row}, {col}) was never formed; run forming first"
         )
     if half_select:
+        if minima is None:
+            minima = threshold_minima(xbar)
         half = abs(v) / 2.0
-        thresholds = xbar.v_set if v >= 0 else xbar.v_reset
-        line = thresholds[row]
-        if half > line.min():
-            for c in np.flatnonzero(line < half).tolist():
+        if v >= 0:
+            thresholds, (row_min, col_min) = xbar.v_set, minima[0]
+        else:
+            thresholds, (row_min, col_min) = xbar.v_reset, minima[1]
+        if half > row_min[row]:
+            for c in np.flatnonzero(thresholds[row] < half).tolist():
                 if c != col:
                     _pulse_cell(xbar, row, c, v / 2.0, width)
-        line = thresholds[:, col]
-        if half > line.min():
-            for r in np.flatnonzero(line < half).tolist():
+        if half > col_min[col]:
+            for r in np.flatnonzero(thresholds[:, col] < half).tolist():
                 if r != row:
                     _pulse_cell(xbar, r, col, v / 2.0, width)
     _pulse_cell(xbar, row, col, v, width)

@@ -170,10 +170,15 @@ def pulse_delta(g, v, width, v_set, v_reset, beta_set, beta_reset, g_lo, g_hi):
     Single-polarity pulses can only trip one threshold (both thresholds are
     positive), so computing both branches and summing is exact; a 0 V pulse
     returns exactly zero.
+
+    A Python-float ``g`` (the per-cell write path) takes the builtin ``max``
+    instead of ``np.maximum``, which costs microseconds on scalars; the
+    formula is the same, and both give the same bits.
     """
+    relu = max if type(g) is float else np.maximum
     span = g_hi - g_lo
-    over_set = np.maximum(v - v_set, 0.0)
-    over_reset = np.maximum(-v - v_reset, 0.0)
+    over_set = relu(v - v_set, 0.0)
+    over_reset = relu(-v - v_reset, 0.0)
     d_set = beta_set * over_set * width * (g_hi - g) / span
     d_reset = beta_reset * over_reset * width * (g - g_lo) / span
     return d_set - d_reset

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import device as dev
-from .crossbar import Crossbar, pulse_all, write_pulse
+from .crossbar import Crossbar, pulse_all, threshold_minima, write_pulse
 from .device import DefectKind
 from .errors import (ConfigError, DimensionError, FormingRequiredError,
                      MeasurementError, require_count, require_finite)
@@ -285,14 +285,14 @@ _PROBE_PULSES = 3
 
 
 def _probe_polarity(xbar: Crossbar, row: int, col: int, sign: float,
-                    cfg: TuneConfig) -> bool:
+                    cfg: TuneConfig, minima: tuple) -> bool:
     """True if the cell's conductance moves at all under _PROBE_PULSES at
     full write amplitude.  Exact-zero comparison: a stuck or unresponsive
     cell produces literally no change in this model."""
     g0 = xbar.g[row, col]
     for _ in range(_PROBE_PULSES):
         write_pulse(xbar, row, col, sign * cfg.v_write_max, cfg.width,
-                    half_select=cfg.half_select)
+                    half_select=cfg.half_select, minima=minima)
     return bool(xbar.g[row, col] != g0)
 
 
@@ -314,7 +314,8 @@ def tune_cell(
     cell more than three floors backs the amplitude off one step, so it
     settles at the lowest level that still makes progress; under
     half-select addressing that minimizes the V/2 stress sprayed on row
-    and column neighbors.
+    and column neighbors.  Pulses leave the thresholds as they are, so the
+    session builds the array's threshold minima once for all its pulses.
     """
     xbar._check_index(row, col)
     if not xbar.formed[row, col]:
@@ -333,6 +334,7 @@ def tune_cell(
         return xbar, CellTuneResult(row, col, True, False, 0,
                                    (meas - target_g) / target_g, meas)
 
+    minima = threshold_minima(xbar)
     v_amp = cfg.v_write_start
     last_dir = 0
     pulses = 0
@@ -342,7 +344,7 @@ def tune_cell(
             v_amp = cfg.v_write_start
         last_dir = direction
         write_pulse(xbar, row, col, direction * v_amp, cfg.width,
-                    half_select=cfg.half_select)
+                    half_select=cfg.half_select, minima=minima)
         pulses += 1
         new = _verify(xbar, row, col, cfg)
         if abs(new - meas) < floor:
@@ -354,8 +356,8 @@ def tune_cell(
             return xbar, CellTuneResult(row, col, True, False, pulses,
                                        (meas - target_g) / target_g, meas)
 
-    set_alive = _probe_polarity(xbar, row, col, +1.0, cfg)
-    reset_alive = _probe_polarity(xbar, row, col, -1.0, cfg)
+    set_alive = _probe_polarity(xbar, row, col, +1.0, cfg, minima)
+    reset_alive = _probe_polarity(xbar, row, col, -1.0, cfg, minima)
     meas = _verify(xbar, row, col, cfg)
     return xbar, CellTuneResult(
         row, col, ok=False, stuck=not (set_alive or reset_alive),
@@ -541,13 +543,13 @@ def _tune_block(block, targets, live, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _staircase_alive(xbar, row, col, sign, cfg) -> bool:
+def _staircase_alive(xbar, row, col, sign, cfg, minima) -> bool:
     """Escalate from v_write_start; True at the first measurable response."""
     v_amp = cfg.v_write_start
     g_ref = xbar.g[row, col]
     while True:
         write_pulse(xbar, row, col, sign * v_amp, cfg.width,
-                    half_select=cfg.half_select)
+                    half_select=cfg.half_select, minima=minima)
         if xbar.g[row, col] != g_ref:
             return True
         if v_amp >= cfg.v_write_max:
@@ -566,14 +568,15 @@ def diagnose_defects(xbar: Crossbar, cfg: TuneConfig
     array is returned along with the flags.
     """
     work = xbar.copy()
+    minima = threshold_minima(work)
     flags = np.zeros(work.g.shape, dtype=np.int8)
     for row in range(work.rows):
         for col in range(work.cols):
             if not work.formed[row, col]:
                 continue
-            if _staircase_alive(work, row, col, +1.0, cfg):
+            if _staircase_alive(work, row, col, +1.0, cfg, minima):
                 continue
-            if _staircase_alive(work, row, col, -1.0, cfg):
+            if _staircase_alive(work, row, col, -1.0, cfg, minima):
                 continue
             g = work.g[row, col]
             near_hi = abs(g - work.g_hi[row, col]) <= abs(g - work.g_lo[row, col])

@@ -30,7 +30,8 @@ import numpy as np
 from . import device as dev
 from . import network as netmod
 from .bench import Dataset, encode_levels
-from .crossbar import _PULSE_BLOCK_ROWS, Crossbar, pulse_all, write_pulse
+from .crossbar import (_PULSE_BLOCK_ROWS, Crossbar, pulse_all,
+                       threshold_minima, write_pulse)
 from .device import DefectKind, DeviceSpec
 from .errors import ConfigError, DimensionError, DivergenceError, \
     require_count, require_finite
@@ -100,6 +101,8 @@ class InSituConfig:
         require_finite(self, "v_pulse_set", "v_pulse_reset", "width",
                        "target_volts")
         require_count(self, "epochs")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be at least 1")
         if self.v_pulse_set <= 0 or self.v_pulse_reset <= 0:
             raise ConfigError("pulse amplitudes must be positive")
         if self.width <= 0:
@@ -641,14 +644,17 @@ def _sign_amp_maps(signs: np.ndarray, cfg: InSituConfig
 def _apply_sign_pulses(xbar: Crossbar, signs: np.ndarray, cfg: InSituConfig):
     """One Manhattan step on one crossbar, in place.
 
-    All set pulses land first, then all resets, row-major each.
+    All set pulses land first, then all resets, row-major each.  Pulses
+    leave the thresholds as they are, so the V/2 path builds the array's
+    threshold minima once for the whole step.
     """
     set_amps, reset_amps = _sign_amp_maps(signs, cfg)
     if cfg.half_select:
+        minima = threshold_minima(xbar)
         for amps in (set_amps, reset_amps):
             for r, c in np.argwhere(amps != 0.0):
                 write_pulse(xbar, r, c, amps[r, c], cfg.width,
-                            half_select=True)
+                            half_select=True, minima=minima)
     else:
         pulse_all(xbar, set_amps, cfg.width)
         pulse_all(xbar, reset_amps, cfg.width)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from xbarnet import crossbar
 from xbarnet.crossbar import (Crossbar, _pulse_cells, build_crossbar,
                               inject_cell_defects, map_to_csv, measure_maps,
-                              pulse_all, vary_bounds, vmm_currents_batch,
-                              write_pulse)
+                              pulse_all, threshold_minima, vary_bounds,
+                              vmm_currents_batch, write_pulse)
 from xbarnet.device import DefectKind, DeviceSpec
 from xbarnet.errors import (ConfigError, DimensionError, FormingRequiredError,
                             ReadRegimeError)
@@ -257,6 +257,22 @@ def test_write_pulse_equals_whole_line_oracle(case):
         write_pulse(xbar, row, col, v, width, half_select=half_select)
         whole_line_write_pulse(oracle, row, col, v, width, half_select)
         assert np.array_equal(xbar.g, oracle.g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pulsed_arrays())
+def test_write_pulse_with_minima_equals_whole_line_oracle(case):
+    # pulses never change thresholds, so minima built once, before the
+    # sequence, serve every pulse of it
+    xbar, pulses = case
+    oracle = xbar.copy()
+    minima = threshold_minima(xbar)
+    for row, col, v, width, half_select in pulses:
+        write_pulse(xbar, row, col, v, width, half_select=half_select,
+                    minima=minima)
+        whole_line_write_pulse(oracle, row, col, v, width, half_select)
+        assert np.array_equal(xbar.g, oracle.g)
+    assert threshold_minima(xbar) == minima
 
 
 def test_write_pulse_sees_a_changed_threshold(spec):

@@ -170,6 +170,34 @@ def test_pulse_sequence_stays_in_bounds(seq, seed):
         assert spec.g_min <= cell.g[0, 0] <= spec.g_max
 
 
+@st.composite
+def pulse_cases(draw):
+    """pulse_delta's arguments as Python floats: g anywhere in its window,
+    at either bound included, and amplitudes of 0 V, exactly at either
+    threshold, or anywhere in either polarity."""
+    g_lo = draw(st.floats(1e-6, 50e-6))
+    g_hi = g_lo + draw(st.floats(1e-6, 100e-6))
+    g = draw(st.one_of(st.just(g_lo), st.just(g_hi), st.floats(g_lo, g_hi)))
+    v_set = draw(st.floats(0.05, 1.5))
+    v_reset = draw(st.floats(0.05, 1.5))
+    v = draw(st.one_of(st.sampled_from([0.0, -0.0, v_set, -v_reset]),
+                       st.floats(-3.0, 3.0)))
+    return (g, v, draw(st.floats(1e-5, 1e-1)), v_set, v_reset,
+            draw(st.floats(1e-6, 1e-1)), draw(st.floats(1e-6, 1e-1)),
+            g_lo, g_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pulse_cases())
+def test_pulse_delta_float_branch_equals_array_branch(args):
+    # the per-cell write path runs on Python floats, the array paths on
+    # ndarrays: one formula, the same bits
+    scalar = pulse_delta(*args)
+    assert type(scalar) is float
+    array = pulse_delta(*(np.array([a]) for a in args))
+    assert np.array([scalar]).tobytes() == array.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 1.5), st.floats(0.05, 1.5), st.floats(-3.0, 3.0))
 def test_halfselect_identity_property(v_set, v_reset, v):

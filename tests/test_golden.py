@@ -2,25 +2,23 @@
 hashes to the sha256 prefix in the ROADMAP baseline table, and every other
 file it writes to the prefix in ``TABLES``.
 
-fig4, fig8 and fig10 take a few seconds each and run with every test
-pass, so each one checks the write-verify tuner's byte identity.  fig9,
-fig11 and fig12 take longer, so they are marked slow and deselected by
-default; run them with ``pytest -m slow``.
+fig4, fig8, fig9, fig10 and fig11 take a few seconds each and run with
+every test pass, so each one checks the write-verify tuner's byte
+identity.  fig12 takes longer, so it is marked slow and deselected by
+default; run it with ``pytest -m slow``.
 """
 
 import pytest
 
 from xbarnet import harness
 
-slow = pytest.mark.slow
-
 GOLDEN = [
     ("fig4-tuning", "3400836b95c1340f"),
     ("fig8-exsitu", "208951edc54fe7b8"),
-    pytest.param("fig9-defect-aware", "52137618b356d8dd", marks=slow),
+    ("fig9-defect-aware", "52137618b356d8dd"),
     ("fig10-insitu", "0178ac573167edde"),
-    pytest.param("fig11-hybrid", "77a8b61a25273cb1", marks=slow),
-    pytest.param("fig12-mnist", "e0ea0113e81ec680", marks=slow),
+    ("fig11-hybrid", "77a8b61a25273cb1"),
+    pytest.param("fig12-mnist", "e0ea0113e81ec680", marks=pytest.mark.slow),
 ]
 
 # each recipe's other output files, recorded with the summaries above

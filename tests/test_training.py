@@ -546,11 +546,17 @@ def test_fit_needs_an_epoch():
         TrainHyper(epochs=0)
 
 
+def test_insitu_needs_an_epoch():
+    # zero in-situ epochs would score the untrained mid-range start
+    with pytest.raises(ConfigError, match="epochs must be at least 1"):
+        InSituConfig(epochs=0)
+
+
 def test_integer_like_settings_still_accepted():
     hyper = TrainHyper(lr=1, epochs=np.int64(3), batch_size=np.int32(4),
                        target_volts=np.float64(0.5))
     assert hyper.epochs == 3
-    assert InSituConfig(epochs=0, width=1).width == 1
+    assert InSituConfig(epochs=1, width=1).width == 1
     arch = NetworkConfig(n_inputs=np.int64(16), input_voltage=np.float64(0.1))
     assert arch.rows1 == 17
     assert DeviceSpec(t_ref=25, g_max=np.float64(1e-4)).t_ref == 25
