@@ -17,7 +17,6 @@ from .crossbar import (
     Crossbar,
     build_crossbar,
     inject_cell_defects,
-    map_to_csv,
     measure_maps,
     pulse_all,
     sample_cells,

@@ -454,20 +454,3 @@ def vary_bounds(xbar: Crossbar, sigma: float, seed) -> Crossbar:
     out.g[off] = out.g_lo[off]
     return out
 
-
-# ---------------------------------------------------------------------------
-# map serialization
-# ---------------------------------------------------------------------------
-
-
-def map_to_csv(arr: np.ndarray, path):
-    """Write a 2-D map row-major as CSV: a ``rows,cols`` header line, then
-    one line per row.  Values keep full float precision (repr round-trip)."""
-    arr = np.asarray(arr)
-    if arr.ndim != 2:
-        raise DimensionError(f"expected a 2-D map, got shape {arr.shape}")
-    lines = [f"{arr.shape[0]},{arr.shape[1]}"]
-    for row in arr:
-        lines.append(",".join(repr(float(x)) for x in row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

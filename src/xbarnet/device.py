@@ -41,11 +41,12 @@ cells of a :mod:`xbarnet.crossbar` array, whose one write path applies
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ReadRegimeError, require_finite
+from .errors import (FINITE, FRACTION, NONNEG, POSITIVE, ConfigError,
+                     ReadRegimeError, check_fields, checked)
 
 # Reads above this magnitude would disturb state on real devices; the model
 # refuses them rather than silently extrapolating.
@@ -76,45 +77,29 @@ class DeviceSpec:
     quadratic I-V coefficient in 1/V.
     """
 
-    g_min: float = 10e-6
-    g_max: float = 100e-6
-    vset_mean: float = 1.0
-    vset_sigma: float = 0.15
-    vreset_mean: float = 1.0
-    vreset_sigma: float = 0.15
-    beta_set: float = 2e-3
-    beta_reset: float = 2e-3
-    kappa_mean: float = 0.25
-    kappa_sigma: float = 0.10
-    alpha0: float = 5e-3
-    alpha_exponent: float = 1.0
-    t_ref: float = 25.0
-    forming_v_mean: float = 3.0
-    forming_v_sigma: float = 0.3
-    forming_fail_prob: float = 0.10
+    g_min: float = checked(10e-6, POSITIVE)
+    g_max: float = checked(100e-6, FINITE)
+    vset_mean: float = checked(1.0, POSITIVE)
+    vset_sigma: float = checked(0.15, NONNEG)
+    vreset_mean: float = checked(1.0, POSITIVE)
+    vreset_sigma: float = checked(0.15, NONNEG)
+    beta_set: float = checked(2e-3, POSITIVE)
+    beta_reset: float = checked(2e-3, POSITIVE)
+    kappa_mean: float = checked(0.25, FINITE)
+    kappa_sigma: float = checked(0.10, NONNEG)
+    alpha0: float = checked(5e-3, FINITE)
+    alpha_exponent: float = checked(1.0, FINITE)
+    t_ref: float = checked(25.0, FINITE)
+    forming_v_mean: float = checked(3.0, FINITE)
+    forming_v_sigma: float = checked(0.3, NONNEG)
+    forming_fail_prob: float = checked(0.10, FRACTION)
 
     def __post_init__(self):
-        require_finite(self, *(f.name for f in fields(self)))
-        if not (0 < self.g_min < self.g_max):
+        check_fields(self)
+        if not self.g_min < self.g_max:
             raise ConfigError(
-                f"need 0 < g_min < g_max, got g_min={self.g_min}, g_max={self.g_max}"
+                f"need g_min < g_max, got g_min={self.g_min}, g_max={self.g_max}"
             )
-        for name in ("vset_mean", "vreset_mean"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in (
-            "vset_sigma",
-            "vreset_sigma",
-            "kappa_sigma",
-            "forming_v_sigma",
-        ):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        for name in ("beta_set", "beta_reset"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0 <= self.forming_fail_prob <= 1:
-            raise ConfigError("forming_fail_prob must lie in [0, 1]")
 
     @property
     def g_virgin(self) -> float:

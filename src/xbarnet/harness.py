@@ -37,9 +37,6 @@ import dataclasses
 from dataclasses import dataclass, field, replace
 import hashlib
 import json
-import math
-import numbers
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -51,13 +48,13 @@ from .bench import Dataset
 from .crossbar import (
     build_crossbar,
     inject_cell_defects,
-    map_to_csv,
     sample_cells,
     vary_bounds,
     vmm_currents_batch,
 )
 from .device import DeviceSpec
-from .errors import ConfigError, DataMissingError
+from .errors import (FINITE, FRACTION, NONNEG, POSITIVE, ConfigError,
+                     DataMissingError, choice, count, list_of)
 from .network import Network, NetworkConfig, assemble, evaluate
 from .neuron import (
     CompensationParams,
@@ -113,55 +110,9 @@ _ENUM_FIELDS = {
     ("hyper", "loss"): Loss,
 }
 
-# Knob checks: each returns the typed value, or raises ValueError saying what
-# the value must be; config_from_dict names the knob and the value.
-
-
-def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("must be an integer")
-    if value < 1:
-        raise ValueError("must be at least 1")
-    return int(value)
-
-
-def _real(low: float = -math.inf, high: float = math.inf, *,
-          strict: bool = False):
-    """Check for a finite real in [low, high], or in (low, high] if strict;
-    an int beyond the float range is not finite."""
-    def check(value) -> float:
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not abs(value) <= sys.float_info.max):
-            raise ValueError("must be a finite number")
-        if value > high or (value <= low if strict else value < low):
-            raise ValueError(f"must lie in [{low:g}, {high:g}]"
-                             if high < math.inf else
-                             f"must be {'>' if strict else '>='} {low:g}")
-        return float(value)
-    return check
-
-
-def _choice(*options: str):
-    def check(value) -> str:
-        if value not in options:
-            raise ValueError(f"must be one of: {', '.join(options)}")
-        return value
-    return check
-
-
-def _list_of(item):
-    """Check for a non-empty list whose items pass ``item``."""
-    def check(value) -> list:
-        if not isinstance(value, list) or not value:
-            raise ValueError("must be a non-empty list")
-        out = []
-        for v in value:
-            try:
-                out.append(item(v))
-            except ValueError as exc:
-                raise ValueError(f"item {v!r} {exc}") from None
-        return out
-    return check
+# Knob checks (errors.py's value checks): each returns the typed value, or
+# raises ValueError saying what the value must be; config_from_dict names the
+# knob and the value.
 
 
 def _directory(value) -> str:
@@ -170,17 +121,11 @@ def _directory(value) -> str:
     return value
 
 
-_FINITE = _real()
-_NONNEG = _real(0.0)
-_POSITIVE = _real(0.0, strict=True)
-_FRACTION = _real(0.0, 1.0)
-
-
 def _swing_map(value) -> dict[int, float]:
     """Neuron index -> output swing; JSON spells each index as a string."""
     if isinstance(value, dict) and all(str(k).isdecimal() for k in value):
         try:
-            return {int(k): _FINITE(swing) for k, swing in value.items()}
+            return {int(k): FINITE(swing) for k, swing in value.items()}
         except ValueError:
             pass
     raise ValueError("must map neuron indices to finite swings")
@@ -200,41 +145,41 @@ _SCHEMES = tuple(s.value for s in Scheme)
 # the recipes and sweep axes that read the knob
 _KNOBS = {
     # geometry for the array-level recipes
-    "n_rows": (None, _count, ("fig2-forming", "fig13-temp")),
-    "n_cols": (None, _count, ("fig2-forming",)),
-    "n_devices": (None, _count, ("fig3-thresholds",)),
+    "n_rows": (None, count(), ("fig2-forming", "fig13-temp")),
+    "n_cols": (None, count(), ("fig2-forming",)),
+    "n_devices": (None, count(), ("fig3-thresholds",)),
     # threshold characterization
-    "v_step": (0.05, _POSITIVE, ("fig3-thresholds",)),
-    "v_limit": (3.0, _POSITIVE, ("fig3-thresholds",)),
+    "v_step": (0.05, POSITIVE, ("fig3-thresholds",)),
+    "v_limit": (3.0, POSITIVE, ("fig3-thresholds",)),
     # tuning recipe: the resistances of white and black image levels
-    "r_white": (84e3, _POSITIVE, ("fig4-tuning",)),
-    "r_black": (7e3, _POSITIVE, ("fig4-tuning",)),
+    "r_white": (84e3, POSITIVE, ("fig4-tuning",)),
+    "r_black": (7e3, POSITIVE, ("fig4-tuning",)),
     # classification recipes
-    "n_classes": (None, _count, _LETTER_RECIPES),
-    "scheme": (None, _choice(*_SCHEMES), ("fig12-mnist",)),
-    "schemes": (None, _list_of(_choice(*_SCHEMES)), ("stuck_fraction",)),
-    "import_accuracy": (None, _NONNEG, _NETWORK_READERS),
-    "import_noise_sigma": (0.0, _NONNEG, _NETWORK_READERS),
-    "inference_noise_sigma": (0.0, _NONNEG, _NETWORK_READERS),
-    "noise_phase": ("both", _choice("import", "inference", "both"),
+    "n_classes": (None, count(), _LETTER_RECIPES),
+    "scheme": (None, choice(*_SCHEMES), ("fig12-mnist",)),
+    "schemes": (None, list_of(choice(*_SCHEMES)), ("stuck_fraction",)),
+    "import_accuracy": (None, NONNEG, _NETWORK_READERS),
+    "import_noise_sigma": (0.0, NONNEG, _NETWORK_READERS),
+    "inference_noise_sigma": (0.0, NONNEG, _NETWORK_READERS),
+    "noise_phase": ("both", choice("import", "inference", "both"),
                     ("noise_sigma",)),
-    "subsample": (None, _count, _NETWORK_READERS),
-    "stuck_on_frac": (0.0, _FRACTION, _NETWORK_READERS),
-    "stuck_off_frac": (0.0, _FRACTION, _NETWORK_READERS),
-    "stuck_neuron_high_frac": (0.0, _FRACTION, _NETWORK_READERS),
-    "stuck_neuron_low_frac": (0.0, _FRACTION, _NETWORK_READERS),
+    "subsample": (None, count(), _NETWORK_READERS),
+    "stuck_on_frac": (0.0, FRACTION, _NETWORK_READERS),
+    "stuck_off_frac": (0.0, FRACTION, _NETWORK_READERS),
+    "stuck_neuron_high_frac": (0.0, FRACTION, _NETWORK_READERS),
+    "stuck_neuron_low_frac": (0.0, FRACTION, _NETWORK_READERS),
     "swing_overrides": (None, _swing_map, _NETWORK_READERS),
-    "swing_sigma": (0.0, _NONNEG, _NETWORK_READERS),
+    "swing_sigma": (0.0, NONNEG, _NETWORK_READERS),
     # digit corpus
     "mnist_dir": (None, _directory, ("fig12-mnist",)),
-    "n_train_digits": (8000, _count, ("fig12-mnist",)),
-    "n_test_digits": (2000, _count, ("fig12-mnist",)),
+    "n_train_digits": (8000, count(), ("fig12-mnist",)),
+    "n_test_digits": (2000, count(), ("fig12-mnist",)),
     # temperature study
-    "temperatures": (None, _list_of(_FINITE), ("fig13-temp",)),
-    "g_bias_high": (80e-6, _NONNEG, ("fig13-temp",)),
-    "g_bias_low": (15e-6, _NONNEG, ("fig13-temp",)),
-    "v_bias": (0.2, _FINITE, ("fig13-temp",)),
-    "v_in": (0.2, _FINITE, ("fig13-temp",)),
+    "temperatures": (None, list_of(FINITE), ("fig13-temp",)),
+    "g_bias_high": (80e-6, NONNEG, ("fig13-temp",)),
+    "g_bias_low": (15e-6, NONNEG, ("fig13-temp",)),
+    "v_bias": (0.2, FINITE, ("fig13-temp",)),
+    "v_in": (0.2, FINITE, ("fig13-temp",)),
 }
 
 _TOP_LEVEL_KEYS = {"schema_version", "recipe", "seeds", "out_dir",
@@ -278,7 +223,10 @@ def _build_section(name: str, cls, overrides: dict):
                     f"{name}.{key} must be one of: {choices} (got {value!r})"
                 )
         kw[key] = value
-    return cls(**kw)
+    try:
+        return cls(**kw)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -410,9 +358,12 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
     return doc
 
 
+def _json_sha256(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    text = json.dumps(resolved_dict(cfg), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _json_sha256(resolved_dict(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +538,8 @@ def _recipe_forming(cfg: ExperimentConfig, out: Path):
     hist_rows = []
     for mode in per_mode:
         pooled = np.concatenate(volt_pool[mode])
-        for lo, hi, count in _hist_rows(pooled, edges):
-            hist_rows.append((lo, hi, count, mode))
+        for lo, hi, n in _hist_rows(pooled, edges):
+            hist_rows.append((lo, hi, n, mode))
     _write_csv(out / "forming_voltages.csv",
                "v_lo,v_hi,count,mode", hist_rows)
 
@@ -672,10 +623,12 @@ def _recipe_tuning(cfg: ExperimentConfig, out: Path):
         n_cells += int(attempted.sum())
         pulse_medians.append(rep.median_pulses)
         if si == 0:
-            map_to_csv(targets, out / "target_map.csv")
-            map_to_csv(tuned.g, out / "achieved_map.csv")
-            map_to_csv(tuned.g - targets, out / "error_map.csv")
-            files += ["target_map.csv", "achieved_map.csv", "error_map.csv"]
+            # each map: a rows,cols header line, then one line per row
+            for name, grid in (("target_map.csv", targets),
+                               ("achieved_map.csv", tuned.g),
+                               ("error_map.csv", tuned.g - targets)):
+                _write_csv(out / name, "{},{}".format(*grid.shape), grid)
+                files.append(name)
 
     pooled = np.concatenate(errors_pct)
     pooled_ok = np.concatenate(converged_errors_pct)
@@ -1141,13 +1094,12 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
 
 def emit_plotdata(report: SweepReport, path):
     """Tidy long-format sweep summary, one row per (value, series)."""
-    lines = ["knob,median_error,q25,q75,series"]
+    rows = []
     for name in report.series:
         med, q25, q75 = report.error_stats(name)
-        for value, m, a, b in zip(report.values, med, q25, q75):
-            lines.append(f"{_fmt(value)},{_fmt(m)},{_fmt(a)},{_fmt(b)},"
-                         f"{name}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        rows += [(value, m, a, b, name)
+                 for value, m, a, b in zip(report.values, med, q25, q75)]
+    _write_csv(Path(path), "knob,median_error,q25,q75,series", rows)
 
 
 def write_sweep_outputs(cfg: ExperimentConfig, report: SweepReport,
@@ -1177,9 +1129,7 @@ def write_sweep_outputs(cfg: ExperimentConfig, report: SweepReport,
         "schema_version": SCHEMA_VERSION,
         "recipe": cfg.recipe,
         "axis": report.axis,
-        "config_sha256": hashlib.sha256(
-            json.dumps(sweep_id, sort_keys=True).encode()
-        ).hexdigest(),
+        "config_sha256": _json_sha256(sweep_id),
         "seeds": report.seeds,
         "outputs": ["plotdata.csv", "sweep.json"],
         "data": report.notes[0] if report.notes else None,

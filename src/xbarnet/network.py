@@ -17,26 +17,22 @@ import numpy as np
 from . import bench
 from .crossbar import Crossbar, build_crossbar, vmm_currents_batch
 from .device import DeviceSpec
-from .errors import ConfigError, DimensionError, require_count, require_finite
+from .errors import (POSITIVE, ConfigError, DimensionError, boolean,
+                     check_fields, checked, count)
 from .neuron import NeuronBank, NeuronParams, bank_outputs, make_bank
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    n_inputs: int = 16
-    n_hidden: int = 10
-    n_outputs: int = 4
-    bias1: bool = True
-    bias2: bool = True
-    input_voltage: float = 0.2
+    n_inputs: int = checked(16, count())
+    n_hidden: int = checked(10, count())
+    n_outputs: int = checked(4, count())
+    bias1: bool = checked(True, boolean)
+    bias2: bool = checked(True, boolean)
+    input_voltage: float = checked(0.2, POSITIVE)
 
     def __post_init__(self):
-        require_count(self, "n_inputs", "n_hidden", "n_outputs")
-        require_finite(self, "input_voltage")
-        if min(self.n_inputs, self.n_hidden, self.n_outputs) < 1:
-            raise ConfigError("layer sizes must be positive")
-        if self.input_voltage <= 0:
-            raise ConfigError("input_voltage must be positive")
+        check_fields(self)
 
     # crossbar portions, fixed by the layer sizes and bias rows
     @property

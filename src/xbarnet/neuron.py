@@ -18,14 +18,14 @@ drifting memristive leg or an ideal resistor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
 from . import device as dev
 from .device import DeviceSpec
-from .errors import (ConfigError, DimensionError, SingularityError,
-                     require_finite)
+from .errors import (FINITE, NONNEG, POSITIVE, ConfigError, DimensionError,
+                     SingularityError, boolean, check_fields, checked)
 
 
 class NeuronFault:
@@ -36,18 +36,19 @@ class NeuronFault:
 
 @dataclass(frozen=True)
 class NeuronParams:
-    r_f: float = 2000.0
-    gain: float = 10.0
-    v_sat: float = 5.0
-    out_swing: float = 0.2
-    is_output_layer: bool = False
+    r_f: float = checked(2000.0, POSITIVE)
+    gain: float = checked(10.0, POSITIVE)
+    v_sat: float = checked(5.0, POSITIVE)
+    out_swing: float = checked(0.2, POSITIVE)
+    is_output_layer: bool = checked(False, boolean)
 
     def __post_init__(self):
-        require_finite(self, "r_f", "gain", "v_sat", "out_swing")
-        if self.r_f <= 0 or self.gain <= 0 or self.v_sat <= 0:
-            raise ConfigError("r_f, gain and v_sat must all be positive")
-        if not 0 < self.out_swing <= self.v_sat:
-            raise ConfigError("out_swing must lie in (0, v_sat]")
+        check_fields(self)
+        if not self.out_swing <= self.v_sat:
+            raise ConfigError(
+                f"need out_swing <= v_sat, got out_swing={self.out_swing}, "
+                f"v_sat={self.v_sat}"
+            )
 
 
 def differential_voltage(i_plus, i_minus, p: NeuronParams):
@@ -195,16 +196,14 @@ class CompensationParams:
     resistor.
     """
 
-    g_fb: float
-    g_bias: float = 0.0
-    v_bias: float = 0.2
+    g_fb: float = checked(MISSING, NONNEG)
+    g_bias: float = checked(0.0, NONNEG)
+    v_bias: float = checked(0.2, FINITE)
     fb_spec: DeviceSpec | None = None
     bias_spec: DeviceSpec | None = None
 
     def __post_init__(self):
-        require_finite(self, "g_fb", "g_bias", "v_bias")
-        if self.g_fb < 0 or self.g_bias < 0:
-            raise ConfigError("g_fb and g_bias must be non-negative")
+        check_fields(self)
 
 
 def _leg_conductance(g: float, spec: DeviceSpec | None, t) -> float:

@@ -45,8 +45,9 @@ import numpy as np
 from . import device as dev
 from .crossbar import Crossbar, pulse_all, threshold_minima, write_pulse
 from .device import DefectKind
-from .errors import (ConfigError, DimensionError, FormingRequiredError,
-                     MeasurementError, require_count, require_finite)
+from .errors import (FINITE, POSITIVE, ConfigError, DimensionError,
+                     FormingRequiredError, MeasurementError, boolean,
+                     check_fields, checked, count, real)
 
 
 # ---------------------------------------------------------------------------
@@ -56,16 +57,14 @@ from .errors import (ConfigError, DimensionError, FormingRequiredError,
 
 @dataclass(frozen=True)
 class FormingConfig:
-    v_start: float = 2.0
-    v_step: float = 0.1
-    v_max: float = 5.0
+    v_start: float = checked(2.0, FINITE)
+    v_step: float = checked(0.1, POSITIVE)
+    v_max: float = checked(5.0, FINITE)
 
     def __post_init__(self):
-        require_finite(self, "v_start", "v_step", "v_max")
+        check_fields(self)
         if not self.v_start < self.v_max:
             raise ConfigError("need v_start < v_max")
-        if self.v_step <= 0:
-            raise ConfigError("v_step must be positive")
 
 
 @dataclass
@@ -200,39 +199,27 @@ def extract_thresholds(xbar: Crossbar, v_step: float = 0.05,
 
 @dataclass(frozen=True)
 class TuneConfig:
-    tolerance: float = 0.05
-    v_read: float = 0.2
-    v_write_start: float = 0.8
-    v_write_step: float = 0.05
-    v_write_max: float = 2.0
+    tolerance: float = checked(0.05, real(0.0, 1.0, open_low=True,
+                                          open_high=True))
+    v_read: float = checked(0.2, real(0.0, dev.READ_REGIME_MAX,
+                                      open_low=True))
+    v_write_start: float = checked(0.8, POSITIVE)
+    v_write_step: float = checked(0.05, POSITIVE)
+    v_write_max: float = checked(2.0, FINITE)
     # low-overdrive programming moves in small steps, and low-conductance
     # targets approach their soft bound asymptotically; several hundred
     # pulses per cell is the honest price of staying gentle
-    max_pulses: int = 800
+    max_pulses: int = checked(800, count())
     # 5 ms: long enough that a measurable step needs only ~0.1 V of
     # overdrive, so tuning parks near threshold and half-select stress on
     # neighbors stays below almost the entire threshold population
-    width: float = 5e-3
-    half_select: bool = True
+    width: float = checked(5e-3, POSITIVE)
+    half_select: bool = checked(True, boolean)
 
     def __post_init__(self):
-        require_finite(self, "tolerance", "v_read", "v_write_start",
-                       "v_write_step", "v_write_max", "width")
-        require_count(self, "max_pulses")
-        if not 0 < self.tolerance < 1:
-            raise ConfigError("tolerance must lie in (0, 1)")
-        if not 0 < self.v_read <= dev.READ_REGIME_MAX:
-            raise ConfigError(
-                f"v_read must lie in (0, {dev.READ_REGIME_MAX}] V"
-            )
-        if not 0 < self.v_write_start <= self.v_write_max:
-            raise ConfigError("need 0 < v_write_start <= v_write_max")
-        if self.v_write_step <= 0:
-            raise ConfigError("v_write_step must be positive")
-        if self.max_pulses < 1:
-            raise ConfigError("max_pulses must be at least 1")
-        if self.width <= 0:
-            raise ConfigError("width must be positive")
+        check_fields(self)
+        if not self.v_write_start <= self.v_write_max:
+            raise ConfigError("need v_write_start <= v_write_max")
 
 
 @dataclass

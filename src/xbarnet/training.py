@@ -33,8 +33,9 @@ from .bench import Dataset, encode_levels
 from .crossbar import (_PULSE_BLOCK_ROWS, Crossbar, pulse_all,
                        threshold_minima, write_pulse)
 from .device import DefectKind, DeviceSpec
-from .errors import ConfigError, DimensionError, DivergenceError, \
-    require_count, require_finite
+from .errors import (FINITE, NONNEG, POSITIVE, ConfigError, DimensionError,
+                     DivergenceError, boolean, check_fields, checked, choice,
+                     count, optional)
 from .network import Network, NetworkConfig, drive_voltages, forward, \
     pair_difference, with_bias
 from .neuron import NeuronParams
@@ -56,33 +57,21 @@ class Scheme(enum.Enum):
 
 @dataclass(frozen=True)
 class TrainHyper:
-    lr: float = 0.05
-    epochs: int = 200
-    batch_size: int | None = None
-    loss: Loss = Loss.SQUARED_ERROR
+    lr: float = checked(0.05, POSITIVE)
+    epochs: int = checked(200, count())
+    batch_size: int | None = checked(None, optional(count()))
+    loss: Loss = checked(Loss.SQUARED_ERROR, choice(*Loss))
     seed: int = 0
-    early_stop_fidelity: float = 100.0
+    early_stop_fidelity: float = checked(100.0, FINITE)
     # epochs to keep training after the stop fidelity is first reached; the
     # extra descent grows decision margins so the fit survives the ~5%
     # conductance blur a hardware import adds on top
-    margin_epochs: int = 20
-    target_volts: float = 1.0
-    init_scale: float = 0.02
+    margin_epochs: int = checked(20, count(0))
+    target_volts: float = checked(1.0, POSITIVE)
+    init_scale: float = checked(0.02, NONNEG)
 
     def __post_init__(self):
-        require_finite(self, "lr", "early_stop_fidelity", "target_volts",
-                       "init_scale")
-        require_count(self, "epochs", "margin_epochs")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.batch_size is not None:
-            require_count(self, "batch_size")
-            if self.batch_size < 1:
-                raise ConfigError("batch_size must be positive when given")
-        if self.target_volts <= 0 or self.init_scale < 0:
-            raise ConfigError("target_volts > 0 and init_scale >= 0 required")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -90,25 +79,15 @@ class InSituConfig:
     # amplitudes sit just above the mean threshold: the fixed-voltage input
     # stage cannot scale pulses per device, so devices in the slow tail of
     # the threshold spread barely move while the fast tail overshoots
-    v_pulse_set: float = 1.02
-    v_pulse_reset: float = 1.02
-    width: float = 5e-2
-    epochs: int = 25
-    target_volts: float = 1.0
-    half_select: bool = True
+    v_pulse_set: float = checked(1.02, POSITIVE)
+    v_pulse_reset: float = checked(1.02, POSITIVE)
+    width: float = checked(5e-2, POSITIVE)
+    epochs: int = checked(25, count())
+    target_volts: float = checked(1.0, POSITIVE)
+    half_select: bool = checked(True, boolean)
 
     def __post_init__(self):
-        require_finite(self, "v_pulse_set", "v_pulse_reset", "width",
-                       "target_volts")
-        require_count(self, "epochs")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.v_pulse_set <= 0 or self.v_pulse_reset <= 0:
-            raise ConfigError("pulse amplitudes must be positive")
-        if self.width <= 0:
-            raise ConfigError("pulse width must be positive")
-        if self.target_volts <= 0:
-            raise ConfigError("target_volts must be positive")
+        check_fields(self)
 
 
 @dataclass
@@ -511,8 +490,6 @@ def train_defect_aware(
 class ImportReport:
     report1: TuningReport | None
     report2: TuningReport | None
-    noise_sigma: float
-    tolerance: float
 
     @property
     def n_failed(self) -> int:
@@ -560,12 +537,11 @@ def import_grids(
             live = np.isfinite(targets) & (xbar.defect == DefectKind.NONE) \
                 & xbar.formed
             xbar.g[live] = np.clip(targets, xbar.g_lo, xbar.g_hi)[live]
-        report = ImportReport(None, None, import_noise_sigma, 0.0)
-        return out, report
+        return out, ImportReport(None, None)
     cfg = replace(tune_cfg, tolerance=tol)
     out.xbar1, rep1 = import_conductance_map(out.xbar1, targets1, cfg)
     out.xbar2, rep2 = import_conductance_map(out.xbar2, targets2, cfg)
-    return out, ImportReport(rep1, rep2, import_noise_sigma, tol)
+    return out, ImportReport(rep1, rep2)
 
 
 def conductance_targets(snet: SoftwareNet, spec: DeviceSpec
@@ -641,14 +617,17 @@ def _sign_amp_maps(signs: np.ndarray, cfg: InSituConfig
     return set_amps, reset_amps
 
 
-def _apply_sign_pulses(xbar: Crossbar, signs: np.ndarray, cfg: InSituConfig):
-    """One Manhattan step on one crossbar, in place.
+def _apply_sign_pulses(xbar: Crossbar,
+                       amp_maps: tuple[np.ndarray, np.ndarray],
+                       cfg: InSituConfig):
+    """One Manhattan step on one crossbar, in place, from its
+    ``_sign_amp_maps``.
 
     All set pulses land first, then all resets, row-major each.  Pulses
     leave the thresholds as they are, so the V/2 path builds the array's
     threshold minima once for the whole step.
     """
-    set_amps, reset_amps = _sign_amp_maps(signs, cfg)
+    set_amps, reset_amps = amp_maps
     if cfg.half_select:
         minima = threshold_minima(xbar)
         for amps in (set_amps, reset_amps):
@@ -693,12 +672,13 @@ class InSituState:
         return pair_difference(self.bg2) / net.weight_scale2
 
 
-def _believe_sign_pulses(bg: np.ndarray, signs: np.ndarray,
+def _believe_sign_pulses(bg: np.ndarray,
+                         amp_maps: tuple[np.ndarray, np.ndarray],
                          cfg: InSituConfig, spec: DeviceSpec):
     """Advance believed conductances by the nominal-device response to the
     same commanded pulse maps the hardware just received, in the row blocks
     pulse_all uses and for the same reason."""
-    for amps in _sign_amp_maps(signs, cfg):
+    for amps in amp_maps:
         for start in range(0, bg.shape[0], _PULSE_BLOCK_ROWS):
             rows = slice(start, start + _PULSE_BLOCK_ROWS)
             block = bg[rows]
@@ -779,12 +759,13 @@ def insitu_epoch(
     n_err, a1, a2 = _error_accumulators(net, dataset.labels, cfg, state)
     if n_err == 0:
         return net, 0
-    signs1 = -np.sign(a1)
-    signs2 = -np.sign(a2)
-    _apply_sign_pulses(net.xbar1, signs1, cfg)
-    _apply_sign_pulses(net.xbar2, signs2, cfg)
-    _believe_sign_pulses(state.bg1, signs1, cfg, spec)
-    _believe_sign_pulses(state.bg2, signs2, cfg, spec)
+    # the hardware and the belief take the same commanded pulse maps, built
+    # once per layer
+    for xbar, bg, acc in ((net.xbar1, state.bg1, a1),
+                          (net.xbar2, state.bg2, a2)):
+        amp_maps = _sign_amp_maps(-np.sign(acc), cfg)
+        _apply_sign_pulses(xbar, amp_maps, cfg)
+        _believe_sign_pulses(bg, amp_maps, cfg, spec)
     return net, n_err
 
 

@@ -173,6 +173,20 @@ def test_synthetic_digits_classes_distinct():
             assert np.abs(means[a] - means[b]).mean() > 0.01
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p: save_idx(letter_dataset()[0], p / "i", p / "l"), ConfigError,
+     "only gray01 datasets"),
+    (lambda p: save_idx(synthetic_digits(2, seed=0), p / "i", p / "l",
+                        side=20), DimensionError, "feature count 784"),
+    (lambda p: synthetic_digits(0, seed=0), ConfigError,
+     "sample count must be positive"),
+], ids=["pm1-to-idx", "idx-side", "no-digits"])
+def test_corpus_entry_points_refuse_bad_input(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
 # --- scoring ----------------------------------------------------------------
 
 def test_score_perfect():

@@ -107,6 +107,37 @@ def test_removed_or_run_owned_value(tmp_path, doc, name, capsys):
     assert name in capsys.readouterr().err
 
 
+# switches that only True or False may set: "false" is a truthy string and
+# ran fig8 with the V/2 import under its own config hash, "no" stopped with
+# a bare int() error and 2 with a numpy shape error, both as exit 1
+@pytest.mark.parametrize("doc, name", [
+    ({"tune": {"half_select": "false"}}, "tune: half_select"),
+    ({"network": {"bias1": "no"}}, "network: bias1"),
+    ({"network": {"bias2": 2}}, "network: bias2"),
+])
+def test_non_boolean_switch(tmp_path, doc, name, capsys):
+    conf = write_config(tmp_path, json.dumps(doc))
+    code = cli.main(["run", "fig8-exsitu", "--config", conf,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert f"{name} must be true or false" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    (None, "sweep needs --config"),
+    ({"knobs": {"import_accuracy": 0.0}}, "must name its base recipe"),
+])
+def test_sweep_needs_a_base_recipe(tmp_path, doc, message, capsys):
+    # argparse requires --config, so only an empty path reaches the first
+    conf = "" if doc is None else write_config(tmp_path, json.dumps(doc))
+    code = cli.main(["sweep", "--config", conf, "--axis", "stuck_fraction=0.1",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_mnist_dir_without_the_files(tmp_path, capsys):
     empty = tmp_path / "corpus"
     empty.mkdir()

@@ -1,12 +1,14 @@
 """Array-level read/write paths, defect injection, bound variation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xbarnet import crossbar
 from xbarnet.crossbar import (Crossbar, _pulse_cells, build_crossbar,
-                              inject_cell_defects, map_to_csv, measure_maps,
+                              inject_cell_defects, measure_maps,
                               pulse_all, threshold_minima, vary_bounds,
                               vmm_currents_batch, write_pulse)
 from xbarnet.device import DefectKind, DeviceSpec
@@ -191,6 +193,31 @@ def test_write_pulse_rejects_non_finite_amplitude(spec, v):
     np.testing.assert_array_equal(b.g, g0)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda b: dataclasses.replace(b, g_lo=b.g_lo[:2]),
+     DimensionError, "field g_lo does not match"),
+    (lambda b: write_pulse(b, 4, 0, 1.5, 5e-3), DimensionError,
+     r"cell \(4, 0\) outside a 4x4 array"),
+    (lambda b: write_pulse(b, 1, 1, 1.5, 0.0), ConfigError,
+     "pulse width must be positive"),
+    (lambda b: pulse_all(b, np.zeros((4, 3)), 5e-3), DimensionError,
+     "pulse pattern shape"),
+    (lambda b: pulse_all(b, np.zeros((4, 4)), -1e-3), ConfigError,
+     "pulse width must be positive"),
+    (lambda b: measure_maps(b, v_read=0.0), ConfigError,
+     "v_read must be positive"),
+    (lambda b: vary_bounds(b, -0.1, seed=0), ConfigError,
+     "bounds sigma must be non-negative"),
+], ids=["field-shape", "cell-index", "write-width", "pattern-shape",
+        "pulse-all-width", "read-voltage", "bounds-sigma"])
+def test_array_entry_points_refuse_bad_input(spec, call, error, message):
+    b = build_crossbar(4, 4, spec, seed=0)
+    g0 = b.g.copy()
+    with pytest.raises(error, match=message):
+        call(b)
+    np.testing.assert_array_equal(b.g, g0)
+
+
 def whole_line_write_pulse(xbar, row, col, v, width, half_select=True):
     """Oracle: the write_pulse body that pulsed every row and column
     neighbour through the whole-array path, skipping nothing."""
@@ -362,15 +389,6 @@ def test_vary_bounds_keeps_stuck_pinned(xbar20):
     off = out.defect == DefectKind.STUCK_OFF
     np.testing.assert_array_equal(out.g[on], out.g_hi[on])
     np.testing.assert_array_equal(out.g[off], out.g_lo[off])
-
-
-def test_map_csv_roundtrip(tmp_path, xbar20):
-    path = tmp_path / "g.csv"
-    map_to_csv(xbar20.g, path)
-    with open(path) as f:
-        assert f.readline() == "20,20\n"
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(back, xbar20.g)
 
 
 @settings(max_examples=25, deadline=None)

@@ -282,6 +282,15 @@ def test_extract_thresholds_stuck_fails(spec):
         extract_thresholds(unformed)
 
 
+@pytest.mark.parametrize("steps", [
+    {"v_step": 0.0}, {"v_step": -0.05}, {"v_limit": 0.0},
+])
+def test_extract_thresholds_refuses_a_non_positive_staircase(spec, steps):
+    with pytest.raises(ConfigError, match="v_step and v_limit must be "
+                                          "positive"):
+        extract_thresholds(make_cell(spec, 50e-6), **steps)
+
+
 def test_extract_thresholds_faster_kinetics_not_higher(spec):
     base = dataclasses.replace(spec, beta_set=5e-3, beta_reset=5e-3)
     fast = dataclasses.replace(spec, beta_set=1e-2, beta_reset=1e-2)

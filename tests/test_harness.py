@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from xbarnet import bench, harness, training
+from xbarnet.crossbar import build_crossbar
+from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError
 
 
@@ -73,6 +75,21 @@ STOCK = {"schema_version": 1, "recipe": "fig8-exsitu"}
 def test_config_document_shape_rejected(doc, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         harness.config_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"tune": {"half_select": "false"}},
+     "tune: half_select must be true or false, got 'false'"),
+    ({"insitu": {"half_select": 0}},
+     "insitu: half_select must be true or false, got 0"),
+    ({"network": {"bias1": "no"}},
+     "network: bias1 must be true or false, got 'no'"),
+    ({"network": {"bias2": 2}},
+     "network: bias2 must be true or false, got 2"),
+])
+def test_section_switches_must_be_booleans(doc, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config(**doc)
 
 
 def test_every_knob_is_read():
@@ -256,6 +273,20 @@ def test_environment_does_not_choose_the_digit_corpus(tmp_path,
     assert note == "procedural digit corpus (12 train / 6 test)"
 
 
+def test_map_csv_roundtrip(tmp_path):
+    # fig4's maps: a rows,cols header, then one row per line at full float
+    # precision
+    spec = DeviceSpec()
+    g = build_crossbar(20, 20, spec, seed=7).g
+    g[:] = np.random.default_rng(3).uniform(spec.g_min, spec.g_max, g.shape)
+    path = tmp_path / "g.csv"
+    harness._write_csv(path, "{},{}".format(*g.shape), g)
+    with open(path) as f:
+        assert f.readline() == "20,20\n"
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(back, g)
+
+
 # --- sweeps -------------------------------------------------------------------
 
 # axis -> (values, series fidelity per (value, seed)), recorded before the
@@ -418,6 +449,18 @@ def stock_run(tmp_path_factory):
 def test_fast_recipe_summary_pinned(recipe, prefix, stock_run, output_pins):
     output_pins(stock_run(recipe), {"summary.json": prefix,
                                     **SUMMARY_TABLES.get(recipe, {})})
+
+
+@pytest.mark.parametrize("cfg, out, message", [
+    # 200 kOhm white pixels ask for 5 uS, below the 10 uS g_min
+    (lambda: config("fig4-tuning", knobs={"r_white": 200e3}), True,
+     "image maps outside the device range"),
+    (lambda: config("fig2-forming"), False, "no output directory"),
+], ids=["fig4-image-range", "no-out-dir"])
+def test_recipe_refuses_before_it_runs(cfg, out, message, tmp_path):
+    with pytest.raises(ConfigError, match=message):
+        harness.run_recipe(cfg(), out_dir=tmp_path if out else None)
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("recipe, extra, prefix", [

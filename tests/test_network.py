@@ -1,5 +1,6 @@
 """Two-crossbar perceptron: differential pairs, assembly, inference."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -83,6 +84,8 @@ def test_interleave_pair_inverse():
     np.testing.assert_array_equal(pair_difference(grid), gp - gm)
     with pytest.raises(DimensionError):
         pair_difference(np.zeros((2, 5)))
+    with pytest.raises(DimensionError, match="pair halves"):
+        interleave_pairs(np.zeros((5, 7)), np.zeros((5, 6)))
 
 
 # --- assembly ---------------------------------------------------------------
@@ -150,6 +153,20 @@ def test_effective_weights_roundtrip():
     got1, got2 = read_weights(net)
     np.testing.assert_allclose(got1, w1, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(got2, w2, rtol=1e-10, atol=1e-12)
+
+
+# a network's parts must match its config; each swap below used to fail
+# later, inside a read
+@pytest.mark.parametrize("parts, message", [
+    (lambda n: {"xbar1": n.xbar2}, "xbar1 shape"),
+    (lambda n: {"xbar2": n.xbar1}, "xbar2 shape"),
+    (lambda n: {"hidden_neurons": n.output_neurons}, "hidden bank size"),
+    (lambda n: {"output_neurons": n.hidden_neurons}, "output bank size"),
+], ids=["xbar1", "xbar2", "hidden", "output"])
+def test_network_refuses_parts_that_do_not_match(parts, message):
+    net = ideal_net()
+    with pytest.raises(DimensionError, match=message):
+        dataclasses.replace(net, **parts(net))
 
 
 # --- inference --------------------------------------------------------------

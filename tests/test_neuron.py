@@ -119,6 +119,23 @@ def test_vary_swing_spread_and_floor():
     np.testing.assert_array_equal(same.swing, bank.swing)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_bank(0, HIDDEN), ConfigError, "bank size"),
+    (lambda: NeuronBank(HIDDEN, np.ones(3), np.zeros(4, dtype=np.int8)),
+     DimensionError, "must align"),
+    (lambda: inject_neuron_faults(make_bank(4, HIDDEN), 1.5, 0.0, None, 0),
+     ConfigError, r"stuck_high_frac must lie in \[0, 1\]"),
+    (lambda: inject_neuron_faults(make_bank(4, HIDDEN), 0.0, -0.1, None, 0),
+     ConfigError, r"stuck_low_frac must lie in \[0, 1\]"),
+    (lambda: vary_swing(make_bank(4, HIDDEN), -0.1, 0), ConfigError,
+     "swing sigma"),
+], ids=["empty-bank", "misaligned-bank", "high-frac", "low-frac",
+        "swing-sigma"])
+def test_bank_entry_points_refuse_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # --- temperature-compensated output stage -----------------------------------
 
 def column_current(g_cells, spec, v, t=None):

@@ -12,16 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xbarnet import training
-from xbarnet.bench import encode_levels, letter_dataset
+from xbarnet.bench import Dataset, encode_levels, letter_dataset
 from xbarnet.crossbar import inject_cell_defects
 from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError, DimensionError, DivergenceError
 from xbarnet.network import (NetworkConfig, assemble, classify,
                              drive_voltages, forward, pair_difference)
-from xbarnet.neuron import NeuronParams
+from xbarnet.neuron import CompensationParams, NeuronParams
 from xbarnet.progtune import FormingConfig, TuneConfig
-from xbarnet.training import (InSituConfig, InSituState, Loss, Scheme,
-                              TrainHyper, build_software_net,
+from xbarnet.training import (InSituConfig, InSituState, Loss, MeasuredMaps,
+                              Scheme, TrainHyper, build_software_net,
                               conductance_targets, insitu_epoch,
                               loss_and_grads, measure_network_maps,
                               run_scheme, software_forward,
@@ -434,6 +434,32 @@ def test_import_report_counts_the_failures_of_both_crossbars():
     assert rep.n_failed == rep.report1.n_failed + rep.report2.n_failed
 
 
+def _train_on(dataset):
+    return train_defect_aware(dataset, letter_net(), None, TrainHyper())
+
+
+def _labelled(label):
+    train, _ = letter_dataset()
+    return Dataset(train.pixels, np.full(len(train), label), label + 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_software_net(
+        letter_net(), MeasuredMaps(*[np.zeros((2, 2))] * 6, v_read=0.2)),
+     DimensionError, "measured maps do not match"),
+    (lambda: _train_on(Dataset(np.zeros((0, 16)), np.zeros(0, int), 4)),
+     ConfigError, "training dataset is empty"),
+    (lambda: _train_on(_labelled(4)), ConfigError,
+     "dataset has label 4 but the network only has 4 outputs"),
+    (lambda: training.import_grids(letter_net(), None, None, TuneConfig(),
+                                   import_accuracy=-0.01),
+     ConfigError, "import accuracy must be nonnegative"),
+], ids=["map-shape", "empty-dataset", "label-range", "import-accuracy"])
+def test_training_entry_points_refuse_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_chunked_error_count_equals_the_whole_batch_count():
     # _count_errors runs the forward pass a chunk of rows at a time; on a
     # batch that is not a multiple of the chunk it counts what one
@@ -560,3 +586,45 @@ def test_integer_like_settings_still_accepted():
     arch = NetworkConfig(n_inputs=np.int64(16), input_voltage=np.float64(0.1))
     assert arch.rows1 == 17
     assert DeviceSpec(t_ref=25, g_max=np.float64(1e-4)).t_ref == 25
+
+
+# every field of every config dataclass declares its check next to the
+# field; these few stay unchecked: no document can set hyper.seed, and the
+# compensation legs' specs are DeviceSpecs, checked when they were built
+CONFIG_CLASSES = (DeviceSpec, NetworkConfig, NeuronParams, CompensationParams,
+                  FormingConfig, TuneConfig, TrainHyper, InSituConfig)
+UNCHECKED_FIELDS = {(TrainHyper, "seed"), (CompensationParams, "fb_spec"),
+                    (CompensationParams, "bias_spec")}
+REQUIRED_FIELDS = {CompensationParams: {"g_fb": 1e-3}}
+CONFIG_FIELDS = [(cls, f) for cls in CONFIG_CLASSES
+                 for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize(
+    "cls, f", CONFIG_FIELDS,
+    ids=[f"{cls.__name__}.{f.name}" for cls, f in CONFIG_FIELDS])
+def test_every_config_field_is_checked(cls, f):
+    base = REQUIRED_FIELDS.get(cls, {})
+    if (cls, f.name) in UNCHECKED_FIELDS:
+        assert "check" not in f.metadata
+        return
+    check = f.metadata.get("check")
+    assert check is not None, f"{cls.__name__}.{f.name} declares no check"
+    check(base.get(f.name, f.default))
+    if f.type in ("float", "int", "int | None"):
+        bad_values = (math.nan, math.inf, -math.inf, True)
+    elif f.type == "bool":
+        bad_values = ("false", 1, 0, None)
+    else:  # the loss enum: its string value is not a member
+        bad_values = (f.default.value, None)
+    for bad in bad_values:
+        with pytest.raises(ConfigError, match=f"^{f.name} must "):
+            cls(**{**base, f.name: bad})
+
+
+def test_field_checks_keep_the_value_as_given():
+    # asdict of a section feeds the config hash, so an integral float field
+    # stays an int and a numpy count stays numpy
+    hyper = TrainHyper(lr=1, epochs=np.int64(3))
+    assert type(hyper.lr) is int
+    assert type(hyper.epochs) is np.int64
