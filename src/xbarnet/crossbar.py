@@ -37,7 +37,7 @@ and a ``write_pulse`` without minima reads the thresholds as they are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,8 +65,7 @@ class Crossbar:
 
     def __post_init__(self):
         shape = self.g.shape
-        for name in ("v_set", "v_reset", "kappa", "v_form", "formed",
-                     "defect", "g_lo", "g_hi"):
+        for name in _CELL_FIELDS:
             if getattr(self, name).shape != shape:
                 raise DimensionError(f"field {name} does not match g shape {shape}")
 
@@ -78,41 +77,29 @@ class Crossbar:
     def cols(self) -> int:
         return self.g.shape[1]
 
+    def _map_cells(self, fn) -> "Crossbar":
+        """A Crossbar of the same spec whose every per-cell field is
+        ``fn(field)``."""
+        return Crossbar(self.spec, **{name: fn(getattr(self, name))
+                                      for name in _CELL_FIELDS})
+
     def copy(self) -> "Crossbar":
-        return Crossbar(
-            spec=self.spec,
-            g=self.g.copy(),
-            v_set=self.v_set.copy(),
-            v_reset=self.v_reset.copy(),
-            kappa=self.kappa.copy(),
-            v_form=self.v_form.copy(),
-            formed=self.formed.copy(),
-            defect=self.defect.copy(),
-            g_lo=self.g_lo.copy(),
-            g_hi=self.g_hi.copy(),
-        )
+        return self._map_cells(np.ndarray.copy)
 
     def _row_view(self, rows: slice) -> "Crossbar":
         """The cells of ``rows`` as a Crossbar whose fields are views of
         this one's, so pulsing it pulses these cells in place."""
-        return Crossbar(
-            spec=self.spec,
-            g=self.g[rows],
-            v_set=self.v_set[rows],
-            v_reset=self.v_reset[rows],
-            kappa=self.kappa[rows],
-            v_form=self.v_form[rows],
-            formed=self.formed[rows],
-            defect=self.defect[rows],
-            g_lo=self.g_lo[rows],
-            g_hi=self.g_hi[rows],
-        )
+        return self._map_cells(lambda field: field[rows])
 
     def _check_index(self, row: int, col: int):
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise DimensionError(
                 f"cell ({row}, {col}) outside a {self.rows}x{self.cols} array"
             )
+
+
+# every field but spec holds one entry per cell
+_CELL_FIELDS = tuple(f.name for f in fields(Crossbar) if f.name != "spec")
 
 
 def build_crossbar(
@@ -225,9 +212,10 @@ def vmm_currents_batch(
 
 
 def measure_maps(
-    xbar: Crossbar, v_read: float = 0.2, t: float | None = None
+    xbar: Crossbar, v_read: float = 0.2
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell (conductance map, asymmetry map) as a readout would see them.
+    """Per-cell (conductance map, asymmetry map) as a readout at t_ref
+    would see them.
 
     Conductance is I(+v_read)/v_read; asymmetry is the percent mismatch
     100 * (I(+v) - |I(-v)|) / I(+v) between forward and reverse reads.
@@ -235,13 +223,12 @@ def measure_maps(
     if v_read <= 0:
         raise ConfigError("v_read must be positive")
     dev.check_read_regime(v_read)
-    g_eff = dev.effective_conductance(xbar.g, xbar.spec, t)
     # I(+v)/v and the forward/reverse mismatch, written so the positive
-    # factor g_eff*v cancels algebraically: an ideal array reads back its
+    # factor g*v cancels algebraically: an ideal array reads back its
     # stored conductances bit-exactly.
     f_fwd = 1.0 + xbar.kappa * v_read
     f_rev = 1.0 - xbar.kappa * v_read
-    g_map = g_eff * f_fwd
+    g_map = xbar.g * f_fwd
     asym = 100.0 * (f_fwd - np.abs(f_rev)) / f_fwd
     return g_map, asym
 

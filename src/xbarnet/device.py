@@ -169,13 +169,14 @@ def pulse_delta(g, v, width, v_set, v_reset, beta_set, beta_reset, g_lo, g_hi):
     return d_set - d_reset
 
 
-def differential_conductance(g, v_read: float, spec: DeviceSpec, t=None):
-    """(I(+v) - I(-v)) / (2 v): the two-point verify read. Elementwise.
+def differential_conductance(g, v_read: float):
+    """(I(+v) - I(-v)) / (2 v): the two-point verify read at t_ref.
+    Elementwise.
 
     The subtraction cancels the even kappa term exactly, so this returns the
-    drifted conductance itself and takes no kappa; computing it directly
-    (instead of via two currents and a division) keeps the cancellation
-    bit-exact.  This is the observable the write-verify tuner converges on.
+    conductance itself and takes no kappa; computing it directly (instead of
+    via two currents and a division) keeps the cancellation bit-exact.  This
+    is the observable the write-verify tuner converges on.
     """
     if v_read <= 0:
         raise ConfigError("v_read must be positive")
@@ -183,4 +184,4 @@ def differential_conductance(g, v_read: float, spec: DeviceSpec, t=None):
         raise ReadRegimeError(
             f"verify read at {v_read} V exceeds the read regime limit"
         )
-    return effective_conductance(g, spec, t)
+    return g

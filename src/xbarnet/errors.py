@@ -146,6 +146,15 @@ def checked(default, check):
     return dataclasses.field(default=default, metadata={"check": check})
 
 
+def run_check(check, value, name: str):
+    """``check(value)``, its ValueError raised as a ConfigError that names
+    the value: "<name> must ..., got <value>"."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name} {exc}, got {value!r}") from None
+
+
 def check_fields(obj):
     """Run every declared field check of a config dataclass instance.
 
@@ -154,10 +163,5 @@ def check_fields(obj):
     """
     for f in dataclasses.fields(obj):
         check = f.metadata.get("check")
-        if check is None:
-            continue
-        value = getattr(obj, f.name)
-        try:
-            check(value)
-        except ValueError as exc:
-            raise ConfigError(f"{f.name} {exc}, got {value!r}") from None
+        if check is not None:
+            run_check(check, getattr(obj, f.name), f.name)

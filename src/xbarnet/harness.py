@@ -54,7 +54,8 @@ from .crossbar import (
 )
 from .device import DeviceSpec
 from .errors import (FINITE, FRACTION, NONNEG, POSITIVE, ConfigError,
-                     DataMissingError, choice, count, list_of)
+                     DataMissingError, choice, count, list_of, real,
+                     run_check)
 from .network import Network, NetworkConfig, assemble, evaluate
 from .neuron import (
     CompensationParams,
@@ -139,6 +140,8 @@ _AXES = ("import_accuracy", "stuck_fraction", "bounds_sigma", "noise_sigma",
 # runs it through _run
 _NETWORK_READERS = _LETTER_RECIPES + ("fig12-mnist",) + _AXES
 _SCHEMES = tuple(s.value for s in Scheme)
+# an import's relative tuning tolerance; 0 is the ideal import
+_ACCURACY = real(0.0, 1.0, open_high=True)
 
 # key -> (default, check, readers): a default of None means unset, and the
 # reader picks its own; the check types a document's value; the readers are
@@ -158,7 +161,7 @@ _KNOBS = {
     "n_classes": (None, count(), _LETTER_RECIPES),
     "scheme": (None, choice(*_SCHEMES), ("fig12-mnist",)),
     "schemes": (None, list_of(choice(*_SCHEMES)), ("stuck_fraction",)),
-    "import_accuracy": (None, NONNEG, _NETWORK_READERS),
+    "import_accuracy": (None, _ACCURACY, _NETWORK_READERS),
     "import_noise_sigma": (0.0, NONNEG, _NETWORK_READERS),
     "inference_noise_sigma": (0.0, NONNEG, _NETWORK_READERS),
     "noise_phase": ("both", choice("import", "inference", "both"),
@@ -258,12 +261,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if key not in _KNOBS:
             raise ConfigError(f"unknown knob {key!r}")
         default, check, _ = _KNOBS[key]
-        try:
-            # None sets a knob back to unset where unset is its default
-            knobs[key] = None if value is None and default is None \
-                else check(value)
-        except ValueError as exc:
-            raise ConfigError(f"knob {key!r} {exc}, got {value!r}") from None
+        # None sets a knob back to unset where unset is its default
+        knobs[key] = None if value is None and default is None \
+            else run_check(check, value, f"knob {key!r}")
 
     return ExperimentConfig(
         recipe=recipe,
@@ -993,6 +993,7 @@ def _sweep_temperature(p: _SweepPoint, net: Network) -> dict:
 
 
 class _SweepAxis(NamedTuple):
+    check: Callable  # types one axis value (errors.py's value checks)
     series: Callable[[ExperimentConfig], list]  # series names
     run: Callable[[_SweepPoint, Network], dict]  # series name -> fidelity
     # the scheme every series runs; None: each series names its scheme
@@ -1002,17 +1003,20 @@ class _SweepAxis(NamedTuple):
 
 
 SWEEP_AXES = {
-    "import_accuracy": _SweepAxis(_exsitu_series, _sweep_import_accuracy,
+    "import_accuracy": _SweepAxis(_ACCURACY, _exsitu_series,
+                                  _sweep_import_accuracy,
                                   sets=("import_accuracy",)),
-    "stuck_fraction": _SweepAxis(_scheme_series, _sweep_stuck_fraction),
-    "bounds_sigma": _SweepAxis(lambda cfg: ["in-situ"], _sweep_bounds_sigma),
-    "noise_sigma": _SweepAxis(lambda cfg: [cfg.knobs["noise_phase"]],
+    "stuck_fraction": _SweepAxis(FRACTION, _scheme_series,
+                                 _sweep_stuck_fraction),
+    "bounds_sigma": _SweepAxis(NONNEG, lambda cfg: ["in-situ"],
+                               _sweep_bounds_sigma),
+    "noise_sigma": _SweepAxis(NONNEG, lambda cfg: [cfg.knobs["noise_phase"]],
                               _sweep_noise_sigma, scheme="ex-situ",
                               sets=("import_noise_sigma",
                                     "inference_noise_sigma")),
-    "stuck_neuron_fraction": _SweepAxis(_exsitu_series,
+    "stuck_neuron_fraction": _SweepAxis(FRACTION, _exsitu_series,
                                         _sweep_stuck_neuron_fraction),
-    "temperature": _SweepAxis(_exsitu_series, _sweep_temperature),
+    "temperature": _SweepAxis(FINITE, _exsitu_series, _sweep_temperature),
 }
 
 
@@ -1024,7 +1028,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
     the dataset (fig12-mnist means digits, anything else letters).  A base
     config that sets a knob the axis sets at every point (its ``sets``)
     raises ConfigError, since that value would be ignored, and so does an
-    empty value grid or a ``seeds`` list that breaks the config's seed rule.
+    empty value grid, a value that fails the axis's check or a ``seeds``
+    list that breaks the config's seed rule, all before any run.
     Results are keyed by (value index, seed index), so the worker count
     changes wall time and nothing else.
     """
@@ -1039,7 +1044,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
         if cfg.knobs[key] != _KNOBS[key][0]:
             raise ConfigError(f"knob {key!r} is set by the {axis} sweep at "
                               f"every point; leave it out of the base config")
-    values = [float(v) for v in values]
+    values = [run_check(sweep_axis.check, v, f"sweep axis {axis!r} value")
+              for v in values]
     if not values:
         raise ConfigError("a sweep needs at least one value")
     seeds = _checked_seeds(list(seeds)) if seeds is not None \

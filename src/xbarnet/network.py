@@ -10,7 +10,7 @@ the plain matrix forward pass agree to float rounding on ideal devices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,17 +127,19 @@ def assemble(config: NetworkConfig, spec: DeviceSpec, seed) -> Network:
 
     The two arrays draw from independently spawned seed streams, so the
     second array's devices do not depend on the first array's size.  The
-    banks take the stock neuron params, so the weight scales are 1/r_f.
+    banks take the stock neuron params, so the weight scales are 1/r_f; the
+    output bank has no divider, so its swing is its v_sat.
     """
     ss = np.random.SeedSequence(seed)
     s1, s2 = ss.spawn(2)
+    hidden = NeuronParams()
     return Network(
         config=config,
         xbar1=build_crossbar(config.rows1, config.cols1, spec, s1),
         xbar2=build_crossbar(config.rows2, config.cols2, spec, s2),
-        hidden_neurons=make_bank(config.n_hidden, NeuronParams()),
+        hidden_neurons=make_bank(config.n_hidden, hidden),
         output_neurons=make_bank(config.n_outputs,
-                                 NeuronParams(is_output_layer=True)),
+                                 replace(hidden, out_swing=hidden.v_sat)),
     )
 
 

@@ -2,13 +2,14 @@
 
 A neuron takes the currents of its (G+, G-) column pair, converts the
 difference to a voltage through the feedback resistance, clips with a
-piece-linear gain stage, and (hidden layers only) divides the result down so
-the next crossbar is driven inside its non-disturbing read window:
+piece-linear gain stage, and divides the result down to its output swing:
 
     v_diff = r_f * (i_plus - i_minus)
-    v_clip = clamp(gain * v_diff, -v_sat, +v_sat)
-    out    = v_clip                      (output layer)
-    out    = v_clip * out_swing / v_sat  (hidden layer)
+    out    = clamp(gain * v_diff, -v_sat, +v_sat) * out_swing / v_sat
+
+Both layers follow this one law.  A hidden neuron's swing brings its output
+into the next crossbar's non-disturbing read window; an output neuron has no
+divider, which is the law with out_swing = v_sat.
 
 Per-neuron imperfections are the measured kind: output-swing spread across
 the bank and stuck-high/low faults.  The temperature-compensated output
@@ -25,7 +26,7 @@ import numpy as np
 from . import device as dev
 from .device import DeviceSpec
 from .errors import (FINITE, NONNEG, POSITIVE, ConfigError, DimensionError,
-                     SingularityError, boolean, check_fields, checked)
+                     SingularityError, check_fields, checked)
 
 
 class NeuronFault:
@@ -40,7 +41,6 @@ class NeuronParams:
     gain: float = checked(10.0, POSITIVE)
     v_sat: float = checked(5.0, POSITIVE)
     out_swing: float = checked(0.2, POSITIVE)
-    is_output_layer: bool = checked(False, boolean)
 
     def __post_init__(self):
         check_fields(self)
@@ -55,15 +55,22 @@ def differential_voltage(i_plus, i_minus, p: NeuronParams):
     return p.r_f * (i_plus - i_minus)
 
 
-def _clip_stage(v_diff, p: NeuronParams):
-    return np.clip(p.gain * v_diff, -p.v_sat, p.v_sat)
+def transfer(v_diff, p: NeuronParams, swing=None):
+    """The neuron law, clamp(gain * v_diff, +-v_sat) * swing / v_sat, at
+    swing p.out_swing unless given (a bank's per-neuron swings).  With
+    swing = v_sat the scale factor is exactly 1."""
+    swing = p.out_swing if swing is None else swing
+    return np.clip(p.gain * v_diff, -p.v_sat, p.v_sat) * (swing / p.v_sat)
+
+
+def slope(p: NeuronParams) -> float:
+    """d out / d v_diff inside the linear region: gain * out_swing / v_sat,
+    grouped so that an output stage (out_swing = v_sat) gives gain exactly."""
+    return p.gain * (p.out_swing / p.v_sat)
 
 
 def neuron_out(i_plus: float, i_minus: float, p: NeuronParams) -> float:
-    v_clip = _clip_stage(differential_voltage(i_plus, i_minus, p), p)
-    if p.is_output_layer:
-        return float(v_clip)
-    return float(v_clip * (p.out_swing / p.v_sat))
+    return float(transfer(differential_voltage(i_plus, i_minus, p), p))
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +80,7 @@ def neuron_out(i_plus: float, i_minus: float, p: NeuronParams) -> float:
 
 @dataclass
 class NeuronBank:
-    """A layer's worth of neurons: shared params, per-neuron swing and fault.
-
-    ``swing`` only matters for hidden banks (the scaling stage); output banks
-    carry it for uniformity but never apply it.
-    """
+    """A layer's worth of neurons: shared params, per-neuron swing and fault."""
 
     params: NeuronParams
     swing: np.ndarray
@@ -109,22 +112,14 @@ def bank_outputs(bank: NeuronBank, v_diff: np.ndarray) -> np.ndarray:
     """Vectorized neuron_out over a layer, swing spread and faults applied.
 
     v_diff may be (n,) or (batch, n); faults pin the affected neuron's output
-    for every pattern in the batch.
+    at +-its swing for every pattern in the batch.
     """
     v_diff = np.asarray(v_diff, dtype=np.float64)
     if v_diff.shape[-1] != bank.n:
         raise DimensionError(
             f"v_diff trailing dim {v_diff.shape[-1]} != bank size {bank.n}"
         )
-    p = bank.params
-    v_clip = np.clip(p.gain * v_diff, -p.v_sat, p.v_sat)
-    if p.is_output_layer:
-        out = v_clip
-        high, low = p.v_sat, -p.v_sat
-        out = np.where(bank.fault == NeuronFault.STUCK_HIGH, high, out)
-        out = np.where(bank.fault == NeuronFault.STUCK_LOW, low, out)
-        return out
-    out = v_clip * (bank.swing / p.v_sat)
+    out = transfer(v_diff, bank.params, bank.swing)
     out = np.where(bank.fault == NeuronFault.STUCK_HIGH, bank.swing, out)
     out = np.where(bank.fault == NeuronFault.STUCK_LOW, -bank.swing, out)
     return out

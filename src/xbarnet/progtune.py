@@ -262,8 +262,7 @@ class TuningReport:
 
 
 def _verify(xbar: Crossbar, row: int, col: int, cfg: TuneConfig) -> float:
-    return float(dev.differential_conductance(xbar.g[row, col], cfg.v_read,
-                                              xbar.spec))
+    return float(dev.differential_conductance(xbar.g[row, col], cfg.v_read))
 
 
 # Full-amplitude pulses per polarity that decide whether a cell the tuner
@@ -427,7 +426,7 @@ def _import_sequential(xbar, targets, live, cfg):
             work, res = tune_cell(work, row, col, targets[row, col], inner)
             pulses[row, col] += res.pulses
             stuck[row, col] = res.stuck
-        meas = dev.differential_conductance(work.g, cfg.v_read, work.spec)
+        meas = dev.differential_conductance(work.g, cfg.v_read)
         with np.errstate(invalid="ignore"):
             rel_error = np.where(live, (meas - targets) / targets, np.nan)
         out_of_band = live & ~stuck & (np.abs(rel_error) > cfg.tolerance)
@@ -485,7 +484,7 @@ def _tune_block(block, targets, live, cfg):
     last_dir = np.zeros(shape, dtype=np.int8)
     pulses = np.zeros(shape, dtype=np.int64)
 
-    meas = dev.differential_conductance(block.g, cfg.v_read, block.spec)
+    meas = dev.differential_conductance(block.g, cfg.v_read)
     for _ in range(cfg.max_pulses):
         # a live cell has a finite error and band, and a dead one is
         # inactive already, so ">" is the negation of "<=" here
@@ -506,7 +505,7 @@ def _tune_block(block, targets, live, cfg):
         v_amp = np.maximum(v_amp - cfg.v_write_step * (moved > backoff_floor),
                            cfg.v_write_start)
         pulses += active
-        meas = dev.differential_conductance(block.g, cfg.v_read, block.spec)
+        meas = dev.differential_conductance(block.g, cfg.v_read)
     active &= np.abs(meas - targets) > band
 
     stuck = np.zeros(shape, dtype=bool)
@@ -521,7 +520,7 @@ def _tune_block(block, targets, live, cfg):
                       cfg.width)
         reset_alive = block.g != g1
         stuck = active & ~set_alive & ~reset_alive
-        meas = dev.differential_conductance(block.g, cfg.v_read, block.spec)
+        meas = dev.differential_conductance(block.g, cfg.v_read)
     return meas, pulses, active, stuck
 
 

@@ -30,15 +30,14 @@ import numpy as np
 from . import device as dev
 from . import network as netmod
 from .bench import Dataset, encode_levels
-from .crossbar import (_PULSE_BLOCK_ROWS, Crossbar, pulse_all,
-                       threshold_minima, write_pulse)
+from .crossbar import Crossbar, pulse_all, threshold_minima, write_pulse
 from .device import DefectKind, DeviceSpec
 from .errors import (FINITE, NONNEG, POSITIVE, ConfigError, DimensionError,
                      DivergenceError, boolean, check_fields, checked, choice,
                      count, optional)
 from .network import Network, NetworkConfig, drive_voltages, forward, \
     pair_difference, with_bias
-from .neuron import NeuronParams
+from .neuron import NeuronParams, slope, transfer
 from .progtune import TuneConfig, TuningReport, diagnose_defects, \
     import_conductance_map
 
@@ -291,13 +290,10 @@ def _vdiff(x: np.ndarray, layer: LayerModel) -> np.ndarray:
 
 def _forward(snet: SoftwareNet, x1: np.ndarray):
     vdiff1 = _vdiff(x1, snet.layer1)
-    hp = snet.hidden_params
-    a1 = hp.gain * vdiff1
-    hidden = np.clip(a1, -hp.v_sat, hp.v_sat) * (hp.out_swing / hp.v_sat)
+    hidden = transfer(vdiff1, snet.hidden_params)
     x2 = with_bias(hidden, snet.config.bias2, snet.config.input_voltage)
     vdiff2 = _vdiff(x2, snet.layer2)
-    op = snet.output_params
-    y = np.clip(op.gain * vdiff2, -op.v_sat, op.v_sat)
+    y = transfer(vdiff2, snet.output_params)
     return y, hidden, vdiff1, vdiff2, x1, x2
 
 
@@ -364,13 +360,13 @@ def _loss_and_grads(snet: SoftwareNet, x1: np.ndarray, labels: np.ndarray,
     l2 = snet.layer2
     hp, op = snet.hidden_params, snet.output_params
     lin2 = (np.abs(op.gain * vdiff2) < op.v_sat).astype(np.float64)
-    delta2 = dy * op.gain * lin2
+    delta2 = dy * slope(op) * lin2
     dx2 = delta2 @ l2.w.T
     if l2.quadratic:
         dx2 += 2.0 * x2 * (delta2 @ (l2.c + l2.d * l2.w).T)
     dh = dx2[:, : hidden.shape[1]]
     lin1 = (np.abs(hp.gain * vdiff1) < hp.v_sat).astype(np.float64)
-    delta1 = dh * (hp.gain * hp.out_swing / hp.v_sat) * lin1
+    delta1 = dh * slope(hp) * lin1
     return value, _dw(x1, delta1, snet.layer1), _dw(x2, delta2, l2), n_err
 
 
@@ -641,11 +637,13 @@ def _apply_sign_pulses(xbar: Crossbar,
 
 @dataclass
 class InSituState:
-    """The training computer's open-loop picture of the two crossbars, and
-    the fit set's input drive.
+    """The training computer's open-loop picture of the output crossbar,
+    and the fit set's input drive.
 
-    The in-situ flow reads the array once at the start (that read is cheap
-    and the hardware flow did it anyway), then tracks every commanded pulse
+    Only the hidden chain of the Manhattan step needs weights, and it reads
+    layer 2's alone, so that is the one array the state believes.  The
+    in-situ flow reads it once at the start (that read is cheap and the
+    hardware flow did it anyway), then tracks every commanded layer-2 pulse
     through the nominal device model: mean thresholds, nominal bounds, the
     same soft-bound kinetics.  What it can never know is each device's
     actual threshold, so under threshold spread the belief and the silicon
@@ -659,13 +657,12 @@ class InSituState:
     insitu_epoch refuses a dataset whose length does not match it.
     """
 
-    bg1: np.ndarray
     bg2: np.ndarray
     drive: np.ndarray
 
     @classmethod
     def from_network(cls, net: Network, dataset: Dataset) -> "InSituState":
-        return cls(bg1=net.xbar1.g.copy(), bg2=net.xbar2.g.copy(),
+        return cls(bg2=net.xbar2.g.copy(),
                    drive=drive_voltages(net.config, encode_levels(dataset)))
 
     def believed_w2(self, net: Network) -> np.ndarray:
@@ -675,20 +672,16 @@ class InSituState:
 def _believe_sign_pulses(bg: np.ndarray,
                          amp_maps: tuple[np.ndarray, np.ndarray],
                          cfg: InSituConfig, spec: DeviceSpec):
-    """Advance believed conductances by the nominal-device response to the
-    same commanded pulse maps the hardware just received, in the row blocks
-    pulse_all uses and for the same reason."""
+    """Advance believed conductances, in place, by the nominal-device
+    response to the same commanded pulse maps the hardware just received."""
     for amps in amp_maps:
-        for start in range(0, bg.shape[0], _PULSE_BLOCK_ROWS):
-            rows = slice(start, start + _PULSE_BLOCK_ROWS)
-            block = bg[rows]
-            block += dev.pulse_delta(
-                block, amps[rows], cfg.width,
-                spec.vset_mean, spec.vreset_mean,
-                spec.beta_set, spec.beta_reset,
-                spec.g_min, spec.g_max,
-            )
-            np.clip(block, spec.g_min, spec.g_max, out=block)
+        bg += dev.pulse_delta(
+            bg, amps, cfg.width,
+            spec.vset_mean, spec.vreset_mean,
+            spec.beta_set, spec.beta_reset,
+            spec.g_min, spec.g_max,
+        )
+        np.clip(bg, spec.g_min, spec.g_max, out=bg)
 
 
 def _error_accumulators(net: Network, labels: np.ndarray,
@@ -709,19 +702,17 @@ def _error_accumulators(net: Network, labels: np.ndarray,
     onehot = np.zeros_like(y)
     onehot[np.arange(n), labels] = 1.0
     t = cfg.target_volts * (2.0 * onehot - 1.0)
-    op = net.output_neurons.params
-    hp = net.hidden_neurons.params
     # saturation gates from observable outputs; output-layer accumulators
     # need only measured quantities, the hidden chain needs weights
-    gate2 = (np.abs(y) < op.v_sat).astype(np.float64)
-    delta2 = (y - t) * op.gain * gate2
+    gate2 = (np.abs(y) < net.output_neurons.swing).astype(np.float64)
+    delta2 = (y - t) * slope(net.output_neurons.params) * gate2
     delta2[~mis] = 0.0
     a2 = trace.v_in2.T @ delta2
     # the hidden gate stays a boolean mask and multiplies delta1 in place,
     # by 1.0 or 0.0 as a float gate would, without a full-batch float copy
     gate1 = np.abs(trace.hidden) < net.hidden_neurons.swing
     delta1 = (delta2 @ state.believed_w2(net).T)[:, : net.config.n_hidden] \
-        * (hp.gain * hp.out_swing / hp.v_sat)
+        * slope(net.hidden_neurons.params)
     delta1 *= gate1
     a1 = state.drive.T @ delta1
     return n_err, a1, a2
@@ -747,7 +738,7 @@ def insitu_epoch(
 
     The layer-1 chain term uses the computer's believed output weights
     (open loop after the initial read), and state advances by the nominal
-    response to the commanded pulses.
+    response to the commanded layer-2 pulses.
     """
     spec = net.xbar1.spec
     _check_insitu_amplitudes(cfg, spec)
@@ -759,13 +750,11 @@ def insitu_epoch(
     n_err, a1, a2 = _error_accumulators(net, dataset.labels, cfg, state)
     if n_err == 0:
         return net, 0
-    # the hardware and the belief take the same commanded pulse maps, built
-    # once per layer
-    for xbar, bg, acc in ((net.xbar1, state.bg1, a1),
-                          (net.xbar2, state.bg2, a2)):
-        amp_maps = _sign_amp_maps(-np.sign(acc), cfg)
-        _apply_sign_pulses(xbar, amp_maps, cfg)
-        _believe_sign_pulses(bg, amp_maps, cfg, spec)
+    _apply_sign_pulses(net.xbar1, _sign_amp_maps(-np.sign(a1), cfg), cfg)
+    # layer 2 and its belief take the same commanded pulse maps, built once
+    amp_maps = _sign_amp_maps(-np.sign(a2), cfg)
+    _apply_sign_pulses(net.xbar2, amp_maps, cfg)
+    _believe_sign_pulses(state.bg2, amp_maps, cfg, spec)
     return net, n_err
 
 

@@ -160,6 +160,36 @@ def test_malformed_axis(tmp_path, axis):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("axis", [
+    "import_accuracy=1.5", "stuck_fraction=-0.2", "bounds_sigma=-0.1",
+    "noise_sigma=-0.1", "stuck_neuron_fraction=-0.2", "temperature=nan",
+])
+def test_sweep_value_outside_its_axis(tmp_path, axis, capsys):
+    # temperature=nan would otherwise exit 4 from the read
+    conf = write_config(tmp_path, json.dumps({"recipe": "fig8-exsitu"}))
+    out = tmp_path / "out"
+    code = cli.main(["sweep", "--config", conf, "--axis", axis,
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    name = axis.split("=")[0]
+    assert f"sweep axis {name!r} value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_accuracy_outside_its_range(tmp_path, capsys):
+    # refused at load, before the fit and the output directory, naming the
+    # knob rather than the tune field it feeds
+    conf = write_config(tmp_path,
+                        json.dumps({"knobs": {"import_accuracy": 1.5}}))
+    out = tmp_path / "out"
+    code = cli.main(["run", "fig8-exsitu", "--config", conf,
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "knob 'import_accuracy' must lie in [0, 1)" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_sweep_without_seeds(tmp_path, seeds, capsys):
     # an empty seed range used to exit 0 and write empty series

@@ -70,14 +70,14 @@ def test_read_regime_enforced(spec):
         read_terms(50e-6, 0.0, float("nan"), spec)
 
 
-def test_verify_read_regime_rejects_nan(spec):
-    assert dev.differential_conductance(42e-6, 0.2, spec) == 42e-6
+def test_verify_read_regime_rejects_nan():
+    assert dev.differential_conductance(42e-6, 0.2) == 42e-6
     with pytest.raises(ReadRegimeError):
-        dev.differential_conductance(42e-6, float("nan"), spec)
+        dev.differential_conductance(42e-6, float("nan"))
     with pytest.raises(ReadRegimeError):
-        dev.differential_conductance(42e-6, 0.6, spec)
+        dev.differential_conductance(42e-6, 0.6)
     with pytest.raises(ConfigError):
-        dev.differential_conductance(42e-6, 0.0, spec)
+        dev.differential_conductance(42e-6, 0.0)
 
 
 def test_thermal_drift_ratio_exact(spec):
@@ -107,7 +107,7 @@ def test_differential_read_cancels_kappa(spec):
     kappa = np.array([0.0, 0.3, 0.7])
     two_point = (read_terms(g, kappa, 0.2, spec)
                  - read_terms(g, kappa, -0.2, spec)) / 0.4
-    out = dev.differential_conductance(g, 0.2, spec)
+    out = dev.differential_conductance(g, 0.2)
     np.testing.assert_array_equal(out, g)
     np.testing.assert_allclose(two_point, out, rtol=1e-12)
 

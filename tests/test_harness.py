@@ -2,7 +2,10 @@
 under any worker count, the benchmark's workload documents, and the pinned
 outputs of the fast recipes."""
 
+import importlib
 import importlib.util
+import inspect
+import json
 import math
 import re
 from pathlib import Path
@@ -191,13 +194,16 @@ def test_empty_or_unknown_knob_values_fail(recipe, key, value):
     ("schemes", ["ex-situ", "sideways"], "item 'sideways' must be one of"),
     ("temperatures", [25.0, "hot"], "item 'hot' must be a finite number"),
     ("stuck_off_frac", 1.5, r"must lie in \[0, 1\]"),
-    ("import_accuracy", -0.01, "must be >= 0"),
+    ("import_accuracy", -0.01, r"must lie in \[0, 1\)"),
     ("v_in", 10**400, "must be a finite number"),
     ("v_step", 0.0, "must be > 0"),
     ("swing_overrides", {"first": 0.2}, "must map neuron indices to finite"),
     ("swing_overrides", {"-1": 0.2}, "must map neuron indices to finite"),
     ("swing_overrides", [0.2], "must map neuron indices to finite"),
     ("mnist_dir", 7, "must name a directory"),
+    # a tolerance of 1.5 used to load and fail after the software fit,
+    # naming the tune field instead of the knob
+    ("import_accuracy", 1.5, r"must lie in \[0, 1\)"),
 ])
 def test_knob_check_says_what_the_value_must_be(key, value, message):
     with pytest.raises(ConfigError, match=f"knob {key!r} {message}"):
@@ -369,6 +375,27 @@ def test_sweep_grid_must_be_non_empty_and_distinct(values, seeds, message):
                           seeds=seeds)
 
 
+@pytest.mark.parametrize("axis, value, message", [
+    ("import_accuracy", 1.5, r"must lie in \[0, 1\), got 1.5"),
+    ("stuck_fraction", -0.2, r"must lie in \[0, 1\], got -0.2"),
+    ("bounds_sigma", -0.1, "must be >= 0, got -0.1"),
+    ("noise_sigma", -0.1, "must be >= 0, got -0.1"),
+    ("stuck_neuron_fraction", -0.2, r"must lie in \[0, 1\], got -0.2"),
+    ("temperature", math.nan, "must be a finite number, got nan"),
+])
+def test_sweep_checks_every_value_before_any_fit(monkeypatch, axis, value,
+                                                 message):
+    # unchecked, a negative noise sigma ran noise-free and the others failed
+    # late, after the fit, naming an internal value or as a read fault
+    calls = []
+    monkeypatch.setattr(training, "train_defect_aware",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigError,
+                       match=f"sweep axis {axis!r} value {message}"):
+        harness.run_sweep(fast_sweep_config(axis), axis, [0.0, value])
+    assert calls == []
+
+
 def test_unknown_sweep_axis_rejected():
     with pytest.raises(ConfigError, match="unknown sweep axis 'width'"):
         harness.run_sweep(fast_sweep_config(), "width", [0.1])
@@ -382,17 +409,44 @@ def test_sweep_needs_a_worker():
 
 # --- the benchmark's workloads -----------------------------------------------
 
-def _benchmark_workloads():
-    """perfbench/workloads.py of this checkout: the config documents the
-    benchmark hands the program."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench_module(name):
+    """perfbench/<name>.py of this checkout, loaded without running it."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _benchmark_workloads()
+# the config documents the benchmark hands the program
+WORKLOADS = _perfbench_module("workloads")
+
+
+def _public_functions(layer: str) -> set:
+    """The functions the benchmark's tracer wraps in one layer module."""
+    mod = importlib.import_module(f"xbarnet.{layer}")
+    return {attr for attr, fn in vars(mod).items()
+            if not attr.startswith("_") and inspect.isfunction(fn)
+            and fn.__module__ == mod.__name__}
+
+
+def test_benchmark_names_public_functions():
+    # a renamed or privatized function would silently zero its probe or
+    # its <layer>.<function>.<metric> per-layer metrics
+    tracer = _perfbench_module("tracer")
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = set(tracer.PROBES) | {m["name"].rsplit(".", 1)[0]
+                                  for m in metrics
+                                  if m["name"].count(".") == 2}
+
+    def public(name):
+        layer, function = name.split(".")
+        return layer in tracer.LAYERS and function in _public_functions(layer)
+    assert names
+    assert sorted(name for name in names if not public(name)) == []
 
 
 @pytest.mark.parametrize("seed", [0, 1])

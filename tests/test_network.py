@@ -137,7 +137,7 @@ def test_weight_scales_follow_the_banks():
     net = assemble(NetworkConfig(), DeviceSpec(), seed=0)
     assert net.weight_scale1 == net.weight_scale2 == 1.0 / 2000.0
     net.output_neurons = make_bank(4, NeuronParams(r_f=1000.0,
-                                                   is_output_layer=True))
+                                                   out_swing=5.0))
     assert net.weight_scale2 == 1.0 / 1000.0
     assert net.copy().weight_scale2 == 1.0 / 1000.0
 

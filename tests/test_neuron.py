@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xbarnet import device as dev
 from xbarnet.device import DeviceSpec
@@ -12,7 +13,7 @@ from xbarnet.neuron import (CompensationParams, NeuronBank, NeuronFault,
 from xbarnet.errors import ConfigError, DimensionError, SingularityError
 
 HIDDEN = NeuronParams()
-OUTPUT = NeuronParams(is_output_layer=True)
+OUTPUT = NeuronParams(out_swing=HIDDEN.v_sat)  # no divider
 
 
 def di_for(v_diff, p=HIDDEN):
@@ -89,6 +90,23 @@ def test_fault_pins_output():
     assert out[1] == pytest.approx(HIDDEN.out_swing)
     assert out[4] == pytest.approx(-HIDDEN.out_swing)
     assert np.all(out[[0, 2, 3, 5]] == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.sampled_from(
+    [NeuronFault.OK, NeuronFault.STUCK_HIGH, NeuronFault.STUCK_LOW])),
+    min_size=1, max_size=12))
+def test_output_bank_is_the_law_without_a_divider(cells):
+    # v_diff reaches 4x past saturation (gain * 2 V = 20 V against 5 V)
+    v_diff = np.array([v for v, _ in cells])
+    bank = make_bank(len(cells), OUTPUT)
+    bank.fault[:] = [fault for _, fault in cells]
+    # oracle: an output stage written apart from the hidden one, the clip
+    # alone, with faults pinned at +-v_sat
+    want = np.clip(OUTPUT.gain * v_diff, -OUTPUT.v_sat, OUTPUT.v_sat)
+    want = np.where(bank.fault == NeuronFault.STUCK_HIGH, OUTPUT.v_sat, want)
+    want = np.where(bank.fault == NeuronFault.STUCK_LOW, -OUTPUT.v_sat, want)
+    assert bank_outputs(bank, v_diff).tobytes() == want.tobytes()
 
 
 def test_inject_faults_counts_and_overrides():
