@@ -65,7 +65,7 @@ from .training import (
     TrainHyper,
     TrainingReport,
     insitu_epoch,
-    run_scheme,
+    run_schemes,
     train_defect_aware,
 )
 from .bench import (

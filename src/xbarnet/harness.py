@@ -72,12 +72,13 @@ from .progtune import (
     import_conductance_map,
 )
 from .training import (
+    BLIND_FIT_SCHEMES,
     InSituConfig,
     Loss,
     Scheme,
     SoftwareNet,
     TrainHyper,
-    run_scheme,
+    run_schemes,
     software_forward,
     software_weights_for,
 )
@@ -468,25 +469,19 @@ def _base_net(cfg: ExperimentConfig, seed: int) -> Network:
     return net
 
 
-# the schemes that import a blind software fit: _run hands a caller's fit
-# to these alone, so one fit per seed can serve several runs
-_FIT_SCHEMES = (Scheme.EX_SITU.value, Scheme.HYBRID.value)
-
-
-def _run(cfg: ExperimentConfig, scheme, train: Dataset, net: Network,
-         test: Dataset, seed: int, fit: SoftwareNet | None = None):
-    hyper = replace(cfg.hyper, seed=seed)
-    return run_scheme(
-        scheme, train, net,
+def _run(cfg: ExperimentConfig, schemes, train: Dataset, net: Network,
+         test: Dataset, seed: int, fit=None) -> dict:
+    return run_schemes(
+        schemes, train, net,
         test_set=test,
-        hyper=hyper,
+        hyper=replace(cfg.hyper, seed=seed),
         tune_cfg=cfg.tune,
         insitu_cfg=cfg.insitu,
         import_accuracy=cfg.knobs["import_accuracy"],
         import_noise_sigma=cfg.knobs["import_noise_sigma"],
         inference_noise_sigma=cfg.knobs["inference_noise_sigma"],
         subsample=cfg.knobs["subsample"],
-        precomputed_fit=fit if scheme in _FIT_SCHEMES else None,
+        fit=fit,
     )
 
 
@@ -652,8 +647,9 @@ def _recipe_tuning(cfg: ExperimentConfig, out: Path):
 
 @dataclass(frozen=True)
 class _LetterStudy:
-    """A letter recipe as data.  Each seed's schemes run on copies of the
-    same hardware and report paired fidelities (fidelity.csv)."""
+    """A letter recipe as data.  Each seed's schemes run together on the
+    same hardware, sharing their common stages, and report paired
+    fidelities (fidelity.csv)."""
 
     schemes: tuple[str, ...]
     # (file, schemes): the first seed's per-epoch error counts
@@ -666,10 +662,11 @@ class _LetterStudy:
         per_seed = []
         traces = {}
         for seed in cfg.seeds:
-            base = _base_net(cfg, seed)
+            runs = _run(cfg, self.schemes, train, _base_net(cfg, seed), test,
+                        seed)
             row = {"seed": seed}
             for scheme in self.schemes:
-                _, rep = _run(cfg, scheme, train, base.copy(), test, seed)
+                rep = runs[scheme][1]
                 row[f"{scheme}_train"] = rep.final_train_fidelity
                 row[f"{scheme}_test"] = rep.final_test_fidelity
                 row[f"{scheme}_epochs"] = len(rep.trace)
@@ -719,10 +716,10 @@ def _recipe_mnist(cfg: ExperimentConfig, out: Path):
     per_seed = []
     for seed in cfg.seeds:
         net = _base_net(cfg, seed)
-        hyper = replace(cfg.hyper, seed=seed)
-        snet = software_weights_for(net, train, hyper, sub)
-        sw_err = _software_error(net, snet, test)
-        _, rep = _run(cfg, scheme, train, net, test, seed, snet)
+        fit = software_weights_for(net, train, replace(cfg.hyper, seed=seed),
+                                   sub)
+        sw_err = _software_error(net, fit[0], test)
+        _, rep = _run(cfg, [scheme], train, net, test, seed, fit)[scheme]
         per_seed.append({
             "seed": seed,
             "software_test_error": sw_err,
@@ -927,17 +924,19 @@ class _SweepPoint:
     test: Dataset
     value: float
     seed: int
-    fit: SoftwareNet | None  # the seed's software fit, shared, read only
+    # the seed's blind fit (software_weights_for), shared, read only
+    fit: tuple[SoftwareNet, list[int]] | None
 
-    def run(self, scheme: str, net: Network, **knobs):
-        """run_scheme at this point with some knobs overridden; (net,
-        report).  Schemes that import a blind fit reuse the seed's."""
+    def run(self, schemes, net: Network, **knobs) -> dict:
+        """run_schemes here, some knobs overridden: {scheme: (net, rep)}."""
         cfg = replace(self.cfg, knobs=dict(self.cfg.knobs, **knobs))
-        return _run(cfg, scheme, self.train, net, self.test, self.seed,
+        return _run(cfg, schemes, self.train, net, self.test, self.seed,
                     self.fit)
 
-    def fidelity(self, scheme: str, net: Network, **knobs) -> float:
-        return self.run(scheme, net, **knobs)[1].final_test_fidelity
+    def fidelity(self, schemes, net: Network, **knobs) -> dict:
+        runs = self.run(schemes, net, **knobs)
+        return {scheme: rep.final_test_fidelity
+                for scheme, (_, rep) in runs.items()}
 
 
 def _exsitu_series(cfg: ExperimentConfig) -> list[str]:
@@ -950,30 +949,30 @@ def _scheme_series(cfg: ExperimentConfig) -> list[str]:
 
 
 def _sweep_import_accuracy(p: _SweepPoint, net: Network) -> dict:
-    return {"ex-situ": p.fidelity("ex-situ", net, import_accuracy=p.value)}
+    return p.fidelity(["ex-situ"], net, import_accuracy=p.value)
 
 
 def _sweep_stuck_fraction(p: _SweepPoint, net: Network) -> dict:
     half = p.value / 2
     net.xbar1 = inject_cell_defects(net.xbar1, half, half, [p.seed, 21])
     net.xbar2 = inject_cell_defects(net.xbar2, half, half, [p.seed, 22])
-    return {scheme: p.fidelity(scheme, net.copy()) for scheme in p.series}
+    return p.fidelity(p.series, net)
 
 
 def _sweep_bounds_sigma(p: _SweepPoint, net: Network) -> dict:
     net.xbar1 = vary_bounds(net.xbar1, p.value, [p.seed, 23])
     net.xbar2 = vary_bounds(net.xbar2, p.value, [p.seed, 24])
-    return {"in-situ": p.fidelity("in-situ", net)}
+    return p.fidelity(["in-situ"], net)
 
 
 def _sweep_noise_sigma(p: _SweepPoint, net: Network) -> dict:
     phase = p.series[0]
     return {phase: p.fidelity(
-        "ex-situ", net,
+        ["ex-situ"], net,
         import_noise_sigma=p.value if phase in ("import", "both") else 0.0,
         inference_noise_sigma=p.value if phase in ("inference", "both")
         else 0.0,
-    )}
+    )["ex-situ"]}
 
 
 def _sweep_stuck_neuron_fraction(p: _SweepPoint, net: Network) -> dict:
@@ -981,11 +980,11 @@ def _sweep_stuck_neuron_fraction(p: _SweepPoint, net: Network) -> dict:
     net.hidden_neurons = inject_neuron_faults(
         net.hidden_neurons, half, half, None, [p.seed, 25]
     )
-    return {"ex-situ": p.fidelity("ex-situ", net)}
+    return p.fidelity(["ex-situ"], net)
 
 
 def _sweep_temperature(p: _SweepPoint, net: Network) -> dict:
-    final, _ = p.run("ex-situ", net)
+    final, _ = p.run(["ex-situ"], net)["ex-situ"]
     return {"ex-situ": evaluate(
         final, p.test, t=p.value,
         noise_sigma=p.cfg.knobs["inference_noise_sigma"],
@@ -1057,16 +1056,14 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, *,
     names = sweep_axis.series(cfg)
     schemes = [sweep_axis.scheme] if sweep_axis.scheme else names
 
-    # One software fit per seed covers every grid point whose scheme imports
-    # a blind fit; computed up front, and only read by the pool tasks.
-    cache: dict[int, SoftwareNet] = {}
-    if not set(schemes).isdisjoint(_FIT_SCHEMES):
-        for seed in seeds:
-            net0 = _base_net(cfg, seed)
-            cache[seed] = software_weights_for(
-                net0, train, replace(cfg.hyper, seed=seed),
-                cfg.knobs["subsample"]
-            )
+    # One blind fit per seed covers every grid point whose schemes import
+    # it; computed up front, and only read by the pool tasks.
+    cache = {}
+    if BLIND_FIT_SCHEMES & {Scheme(s) for s in schemes}:
+        cache = {seed: software_weights_for(_base_net(cfg, seed), train,
+                                            replace(cfg.hyper, seed=seed),
+                                            cfg.knobs["subsample"])
+                 for seed in seeds}
 
     def task(value: float, seed: int) -> dict:
         point = _SweepPoint(cfg, names, train, test, value, seed,

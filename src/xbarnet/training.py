@@ -489,11 +489,8 @@ class ImportReport:
 
     @property
     def n_failed(self) -> int:
-        total = 0
-        for rep in (self.report1, self.report2):
-            if rep is not None:
-                total += rep.n_failed
-        return total
+        return sum(rep.n_failed for rep in (self.report1, self.report2)
+                   if rep is not None)
 
 
 def _perturb_targets(targets, sigma, rng, xbar):
@@ -565,11 +562,9 @@ def conductance_targets(snet: SoftwareNet, spec: DeviceSpec
         gm = np.where(free, g_mid - 0.5 * s * layer.w, np.nan)
         gm = np.where(only_p, layer.g_stuck_plus - s * layer.w, gm)
         gp = np.where(only_m, layer.g_stuck_minus + s * layer.w, gp)
-        gp = np.where(np.isfinite(gp), np.clip(gp, spec.g_min, spec.g_max),
-                      np.nan)
-        gm = np.where(np.isfinite(gm), np.clip(gm, spec.g_min, spec.g_max),
-                      np.nan)
-        out.append(netmod.interleave_pairs(gp, gm))
+        # a stuck cell's NaN target stays NaN through the clip
+        out.append(np.clip(netmod.interleave_pairs(gp, gm), spec.g_min,
+                           spec.g_max))
     return out[0], out[1]
 
 
@@ -784,10 +779,14 @@ def initialize_midrange(
 # ---------------------------------------------------------------------------
 
 
+# the schemes that import the blind (map-free) software fit: run_schemes
+# fits only when one of them runs, and a sweep fits once per seed for them
+BLIND_FIT_SCHEMES = frozenset({Scheme.EX_SITU, Scheme.HYBRID})
+
+
 def prepare_fit_set(train_set: Dataset, subsample: int | None, seed
                     ) -> Dataset:
-    """Deterministic training subset used by run_scheme; exposed so sweep
-    drivers can reproduce the exact fit set when precomputing a fit."""
+    """Deterministic training subset of a run, its first stage."""
     if subsample is not None and subsample < len(train_set):
         idx = np.random.default_rng(seed).choice(
             len(train_set), size=subsample, replace=False
@@ -796,22 +795,24 @@ def prepare_fit_set(train_set: Dataset, subsample: int | None, seed
     return train_set
 
 
+def _stage_seeds(hyper: TrainHyper):
+    """(s_sub, s_import, s_init, s_eval): every random draw of a run."""
+    return np.random.SeedSequence(hyper.seed).spawn(4)
+
+
 def software_weights_for(
     net: Network,
     train_set: Dataset,
     hyper: TrainHyper,
     subsample: int | None = None,
-) -> SoftwareNet:
-    """The map-free software fit run_scheme would perform for ex-situ or
-    hybrid, as the fitted model.  Sweep drivers call this once per seed and
-    hand it to run_scheme(..., precomputed_fit=...) at every grid point
-    where the fit would otherwise be recomputed unchanged; that run is the
-    run that fits for itself, bit for bit.  The model is read only from then
-    on, so concurrent runs may share it; nothing may change it.
-    """
-    s_sub = np.random.SeedSequence(hyper.seed).spawn(4)[0]
-    fit_set = prepare_fit_set(train_set, subsample, s_sub)
-    return train_defect_aware(fit_set, net, None, hyper)[2]
+) -> tuple[SoftwareNet, list[int]]:
+    """The blind (map-free) fit stage of run_schemes: (fitted model, epoch
+    error trace).  Handed back in as run_schemes(..., fit=...), it gives the
+    run that fits for itself, bit for bit, trace included; the model is
+    only read from then on, so concurrent runs may share it."""
+    fit_set = prepare_fit_set(train_set, subsample, _stage_seeds(hyper)[0])
+    _, _, snet, trace = train_defect_aware(fit_set, net, None, hyper)
+    return snet, trace
 
 
 def _insitu_loop(net: Network, fit_set: Dataset, cfg: InSituConfig
@@ -829,8 +830,8 @@ def _insitu_loop(net: Network, fit_set: Dataset, cfg: InSituConfig
     return trace
 
 
-def run_scheme(
-    scheme: Scheme | str,
+def run_schemes(
+    schemes,
     train_set: Dataset,
     net: Network,
     *,
@@ -842,62 +843,63 @@ def run_scheme(
     import_noise_sigma: float = 0.0,
     inference_noise_sigma: float = 0.0,
     subsample: int | None = None,
-    precomputed_fit: SoftwareNet | None = None,
-) -> tuple[Network, TrainingReport]:
-    """Run one full training scheme against one network instance.
+    fit: tuple[SoftwareNet, list[int]] | None = None,
+) -> dict:
+    """Run training schemes against one network instance, building each
+    stage they share once: {scheme: (network, report)}, in their order.
 
-    Sub-seeds (import noise, subsampling, initialization, evaluation noise)
-    all derive from hyper.seed, so a (network, scheme, seed) triple pins the
-    entire run.
-
-    Every scheme but in-situ fits, maps the fit with conductance_targets
-    and tunes it in; defect-aware alone probes the arrays first, fits
-    through the measured maps and tunes the probed arrays.  Hybrid and
-    in-situ then run in-situ epochs, in-situ from a random mid-range start.
-
-    ``precomputed_fit`` (software_weights_for) reuses one fit across sweep
-    points; only ex-situ and hybrid take it, and the caller must have
-    fitted it on the same (fit set, architecture, hyper) this call would
-    use.  It is only read.
+    No stage changes net, and the sub-seeds derive from hyper.seed, so each
+    scheme's run equals that scheme run alone.  The stages, in order: the
+    fit set; the blind fit, unless handed in (software_weights_for); one
+    import of it, which ex-situ keeps; hybrid's in-situ loop, on a copy of
+    that import only when ex-situ keeps it too; defect-aware's probe, its
+    fit through the measured maps and its import; in-situ's random
+    mid-range start and its loop.  Each scheme evaluates with its own
+    default_rng(s_eval), on train then test.
     """
-    scheme = Scheme(scheme) if not isinstance(scheme, Scheme) else scheme
-    if precomputed_fit is not None \
-            and scheme not in (Scheme.EX_SITU, Scheme.HYBRID):
-        raise ConfigError(
-            "a precomputed fit only makes sense for ex-situ or hybrid runs"
-        )
-    ss = np.random.SeedSequence(hyper.seed)
-    s_sub, s_import, s_init, s_eval = ss.spawn(4)
-
+    wanted = {Scheme(s) for s in schemes}
+    s_sub, s_import, s_init, s_eval = _stage_seeds(hyper)
     fit_set = prepare_fit_set(train_set, subsample, s_sub)
+    runs = {}  # scheme -> (network, trace)
 
-    if scheme is Scheme.IN_SITU:
-        out, _ = initialize_midrange(net, tune_cfg, seed=s_init)
-    else:
-        target_net, maps = net, None
-        if scheme is Scheme.DEFECT_AWARE:
-            target_net, maps = measure_network_maps(net, tune_cfg)
-        if precomputed_fit is None:
-            _, _, snet, trace = train_defect_aware(fit_set, net, maps, hyper)
-        else:
-            snet, trace = precomputed_fit, []
+    def imported(target_net: Network, snet: SoftwareNet) -> Network:
         # the target grids live only through the import, not the in-situ
-        # loop that follows
-        out, _ = import_grids(target_net,
-                              *conductance_targets(snet, net.xbar1.spec),
-                              tune_cfg, import_noise_sigma, import_accuracy,
-                              seed=s_import)
+        # loops that follow
+        return import_grids(target_net,
+                            *conductance_targets(snet, net.xbar1.spec),
+                            tune_cfg, import_noise_sigma, import_accuracy,
+                            seed=s_import)[0]
 
-    if scheme in (Scheme.IN_SITU, Scheme.HYBRID):
-        trace = _insitu_loop(out, fit_set, insitu_cfg)
+    if wanted & BLIND_FIT_SCHEMES:
+        snet, trace = fit or software_weights_for(net, train_set, hyper,
+                                                  subsample)
+        out = imported(net, snet)
+        runs[Scheme.EX_SITU] = out, trace
+        if Scheme.HYBRID in wanted:
+            out = out.copy() if Scheme.EX_SITU in wanted else out
+            runs[Scheme.HYBRID] = out, _insitu_loop(out, fit_set, insitu_cfg)
+    if Scheme.DEFECT_AWARE in wanted:
+        probed, maps = measure_network_maps(net, tune_cfg)
+        _, _, snet, trace = train_defect_aware(fit_set, net, maps, hyper)
+        runs[Scheme.DEFECT_AWARE] = imported(probed, snet), trace
+    if Scheme.IN_SITU in wanted:
+        out, _ = initialize_midrange(net, tune_cfg, seed=s_init)
+        runs[Scheme.IN_SITU] = out, _insitu_loop(out, fit_set, insitu_cfg)
 
-    eval_rng = np.random.default_rng(s_eval)
-    final_train = netmod.evaluate(out, train_set,
-                                  noise_sigma=inference_noise_sigma,
-                                  rng=eval_rng)
-    final_test = None
-    if test_set is not None:
-        final_test = netmod.evaluate(out, test_set,
-                                     noise_sigma=inference_noise_sigma,
-                                     rng=eval_rng)
-    return out, TrainingReport(list(trace), final_train, final_test)
+    def fidelity(out: Network, dataset: Dataset | None, rng):
+        return None if dataset is None else netmod.evaluate(
+            out, dataset, noise_sigma=inference_noise_sigma, rng=rng)
+
+    results = {}
+    for scheme in schemes:
+        out, trace = runs[Scheme(scheme)]
+        rng = np.random.default_rng(s_eval)
+        results[scheme] = out, TrainingReport(
+            list(trace), fidelity(out, train_set, rng),
+            fidelity(out, test_set, rng))
+    return results
+
+
+def run_scheme(scheme, train_set: Dataset, net: Network, **kwargs):
+    """One scheme run alone: run_schemes([scheme], ...)[scheme]."""
+    return run_schemes([scheme], train_set, net, **kwargs)[scheme]

@@ -3,6 +3,7 @@
 else."""
 
 import json
+import re
 
 import pytest
 
@@ -39,6 +40,20 @@ def test_sweep_succeeds(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert json.loads((out / "sweep.json").read_text())["seeds"] == [0]
     assert "ex-situ median error" in capsys.readouterr().out
+
+
+def test_run_prints_each_schemes_median(tmp_path, capsys):
+    # fig9 runs ex-situ and defect-aware on one board; ideal import and
+    # whole-array writes keep it fast
+    conf = write_config(tmp_path, json.dumps({
+        "knobs": {"import_accuracy": 0.0}, "tune": {"half_select": False}}))
+    code = cli.main(["run", "fig9-defect-aware", "--config", conf,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    for scheme in ("ex-situ", "defect-aware"):
+        assert re.search(rf"^  {scheme} median test fidelity = \d+\.\d\d%$",
+                         printed, re.MULTILINE), scheme
 
 
 def test_unknown_recipe(tmp_path, capsys):

@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,21 @@ def test_sweep_axis_pinned(axis, workers):
     report = harness.run_sweep(fast_sweep_config(axis), axis, values,
                                workers=workers)
     assert {name: s.tolist() for name, s in report.series.items()} == want
+
+
+def test_four_scheme_sweep_pinned():
+    # every scheme through one stuck_fraction sweep: each point runs the
+    # schemes together on one board, sharing the fit and its import
+    base = fast_sweep_config()
+    schemes = ["ex-situ", "hybrid", "defect-aware", "in-situ"]
+    cfg = replace(base, knobs=dict(base.knobs, schemes=schemes))
+    report = harness.run_sweep(cfg, "stuck_fraction", [0.0, 0.1])
+    assert {name: s.tolist() for name, s in report.series.items()} == {
+        "ex-situ": [[96.40625, 96.5625], [93.90625, 95.0]],
+        "hybrid": [[96.40625, 96.5625], [93.90625, 95.0]],
+        "defect-aware": [[96.25, 96.5625], [96.5625, 95.9375]],
+        "in-situ": [[41.71875, 46.875], [63.28125, 54.375]],
+    }
 
 
 def test_sweep_fits_only_for_schemes_that_import_the_fit(monkeypatch):

@@ -307,6 +307,26 @@ def test_diagnose_healthy_array_clean(spec):
     assert (flags == DefectKind.NONE).all()
 
 
+def test_diagnose_skips_an_unformed_cell(spec):
+    # a probe pulse on a never-formed cell raises FormingRequiredError, so
+    # the cell is left unprobed, unmoved and unflagged
+    xbar = build_crossbar(3, 3, spec, seed=26)
+    xbar.formed[1, 1] = False
+    out, flags = diagnose_defects(xbar, TuneConfig())
+    assert (flags == DefectKind.NONE).all()
+    assert out.g[1, 1] == xbar.g[1, 1]
+
+
+def test_diagnose_a_healthy_cell_at_its_upper_bound_is_not_stuck(spec):
+    # the set staircase cannot raise a cell sitting at g_hi; the reset
+    # staircase moves it, so it is healthy, not stuck on
+    xbar = build_crossbar(3, 3, spec, seed=27)
+    xbar.g[1, 1] = xbar.g_hi[1, 1]
+    out, flags = diagnose_defects(xbar, TuneConfig())
+    assert (flags == DefectKind.NONE).all()
+    assert out.g[1, 1] < xbar.g_hi[1, 1]
+
+
 # --- grayscale mapping ------------------------------------------------------
 
 def test_image_to_targets_endpoints():

@@ -24,7 +24,7 @@ from xbarnet.training import (InSituConfig, InSituState, Loss, MeasuredMaps,
                               Scheme, TrainHyper, build_software_net,
                               conductance_targets, insitu_epoch,
                               loss_and_grads, measure_network_maps,
-                              run_scheme, software_forward,
+                              run_scheme, run_schemes, software_forward,
                               software_weights_for, train_defect_aware)
 
 
@@ -385,53 +385,87 @@ def _defective_letter_net(seed):
     return net
 
 
+def _run_kw(**extra):
+    """run_schemes keywords of a small noisy run: import and read noise, a
+    fit subset and real write-verify tuning, so every sub-seed is drawn."""
+    _, test = letter_dataset()
+    return dict(test_set=test, hyper=TrainHyper(seed=7),
+                tune_cfg=TuneConfig(half_select=False),
+                insitu_cfg=InSituConfig(epochs=4, half_select=False),
+                import_noise_sigma=0.02, inference_noise_sigma=0.02,
+                subsample=30, **extra)
+
+
+def _outcome(run):
+    """A (network, report) pair as comparable values: every report field
+    and both crossbars' conductance bytes."""
+    out, rep = run
+    return dataclasses.asdict(rep), out.xbar1.g.tobytes(), \
+        out.xbar2.g.tobytes()
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_run_scheme_pinned_by_network_scheme_and_seed(scheme):
     # every random draw (subset, import noise, initialization, read noise)
     # derives from the one seed
-    train, test = letter_dataset()
-    runs = []
-    for _ in range(2):
-        out, rep = run_scheme(
-            scheme, train, _defective_letter_net(5), test_set=test,
-            hyper=TrainHyper(seed=7),
-            tune_cfg=TuneConfig(half_select=False),
-            insitu_cfg=InSituConfig(epochs=4, half_select=False),
-            import_noise_sigma=0.02, inference_noise_sigma=0.02,
-            subsample=30,
-        )
-        runs.append((dataclasses.asdict(rep), out.xbar1.g.tobytes(),
-                     out.xbar2.g.tobytes()))
-    assert runs[0] == runs[1]
+    train, _ = letter_dataset()
+    runs = [run_schemes([scheme], train, _defective_letter_net(5),
+                        **_run_kw())[scheme] for _ in range(2)]
+    assert _outcome(runs[0]) == _outcome(runs[1])
+
+
+def test_schemes_run_together_equal_each_run_alone():
+    # run_schemes builds the fit, its import and the fit set once for all
+    # schemes; sharing them must change no scheme's network or report, and
+    # no stage may change the caller's network
+    train, _ = letter_dataset()
+    net = _defective_letter_net(5)
+    g1, g2 = net.xbar1.g.tobytes(), net.xbar2.g.tobytes()
+    together = run_schemes([s.value for s in Scheme], train, net,
+                           **_run_kw())
+    assert list(together) == [s.value for s in Scheme]
+    assert (net.xbar1.g.tobytes(), net.xbar2.g.tobytes()) == (g1, g2)
+    for scheme in Scheme:
+        alone = run_scheme(scheme.value, train, _defective_letter_net(5),
+                           **_run_kw())
+        assert _outcome(together[scheme.value]) == _outcome(alone), scheme
 
 
 @pytest.mark.parametrize("scheme", ["ex-situ", "hybrid"])
 def test_precomputed_fit_is_the_run_that_fits_for_itself(scheme):
-    # software_weights_for's contract, which sweeps rely on to fit once
-    train, test = letter_dataset()
-    kw = dict(test_set=test, hyper=TrainHyper(),
-              tune_cfg=TuneConfig(half_select=False),
-              insitu_cfg=InSituConfig(epochs=4, half_select=False))
-    fit = software_weights_for(_defective_letter_net(0), train, kw["hyper"])
-    own_net, own = run_scheme(scheme, train, _defective_letter_net(0), **kw)
-    pre_net, pre = run_scheme(scheme, train, _defective_letter_net(0),
-                              precomputed_fit=fit, **kw)
-    assert pre_net.xbar1.g.tobytes() == own_net.xbar1.g.tobytes()
-    assert pre_net.xbar2.g.tobytes() == own_net.xbar2.g.tobytes()
-    assert pre.final_train_fidelity == own.final_train_fidelity
-    assert pre.final_test_fidelity == own.final_test_fidelity
-    if scheme == "hybrid":
-        assert pre.trace == own.trace
-
-
-@pytest.mark.parametrize("scheme", ["defect-aware", "in-situ"])
-def test_precomputed_fit_refused_where_no_blind_fit_is_imported(scheme):
+    # software_weights_for's contract, which sweeps rely on to fit once per
+    # seed; a handed-in fit used to report an empty ex-situ trace
     train, _ = letter_dataset()
-    net = letter_net()
-    with pytest.raises(ConfigError, match="precomputed fit"):
-        run_scheme(scheme, train, net, hyper=TrainHyper(),
-                   tune_cfg=TuneConfig(), insitu_cfg=InSituConfig(),
-                   precomputed_fit=build_software_net(net))
+    kw = _run_kw()
+    fit = software_weights_for(_defective_letter_net(0), train, kw["hyper"],
+                               kw["subsample"])
+    assert fit[1]
+    own = run_scheme(scheme, train, _defective_letter_net(0), **kw)
+    handed = run_scheme(scheme, train, _defective_letter_net(0), fit=fit,
+                        **kw)
+    assert _outcome(handed) == _outcome(own)
+
+
+def test_exsitu_and_hybrid_share_one_fit_and_one_import(monkeypatch):
+    # hybrid is ex-situ plus an in-situ loop, and both draw the same
+    # sub-seeds, so fig11 used to fit and import the same network twice
+    calls = []
+    fit, imp = training.train_defect_aware, training.import_grids
+
+    def counted_fit(fit_set, net, maps, hyper):
+        calls.append(("fit", maps is None))
+        return fit(fit_set, net, maps, hyper)
+
+    def counted_import(*args, **kwargs):
+        calls.append(("import", None))
+        return imp(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_defect_aware", counted_fit)
+    monkeypatch.setattr(training, "import_grids", counted_import)
+    train, _ = letter_dataset()
+    run_schemes(["ex-situ", "hybrid"], train, _defective_letter_net(0),
+                **_run_kw(import_accuracy=0.0))
+    assert calls == [("fit", True), ("import", None)]
 
 
 def test_import_report_counts_the_failures_of_both_crossbars():
