@@ -19,6 +19,10 @@ target and v/2 across every other cell sharing the row or the column (the
 usual V/2 half-select scheme); cells whose thresholds sit below v/2 take
 collateral disturb, which is physical and deliberately not suppressed.
 
+Write rule: a function that changes a Crossbar changes the array it is
+given and returns that array, with its report where it has one; none copies
+its input.  ``training.run_schemes`` makes the only copies.
+
 Write-path invariant: every movable cell (formed, not stuck) keeps its
 conductance within its own [g_lo, g_hi].  Every writer keeps it: pulses
 clip, forming starts a cell at g_lo, ``vary_bounds`` re-pins into the new
@@ -384,11 +388,9 @@ def inject_cell_defects(
     stuck_off_frac: float,
     seed,
 ) -> Crossbar:
-    """Pin a random disjoint subset of cells on (at g_hi) or off (at g_lo).
-
-    Returns a modified copy; its ``defect`` flags are the ground truth that
-    maps recovered by probing can be compared against.
-    """
+    """Pin a random disjoint subset of cells on (at g_hi) or off (at g_lo),
+    in place; returns xbar, whose ``defect`` flags are the ground truth
+    that maps recovered by probing can be compared against."""
     for name, frac in (("stuck_on_frac", stuck_on_frac),
                        ("stuck_off_frac", stuck_off_frac)):
         if not 0 <= frac <= 1:
@@ -400,20 +402,19 @@ def inject_cell_defects(
     n_off = int(round(stuck_off_frac * n))
     rng = np.random.default_rng(seed)
     picks = rng.choice(n, size=n_on + n_off, replace=False)
-    out = xbar.copy()
-    flat_defect = out.defect.reshape(-1)
-    flat_g = out.g.reshape(-1)
+    flat_defect = xbar.defect.reshape(-1)
+    flat_g = xbar.g.reshape(-1)
     on_idx = picks[:n_on]
     off_idx = picks[n_on:]
     flat_defect[on_idx] = DefectKind.STUCK_ON
-    flat_g[on_idx] = out.g_hi.reshape(-1)[on_idx]
+    flat_g[on_idx] = xbar.g_hi.reshape(-1)[on_idx]
     flat_defect[off_idx] = DefectKind.STUCK_OFF
-    flat_g[off_idx] = out.g_lo.reshape(-1)[off_idx]
-    return out
+    flat_g[off_idx] = xbar.g_lo.reshape(-1)[off_idx]
+    return xbar
 
 
 def vary_bounds(xbar: Crossbar, sigma: float, seed) -> Crossbar:
-    """Per-cell multiplicative N(1, sigma) spread on the working window edges.
+    """Per-cell N(1, sigma) spread on the window edges, in place; returns xbar.
 
     Models device-to-device on/off spread: each cell's g_lo and g_hi get an
     independent relative perturbation.  Edges are kept ordered with at least
@@ -423,21 +424,20 @@ def vary_bounds(xbar: Crossbar, sigma: float, seed) -> Crossbar:
     """
     if sigma < 0:
         raise ConfigError("bounds sigma must be non-negative")
-    out = xbar.copy()
     if sigma == 0:
-        return out
+        return xbar
     rng = np.random.default_rng(seed)
-    shape = out.g.shape
-    lo = out.g_lo * (1.0 + sigma * rng.standard_normal(shape))
-    hi = out.g_hi * (1.0 + sigma * rng.standard_normal(shape))
+    shape = xbar.g.shape
+    lo = xbar.g_lo * (1.0 + sigma * rng.standard_normal(shape))
+    hi = xbar.g_hi * (1.0 + sigma * rng.standard_normal(shape))
     floor = 0.05 * xbar.spec.g_min
     gap = 0.1 * (xbar.spec.g_max - xbar.spec.g_min)
-    out.g_lo = np.maximum(lo, floor)
-    out.g_hi = np.maximum(hi, out.g_lo + gap)
-    np.clip(out.g, out.g_lo, out.g_hi, out=out.g)
-    on = out.defect == DefectKind.STUCK_ON
-    off = out.defect == DefectKind.STUCK_OFF
-    out.g[on] = out.g_hi[on]
-    out.g[off] = out.g_lo[off]
-    return out
+    xbar.g_lo = np.maximum(lo, floor)
+    xbar.g_hi = np.maximum(hi, xbar.g_lo + gap)
+    np.clip(xbar.g, xbar.g_lo, xbar.g_hi, out=xbar.g)
+    on = xbar.defect == DefectKind.STUCK_ON
+    off = xbar.defect == DefectKind.STUCK_OFF
+    xbar.g[on] = xbar.g_hi[on]
+    xbar.g[off] = xbar.g_lo[off]
+    return xbar
 

@@ -373,8 +373,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
@@ -454,18 +452,17 @@ def _base_net(cfg: ExperimentConfig, seed: int) -> Network:
     on = cfg.knobs["stuck_on_frac"]
     off = cfg.knobs["stuck_off_frac"]
     if on > 0 or off > 0:
-        net.xbar1 = inject_cell_defects(net.xbar1, on, off, [seed, 1])
-        net.xbar2 = inject_cell_defects(net.xbar2, on, off, [seed, 2])
+        inject_cell_defects(net.xbar1, on, off, [seed, 1])
+        inject_cell_defects(net.xbar2, on, off, [seed, 2])
     sigma = cfg.knobs["swing_sigma"]
     if sigma > 0:
-        net.hidden_neurons = vary_swing(net.hidden_neurons, sigma, [seed, 3])
+        vary_swing(net.hidden_neurons, sigma, [seed, 3])
     high = cfg.knobs["stuck_neuron_high_frac"]
     low = cfg.knobs["stuck_neuron_low_frac"]
     overrides = cfg.knobs["swing_overrides"]
     if high > 0 or low > 0 or overrides:
-        net.hidden_neurons = inject_neuron_faults(
-            net.hidden_neurons, high, low, overrides, [seed, 4]
-        )
+        inject_neuron_faults(net.hidden_neurons, high, low, overrides,
+                             [seed, 4])
     return net
 
 
@@ -501,7 +498,7 @@ def _recipe_forming(cfg: ExperimentConfig, out: Path):
         for mi, mode in enumerate(modes):
             xbar = build_crossbar(rows, cols, cfg.spec, [seed, mi, 0],
                                   formed=False)
-            formed, rep = form_array(xbar, cfg.forming, [seed, mi, 1])
+            _, rep = form_array(xbar, cfg.forming, [seed, mi, 1])
             per_mode[mode]["runs"].append({
                 "seed": seed,
                 "n_auto": rep.n_auto,
@@ -509,7 +506,7 @@ def _recipe_forming(cfg: ExperimentConfig, out: Path):
                 "n_failed": rep.n_failed,
                 "manual_rate": rep.manual_rate,
             })
-            volt_pool[mode].append(rep.forming_v[formed.formed])
+            volt_pool[mode].append(rep.forming_v[xbar.formed])
 
     for mode in per_mode:
         rates = [r["manual_rate"] for r in per_mode[mode]["runs"]]
@@ -609,7 +606,7 @@ def _recipe_tuning(cfg: ExperimentConfig, out: Path):
     files = []
     for si, seed in enumerate(cfg.seeds):
         xbar = build_crossbar(*targets.shape, cfg.spec, [seed, 0])
-        tuned, rep = import_conductance_map(xbar, targets, cfg.tune)
+        _, rep = import_conductance_map(xbar, targets, cfg.tune)
         attempted = ~rep.skipped_mask
         errors_pct.append(100.0 * rep.rel_error[attempted])
         converged_errors_pct.append(100.0 * rep.rel_error[rep.ok_mask])
@@ -620,8 +617,8 @@ def _recipe_tuning(cfg: ExperimentConfig, out: Path):
         if si == 0:
             # each map: a rows,cols header line, then one line per row
             for name, grid in (("target_map.csv", targets),
-                               ("achieved_map.csv", tuned.g),
-                               ("error_map.csv", tuned.g - targets)):
+                               ("achieved_map.csv", xbar.g),
+                               ("error_map.csv", xbar.g - targets)):
                 _write_csv(out / name, "{},{}".format(*grid.shape), grid)
                 files.append(name)
 
@@ -711,7 +708,7 @@ def _software_error(net: Network, snet: SoftwareNet,
 
 def _recipe_mnist(cfg: ExperimentConfig, out: Path):
     scheme = _knob(cfg, "scheme", Scheme.EX_SITU.value)
-    train, test, note = _digit_sets(cfg)
+    train, test, note = _datasets_for(cfg)
     sub = cfg.knobs["subsample"]
     per_seed = []
     for seed in cfg.seeds:
@@ -767,7 +764,7 @@ def _recipe_temperature(cfg: ExperimentConfig, out: Path):
             hi = spec_v.g_min + 0.9 * (spec_v.g_max - spec_v.g_min)
             targets = rng.uniform(lo, hi, (rows_n, 1))
             xbar = build_crossbar(rows_n, 1, spec_v, [seed, 1])
-            xbar, _ = import_conductance_map(xbar, targets, tune)
+            import_conductance_map(xbar, targets, tune)
 
             v = np.full(rows_n, v_in)
             i_ref = float(vmm_currents_batch(xbar, v[None])[0, 0])
@@ -954,14 +951,14 @@ def _sweep_import_accuracy(p: _SweepPoint, net: Network) -> dict:
 
 def _sweep_stuck_fraction(p: _SweepPoint, net: Network) -> dict:
     half = p.value / 2
-    net.xbar1 = inject_cell_defects(net.xbar1, half, half, [p.seed, 21])
-    net.xbar2 = inject_cell_defects(net.xbar2, half, half, [p.seed, 22])
+    inject_cell_defects(net.xbar1, half, half, [p.seed, 21])
+    inject_cell_defects(net.xbar2, half, half, [p.seed, 22])
     return p.fidelity(p.series, net)
 
 
 def _sweep_bounds_sigma(p: _SweepPoint, net: Network) -> dict:
-    net.xbar1 = vary_bounds(net.xbar1, p.value, [p.seed, 23])
-    net.xbar2 = vary_bounds(net.xbar2, p.value, [p.seed, 24])
+    vary_bounds(net.xbar1, p.value, [p.seed, 23])
+    vary_bounds(net.xbar2, p.value, [p.seed, 24])
     return p.fidelity(["in-situ"], net)
 
 
@@ -977,9 +974,7 @@ def _sweep_noise_sigma(p: _SweepPoint, net: Network) -> dict:
 
 def _sweep_stuck_neuron_fraction(p: _SweepPoint, net: Network) -> dict:
     half = p.value / 2
-    net.hidden_neurons = inject_neuron_faults(
-        net.hidden_neurons, half, half, None, [p.seed, 25]
-    )
+    inject_neuron_faults(net.hidden_neurons, half, half, None, [p.seed, 25])
     return p.fidelity(["ex-situ"], net)
 
 

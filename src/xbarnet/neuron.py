@@ -132,7 +132,8 @@ def inject_neuron_faults(
     swing_overrides: dict[int, float] | None,
     seed,
 ) -> NeuronBank:
-    """Pin random disjoint neuron subsets high/low; set per-neuron swings.
+    """Pin random disjoint neuron subsets high/low and set per-neuron
+    swings, in place; returns bank.
 
     Overrides are applied after fault sampling, so a faulted neuron sticks at
     its overridden swing value.
@@ -143,37 +144,37 @@ def inject_neuron_faults(
             raise ConfigError(f"{name} must lie in [0, 1]")
     if stuck_high_frac + stuck_low_frac > 1:
         raise ConfigError("stuck neuron fractions sum to more than 1")
-    out = bank.copy()
+    # checked before the first write: a refused call leaves bank as it was
+    overrides = swing_overrides or {}
+    for idx, swing in overrides.items():
+        if not 0 <= idx < bank.n:
+            raise DimensionError(f"swing override index {idx} out of range")
+        if not 0 < swing <= bank.params.v_sat:
+            raise ConfigError(f"override swing {swing} outside (0, v_sat]")
     n_high = int(round(stuck_high_frac * bank.n))
     n_low = int(round(stuck_low_frac * bank.n))
     if n_high + n_low:
         rng = np.random.default_rng(seed)
         picks = rng.choice(bank.n, size=n_high + n_low, replace=False)
-        out.fault[picks[:n_high]] = NeuronFault.STUCK_HIGH
-        out.fault[picks[n_high:]] = NeuronFault.STUCK_LOW
-    if swing_overrides:
-        for idx, swing in swing_overrides.items():
-            if not 0 <= idx < bank.n:
-                raise DimensionError(f"swing override index {idx} out of range")
-            if not 0 < swing <= bank.params.v_sat:
-                raise ConfigError(f"override swing {swing} outside (0, v_sat]")
-            out.swing[idx] = swing
-    return out
+        bank.fault[picks[:n_high]] = NeuronFault.STUCK_HIGH
+        bank.fault[picks[n_high:]] = NeuronFault.STUCK_LOW
+    for idx, swing in overrides.items():
+        bank.swing[idx] = swing
+    return bank
 
 
 def vary_swing(bank: NeuronBank, sigma: float, seed) -> NeuronBank:
-    """Multiplicative N(1, sigma) spread on the output swing, floored at 5%
-    of nominal (a swing of zero would silence the neuron outright, which is
-    the stuck-fault mechanism's job, not this one's)."""
+    """N(1, sigma) spread on the output swing, in place; returns bank.
+    Floored at 5% of nominal (a swing of zero would silence the neuron
+    outright, which is the stuck-fault mechanism's job, not this one's)."""
     if sigma < 0:
         raise ConfigError("swing sigma must be non-negative")
-    out = bank.copy()
     if sigma > 0:
         rng = np.random.default_rng(seed)
         factor = 1.0 + sigma * rng.standard_normal(bank.n)
-        out.swing = np.maximum(bank.params.out_swing * factor,
-                               0.05 * bank.params.out_swing)
-    return out
+        bank.swing = np.maximum(bank.params.out_swing * factor,
+                                0.05 * bank.params.out_swing)
+    return bank
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ The per-cell decision rule is tune_cell's.  Two imports run it:
 
 The two imports therefore do not give the same array.  Threshold
 characterization (staircase sweeps over every cell at once) lives here too.
+
+Every writer here (forming, characterization, tuning, imports, probing)
+changes the crossbar it is given and returns it; none copies its input.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ class FormingReport:
 
 
 def form_array(xbar: Crossbar, cfg: FormingConfig, seed) -> tuple[Crossbar, FormingReport]:
-    """Form every unformed cell; already-formed cells are skipped (counted in
-    the report, not an error).
+    """Form every unformed cell, in place; already-formed cells are skipped
+    (counted in the report, not an error).  Returns (xbar, report).
 
     Per cell the staircase stops at the first amplitude reaching its sampled
     forming voltage.  Cells drawn as needing manual intervention fail the
@@ -119,21 +122,18 @@ def form_array(xbar: Crossbar, cfg: FormingConfig, seed) -> tuple[Crossbar, Form
     manual = target & reachable & needs_manual
     failed = target & ~reachable
 
-    out = xbar.copy()
     formed_now = auto | manual
-    out.formed = xbar.formed | formed_now
-    out.g = np.where(formed_now, out.g_lo, out.g)
-
-    forming_v = np.where(formed_now, v_reach, np.nan)
     report = FormingReport(
         total=int(xbar.g.size),
-        already_formed=int(xbar.formed.sum()),
+        already_formed=int(xbar.formed.sum()),  # read before forming
         auto_mask=auto,
         manual_mask=manual,
         failed_mask=failed,
-        forming_v=forming_v,
+        forming_v=np.where(formed_now, v_reach, np.nan),
     )
-    return out, report
+    xbar.formed |= formed_now
+    xbar.g[formed_now] = xbar.g_lo[formed_now]
+    return xbar, report
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ def import_conductance_map(
     targets: np.ndarray,
     cfg: TuneConfig,
 ) -> tuple[Crossbar, TuningReport]:
-    """Tune the whole array to a target map (row-major); NaN entries skip.
+    """Tune xbar in place to a target map (row-major); NaN entries skip.
 
     With cfg.half_select the cells are walked sequentially through the V/2
     addressing path; otherwise all unconverged cells are pulsed in parallel
@@ -402,7 +402,6 @@ _GUARD_FRACTION = 0.6
 
 
 def _import_sequential(xbar, targets, live, cfg):
-    work = xbar.copy()
     shape = xbar.g.shape
     pulses = np.zeros(shape, dtype=np.int64)
     stuck = np.zeros(shape, dtype=bool)
@@ -412,21 +411,21 @@ def _import_sequential(xbar, targets, live, cfg):
     # their sessions radiate the strongest half-select stress.  Tune them
     # first: the hot pulses land while the rest of the array is still
     # untuned and there is nothing to wreck.
-    margin = np.minimum(targets - work.g_lo, work.g_hi - targets)
+    margin = np.minimum(targets - xbar.g_lo, xbar.g_hi - targets)
 
     def ordered(mask):
         cells = np.argwhere(mask)
         return cells[np.argsort(margin[tuple(cells.T)], kind="stable")]
 
+    # the first pass meets each cell once, and a later one only cells out
+    # of band, which excludes the stuck ones: no stuck cell is tuned again
     todo = ordered(live)
     for _ in range(_VERIFY_PASSES):
         for row, col in todo:
-            if stuck[row, col]:
-                continue
-            work, res = tune_cell(work, row, col, targets[row, col], inner)
+            _, res = tune_cell(xbar, row, col, targets[row, col], inner)
             pulses[row, col] += res.pulses
             stuck[row, col] = res.stuck
-        meas = dev.differential_conductance(work.g, cfg.v_read)
+        meas = dev.differential_conductance(xbar.g, cfg.v_read)
         with np.errstate(invalid="ignore"):
             rel_error = np.where(live, (meas - targets) / targets, np.nan)
         out_of_band = live & ~stuck & (np.abs(rel_error) > cfg.tolerance)
@@ -434,9 +433,9 @@ def _import_sequential(xbar, targets, live, cfg):
             break
         todo = ordered(out_of_band)
 
-    # the last pass's read is final: nothing has written to work since
+    # the last pass's read is final: nothing has written to xbar since
     ok = live & ~stuck & (np.abs(rel_error) <= cfg.tolerance)
-    return work, TuningReport(rel_error, pulses, ok, stuck, ~live)
+    return xbar, TuningReport(rel_error, pulses, ok, stuck, ~live)
 
 
 # Rows per block of the parallel import.  Cells never interact there, so
@@ -448,19 +447,18 @@ _IMPORT_BLOCK_ROWS = 16
 
 
 def _import_parallel(xbar, targets, live, cfg):
-    work = xbar.copy()
     shape = xbar.g.shape
     meas = np.empty(shape)
     pulses = np.zeros(shape, dtype=np.int64)
     active = np.zeros(shape, dtype=bool)
     stuck = np.zeros(shape, dtype=bool)
-    for start in range(0, work.rows, _IMPORT_BLOCK_ROWS):
+    for start in range(0, xbar.rows, _IMPORT_BLOCK_ROWS):
         rows = slice(start, start + _IMPORT_BLOCK_ROWS)
         meas[rows], pulses[rows], active[rows], stuck[rows] = _tune_block(
-            work._row_view(rows), targets[rows], live[rows], cfg)
+            xbar._row_view(rows), targets[rows], live[rows], cfg)
 
     rel_error = np.where(live, (meas - targets) / targets, np.nan)
-    return work, TuningReport(rel_error, pulses, live & ~active, stuck, ~live)
+    return xbar, TuningReport(rel_error, pulses, live & ~active, stuck, ~live)
 
 
 def _tune_block(block, targets, live, cfg):
@@ -550,24 +548,23 @@ def diagnose_defects(xbar: Crossbar, cfg: TuneConfig
     A cell that responds to neither an escalating set staircase nor an
     escalating reset staircase (up to v_write_max) is diagnosed stuck; the
     kind is read off its conductance position.  Healthy cells get nudged by
-    the probes (a cheap price; imports re-tune afterwards), so the perturbed
-    array is returned along with the flags.
+    the probes (a cheap price; imports re-tune afterwards): the probes pulse
+    xbar in place, and it is returned along with the flags.
     """
-    work = xbar.copy()
-    minima = threshold_minima(work)
-    flags = np.zeros(work.g.shape, dtype=np.int8)
-    for row in range(work.rows):
-        for col in range(work.cols):
-            if not work.formed[row, col]:
+    minima = threshold_minima(xbar)
+    flags = np.zeros(xbar.g.shape, dtype=np.int8)
+    for row in range(xbar.rows):
+        for col in range(xbar.cols):
+            if not xbar.formed[row, col]:
                 continue
-            if _staircase_alive(work, row, col, +1.0, cfg, minima):
+            if _staircase_alive(xbar, row, col, +1.0, cfg, minima):
                 continue
-            if _staircase_alive(work, row, col, -1.0, cfg, minima):
+            if _staircase_alive(xbar, row, col, -1.0, cfg, minima):
                 continue
-            g = work.g[row, col]
-            near_hi = abs(g - work.g_hi[row, col]) <= abs(g - work.g_lo[row, col])
+            g = xbar.g[row, col]
+            near_hi = abs(g - xbar.g_hi[row, col]) <= abs(g - xbar.g_lo[row, col])
             flags[row, col] = DefectKind.STUCK_ON if near_hi else DefectKind.STUCK_OFF
-    return work, flags
+    return xbar, flags
 
 
 # ---------------------------------------------------------------------------

@@ -118,16 +118,15 @@ def measure_network_maps(
     net: Network, cfg: TuneConfig
 ) -> tuple[Network, MeasuredMaps]:
     """Probe both crossbars for stuck cells and read the conductance and
-    asymmetry maps.  Probing pulses devices, so the perturbed network comes
-    back along with the maps."""
+    asymmetry maps.  Probing pulses the devices of net in place, so net
+    comes back, perturbed, along with the maps."""
     from .crossbar import measure_maps
 
-    out = net.copy()
-    out.xbar1, flags1 = diagnose_defects(out.xbar1, cfg)
-    out.xbar2, flags2 = diagnose_defects(out.xbar2, cfg)
-    g1, asym1 = measure_maps(out.xbar1, cfg.v_read)
-    g2, asym2 = measure_maps(out.xbar2, cfg.v_read)
-    return out, MeasuredMaps(g1, asym1, flags1, g2, asym2, flags2,
+    _, flags1 = diagnose_defects(net.xbar1, cfg)
+    _, flags2 = diagnose_defects(net.xbar2, cfg)
+    g1, asym1 = measure_maps(net.xbar1, cfg.v_read)
+    g2, asym2 = measure_maps(net.xbar2, cfg.v_read)
+    return net, MeasuredMaps(g1, asym1, flags1, g2, asym2, flags2,
                              cfg.v_read)
 
 
@@ -510,7 +509,7 @@ def import_grids(
     *,
     seed=None,
 ) -> tuple[Network, ImportReport]:
-    """Write-verify both crossbars to conductance target grids.
+    """Write-verify both crossbars of net, in place, to target grids.
 
     import_accuracy overrides the tuning tolerance; exactly 0 is the ideal
     limit and programs conductances directly (a tuner with unbounded
@@ -520,21 +519,20 @@ def import_grids(
     if tol < 0:
         raise ConfigError("import accuracy must be nonnegative")
     rng = np.random.default_rng(seed)
-    out = net.copy()
     targets1 = _perturb_targets(np.asarray(targets1, dtype=np.float64),
-                                import_noise_sigma, rng, out.xbar1)
+                                import_noise_sigma, rng, net.xbar1)
     targets2 = _perturb_targets(np.asarray(targets2, dtype=np.float64),
-                                import_noise_sigma, rng, out.xbar2)
+                                import_noise_sigma, rng, net.xbar2)
     if tol == 0.0:
-        for xbar, targets in ((out.xbar1, targets1), (out.xbar2, targets2)):
+        for xbar, targets in ((net.xbar1, targets1), (net.xbar2, targets2)):
             live = np.isfinite(targets) & (xbar.defect == DefectKind.NONE) \
                 & xbar.formed
             xbar.g[live] = np.clip(targets, xbar.g_lo, xbar.g_hi)[live]
-        return out, ImportReport(None, None)
+        return net, ImportReport(None, None)
     cfg = replace(tune_cfg, tolerance=tol)
-    out.xbar1, rep1 = import_conductance_map(out.xbar1, targets1, cfg)
-    out.xbar2, rep2 = import_conductance_map(out.xbar2, targets2, cfg)
-    return out, ImportReport(rep1, rep2)
+    _, rep1 = import_conductance_map(net.xbar1, targets1, cfg)
+    _, rep2 = import_conductance_map(net.xbar2, targets2, cfg)
+    return net, ImportReport(rep1, rep2)
 
 
 def conductance_targets(snet: SoftwareNet, spec: DeviceSpec
@@ -761,8 +759,8 @@ def initialize_midrange(
     tune_cfg: TuneConfig,
     seed=None,
 ) -> tuple[Network, ImportReport]:
-    """Tune every device to a random intermediate conductance, the starting
-    point for purely in-situ training."""
+    """Tune every device of net, in place, to a random intermediate
+    conductance, the starting point for purely in-situ training."""
     rng = np.random.default_rng(seed)
     targets = []
     for xbar in (net.xbar1, net.xbar2):
@@ -810,7 +808,11 @@ def software_weights_for(
     error trace).  Handed back in as run_schemes(..., fit=...), it gives the
     run that fits for itself, bit for bit, trace included; the model is
     only read from then on, so concurrent runs may share it."""
-    fit_set = prepare_fit_set(train_set, subsample, _stage_seeds(hyper)[0])
+    return _blind_fit(net, prepare_fit_set(train_set, subsample,
+                                           _stage_seeds(hyper)[0]), hyper)
+
+
+def _blind_fit(net: Network, fit_set: Dataset, hyper: TrainHyper):
     _, _, snet, trace = train_defect_aware(fit_set, net, None, hyper)
     return snet, trace
 
@@ -848,14 +850,17 @@ def run_schemes(
     """Run training schemes against one network instance, building each
     stage they share once: {scheme: (network, report)}, in their order.
 
-    No stage changes net, and the sub-seeds derive from hyper.seed, so each
-    scheme's run equals that scheme run alone.  The stages, in order: the
-    fit set; the blind fit, unless handed in (software_weights_for); one
-    import of it, which ex-situ keeps; hybrid's in-situ loop, on a copy of
-    that import only when ex-situ keeps it too; defect-aware's probe, its
-    fit through the measured maps and its import; in-situ's random
-    mid-range start and its loop.  Each scheme evaluates with its own
-    default_rng(s_eval), on train then test.
+    The stages, in order: the fit set; the blind fit, unless handed in
+    (software_weights_for); one import of it, which ex-situ keeps; hybrid's
+    in-situ loop, on a copy of that import only when ex-situ keeps it too;
+    defect-aware's probe, its fit through the measured maps and its import;
+    in-situ's random mid-range start and its loop.  Each scheme evaluates
+    with its own default_rng(s_eval), on train then test.
+
+    Hardware writers change the board they are given, so this is the one
+    place boards are copied: each stage that writes hardware starts from
+    its own net.copy().  No stage changes net, and the sub-seeds derive
+    from hyper.seed, so each scheme's run equals that scheme run alone.
     """
     wanted = {Scheme(s) for s in schemes}
     s_sub, s_import, s_init, s_eval = _stage_seeds(hyper)
@@ -871,19 +876,18 @@ def run_schemes(
                             seed=s_import)[0]
 
     if wanted & BLIND_FIT_SCHEMES:
-        snet, trace = fit or software_weights_for(net, train_set, hyper,
-                                                  subsample)
-        out = imported(net, snet)
+        snet, trace = fit or _blind_fit(net, fit_set, hyper)
+        out = imported(net.copy(), snet)
         runs[Scheme.EX_SITU] = out, trace
         if Scheme.HYBRID in wanted:
             out = out.copy() if Scheme.EX_SITU in wanted else out
             runs[Scheme.HYBRID] = out, _insitu_loop(out, fit_set, insitu_cfg)
     if Scheme.DEFECT_AWARE in wanted:
-        probed, maps = measure_network_maps(net, tune_cfg)
+        probed, maps = measure_network_maps(net.copy(), tune_cfg)
         _, _, snet, trace = train_defect_aware(fit_set, net, maps, hyper)
         runs[Scheme.DEFECT_AWARE] = imported(probed, snet), trace
     if Scheme.IN_SITU in wanted:
-        out, _ = initialize_midrange(net, tune_cfg, seed=s_init)
+        out, _ = initialize_midrange(net.copy(), tune_cfg, seed=s_init)
         runs[Scheme.IN_SITU] = out, _insitu_loop(out, fit_set, insitu_cfg)
 
     def fidelity(out: Network, dataset: Dataset | None, rng):

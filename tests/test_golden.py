@@ -2,10 +2,9 @@
 hashes to the sha256 prefix in the ROADMAP baseline table, and every other
 file it writes to the prefix in ``TABLES``.
 
-fig4, fig8, fig9, fig10 and fig11 take a few seconds each and run with
-every test pass, so each one checks the write-verify tuner's byte
-identity.  fig12 takes longer, so it is marked slow and deselected by
-default; run it with ``pytest -m slow``.
+Every recipe here runs with every test pass (fig12, the longest, takes
+about ten seconds), so each one checks the write-verify tuner's byte
+identity.
 """
 
 import pytest
@@ -18,7 +17,7 @@ GOLDEN = [
     ("fig9-defect-aware", "52137618b356d8dd"),
     ("fig10-insitu", "0178ac573167edde"),
     ("fig11-hybrid", "77a8b61a25273cb1"),
-    pytest.param("fig12-mnist", "e0ea0113e81ec680", marks=pytest.mark.slow),
+    ("fig12-mnist", "e0ea0113e81ec680"),
 ]
 
 # each recipe's other output files, recorded with the summaries above

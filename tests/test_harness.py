@@ -35,6 +35,19 @@ def test_config_hash_ignores_out_dir():
         config(knobs={"import_accuracy": 0.01})) != base
 
 
+def test_config_hash_of_numpy_values_is_the_plain_hash():
+    # a section may hold numpy scalars, which json.dumps refuses; the hash
+    # reads them as the plain int and float they equal
+    plain = config(hyper={"epochs": 150}, tune={"v_write_max": 2.5})
+    # errstate: the finite-range check compares the float32 with the
+    # float64 maximum, which numpy reports as an overflow in the cast
+    with np.errstate(over="ignore"):
+        scalars = config(hyper={"epochs": np.int64(150)},
+                         tune={"v_write_max": np.float32(2.5)})
+    assert type(scalars.tune.v_write_max) is np.float32
+    assert harness.config_hash(scalars) == harness.config_hash(plain)
+
+
 # config values that changed no output and were deleted; a document that
 # still sets one is refused, naming it
 REMOVED_VALUES = [
@@ -328,6 +341,20 @@ def test_sweep_axis_pinned(axis, workers):
     report = harness.run_sweep(fast_sweep_config(axis), axis, values,
                                workers=workers)
     assert {name: s.tolist() for name, s in report.series.items()} == want
+
+
+@pytest.mark.parametrize("phase, want", [
+    ("import", [[96.71875, 97.03125]]),
+    ("inference", [[96.25, 96.71875]]),
+])
+def test_noise_sigma_phase_pinned(phase, want):
+    # SWEEP_PINS runs the noise_sigma axis with noise in both phases; each
+    # phase alone leaves the other's noise at zero
+    base = fast_sweep_config("noise_sigma")
+    cfg = replace(base, knobs=dict(base.knobs, noise_phase=phase))
+    report = harness.run_sweep(cfg, "noise_sigma", [0.02])
+    assert {name: s.tolist() for name, s in report.series.items()} \
+        == {phase: want}
 
 
 def test_four_scheme_sweep_pinned():

@@ -112,10 +112,10 @@ def test_output_bank_is_the_law_without_a_divider(cells):
 def test_inject_faults_counts_and_overrides():
     bank = make_bank(10, HIDDEN)
     out = inject_neuron_faults(bank, 0.2, 0.1, {0: 0.4, 3: 0.1}, seed=2)
+    assert out is bank  # the bank it is given, changed in place
     assert (out.fault == NeuronFault.STUCK_HIGH).sum() == 2
     assert (out.fault == NeuronFault.STUCK_LOW).sum() == 1
     assert out.swing[0] == 0.4 and out.swing[3] == 0.1
-    assert bank.fault.sum() == 0  # input untouched
 
 
 def test_inject_faults_validation():
@@ -123,9 +123,13 @@ def test_inject_faults_validation():
     with pytest.raises(ConfigError):
         inject_neuron_faults(bank, 0.6, 0.6, None, seed=0)
     with pytest.raises(DimensionError):
-        inject_neuron_faults(bank, 0.0, 0.0, {9: 0.2}, seed=0)
+        inject_neuron_faults(bank, 0.5, 0.0, {9: 0.2}, seed=0)
     with pytest.raises(ConfigError):
-        inject_neuron_faults(bank, 0.0, 0.0, {1: 0.0}, seed=0)
+        inject_neuron_faults(bank, 0.0, 0.5, {1: 0.0}, seed=0)
+    # every value is checked before the first write: the refused calls
+    # pinned no neuron and set no swing
+    assert bank.fault.sum() == 0
+    np.testing.assert_array_equal(bank.swing, HIDDEN.out_swing)
 
 
 def test_vary_swing_spread_and_floor():
@@ -133,8 +137,8 @@ def test_vary_swing_spread_and_floor():
     out = vary_swing(bank, 0.3, seed=3)
     assert out.swing.std() > 0
     assert np.all(out.swing >= 0.05 * HIDDEN.out_swing)
-    same = vary_swing(bank, 0.0, seed=3)
-    np.testing.assert_array_equal(same.swing, bank.swing)
+    same = vary_swing(make_bank(2000, HIDDEN), 0.0, seed=3)
+    np.testing.assert_array_equal(same.swing, HIDDEN.out_swing)
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -42,15 +42,15 @@ def test_forming_manual_rate_binomial(virgin):
 def test_forming_modes_statistically_identical(virgin):
     # voltage- and current-pulse forming share one decision path: fig2's
     # two labelled runs differ only by their seed streams
-    _, rep_v = form_array(virgin, FormingConfig(), seed=4)
-    _, rep_i = form_array(virgin, FormingConfig(), seed=4)
+    _, rep_v = form_array(virgin.copy(), FormingConfig(), seed=4)
+    _, rep_i = form_array(virgin.copy(), FormingConfig(), seed=4)
     np.testing.assert_array_equal(rep_v.auto_mask, rep_i.auto_mask)
     np.testing.assert_array_equal(rep_v.manual_mask, rep_i.manual_mask)
 
 
 def test_forming_skips_formed_cells(spec):
     xbar = build_crossbar(8, 8, spec, seed=5)  # formed at build
-    out, rep = form_array(xbar, FormingConfig(), seed=6)
+    out, rep = form_array(xbar.copy(), FormingConfig(), seed=6)
     assert rep.already_formed == 64
     assert rep.n_auto == 0 and rep.n_manual == 0
     np.testing.assert_array_equal(out.g, xbar.g)
@@ -150,7 +150,7 @@ def test_tune_converges_when_thresholds_reachable(seed, frac):
 def test_import_fresh_array_to_gmin_needs_no_pulses(spec):
     xbar = build_crossbar(6, 6, spec, seed=17)
     out, rep = import_conductance_map(
-        xbar, np.full((6, 6), spec.g_min), TuneConfig())
+        xbar.copy(), np.full((6, 6), spec.g_min), TuneConfig())
     assert rep.converged_fraction == 1.0
     assert rep.pulses.max() == 0
     np.testing.assert_array_equal(out.g, xbar.g)
@@ -211,7 +211,7 @@ def test_parallel_import_is_tune_cell_per_cell(seed):
     rng = np.random.default_rng([seed, 2])
     targets = rng.uniform(15e-6, 95e-6, xbar.g.shape)
     targets[rng.random(xbar.g.shape) < 0.1] = np.nan
-    parallel, rep = import_conductance_map(xbar, targets, cfg)
+    parallel, rep = import_conductance_map(xbar.copy(), targets, cfg)
 
     walked = xbar.copy()
     pulses = np.zeros(xbar.g.shape, dtype=np.int64)
@@ -245,7 +245,7 @@ def test_blocked_parallel_import_is_tune_cell_per_cell():
         xbar.g[r, c] = xbar.g_hi[r, c] if kind == DefectKind.STUCK_ON \
             else xbar.g_lo[r, c]
         targets[r, c] = 50e-6
-    parallel, rep = import_conductance_map(xbar, targets, cfg)
+    parallel, rep = import_conductance_map(xbar.copy(), targets, cfg)
 
     walked = xbar.copy()
     shape = xbar.g.shape
@@ -312,7 +312,7 @@ def test_diagnose_skips_an_unformed_cell(spec):
     # the cell is left unprobed, unmoved and unflagged
     xbar = build_crossbar(3, 3, spec, seed=26)
     xbar.formed[1, 1] = False
-    out, flags = diagnose_defects(xbar, TuneConfig())
+    out, flags = diagnose_defects(xbar.copy(), TuneConfig())
     assert (flags == DefectKind.NONE).all()
     assert out.g[1, 1] == xbar.g[1, 1]
 

@@ -414,21 +414,35 @@ def test_run_scheme_pinned_by_network_scheme_and_seed(scheme):
     assert _outcome(runs[0]) == _outcome(runs[1])
 
 
+def _board(net):
+    """Every per-cell field of both crossbars and every per-neuron field of
+    both banks, as bytes."""
+    return [getattr(part, f.name).tobytes()
+            for part in (net.xbar1, net.xbar2, net.hidden_neurons,
+                         net.output_neurons)
+            for f in dataclasses.fields(part)
+            if f.name not in ("spec", "params")]
+
+
 def test_schemes_run_together_equal_each_run_alone():
     # run_schemes builds the fit, its import and the fit set once for all
     # schemes; sharing them must change no scheme's network or report, and
-    # no stage may change the caller's network
+    # no stage may change the caller's network: hardware writers change the
+    # board they are given, so each stage must start from its own copy
     train, _ = letter_dataset()
     net = _defective_letter_net(5)
-    g1, g2 = net.xbar1.g.tobytes(), net.xbar2.g.tobytes()
+    board = _board(net)
     together = run_schemes([s.value for s in Scheme], train, net,
                            **_run_kw())
     assert list(together) == [s.value for s in Scheme]
-    assert (net.xbar1.g.tobytes(), net.xbar2.g.tobytes()) == (g1, g2)
+    assert _board(net) == board
+    outs = [out for out, _ in together.values()]
+    assert len({id(out) for out in outs + [net]}) == len(outs) + 1
     for scheme in Scheme:
         alone = run_scheme(scheme.value, train, _defective_letter_net(5),
                            **_run_kw())
         assert _outcome(together[scheme.value]) == _outcome(alone), scheme
+        assert _board(together[scheme.value][0]) == _board(alone[0]), scheme
 
 
 @pytest.mark.parametrize("scheme", ["ex-situ", "hybrid"])

@@ -8,7 +8,7 @@ makes the suite a few times slower.  The source is read again at the end
 to map line numbers, so edit no file under ``src/xbarnet`` while it runs.
 
     python tools/unrun_lines.py              # the tier-1 selection
-    python tools/unrun_lines.py -m slow      # arguments go to pytest
+    python tools/unrun_lines.py -k golden    # arguments go to pytest
 
 A line counts as executable when the compiler gives it bytecode (the line
 table of the module's code objects).  Lines listed in ``EXPECTED`` never
