@@ -6,6 +6,12 @@ two-layer classifier (network), training schemes (training), datasets and
 scoring (bench), and experiment recipes plus sweeps (harness).
 """
 
+# numpy loads these on first use, and every run uses both: seeded
+# generators, and np.median, whose NaN check imports numpy.ma.  Loading
+# them with the package keeps that one-off cost out of the first run.
+import numpy.ma
+import numpy.random
+
 from .device import (
     DefectKind,
     DeviceSpec,

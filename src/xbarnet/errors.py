@@ -9,7 +9,6 @@ the knobs and the fields of the config dataclasses alike, live here too.
 import dataclasses
 import math
 import numbers
-import sys
 
 
 class SimulationError(Exception):
@@ -77,13 +76,24 @@ def count(low: int = 1):
     return check
 
 
+def _finite(value) -> bool:
+    """True for a finite real (a bool is not one).  math.isfinite, not a
+    compare with the float64 maximum: numpy casts that maximum down to a
+    float32 value's type and warns of the overflow."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def real(low: float = -math.inf, high: float = math.inf, *,
          open_low: bool = False, open_high: bool = False):
     """Check for a finite real between low and high, each bound closed
     unless opened; an int beyond the float range is not finite."""
     def check(value) -> float:
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not abs(value) <= sys.float_info.max):
+        if not _finite(value):
             raise ValueError("must be a finite number")
         if (value < low or value > high or (open_low and value == low)
                 or (open_high and value == high)):

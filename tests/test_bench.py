@@ -1,12 +1,20 @@
 """Datasets (letters, IDX digits, procedural corpus) and scoring."""
 
+import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.ndimage import gaussian_filter
 
-from xbarnet.bench import (Dataset, encode_levels, letter_dataset, load_mnist,
-                           save_idx, score, synthetic_digits)
+import xbarnet
+from xbarnet.bench import (Dataset, _blur, encode_levels, letter_dataset,
+                           load_mnist, save_idx, score, synthetic_digits)
 from xbarnet.errors import (ConfigError, DataFormatError, DataMissingError,
                             DimensionError)
 
@@ -161,6 +169,42 @@ def test_synthetic_digits_deterministic():
     np.testing.assert_array_equal(a.labels, b.labels)
     c = synthetic_digits(20, seed=10)
     assert not np.array_equal(a.pixels, c.pixels)
+
+
+def test_synthetic_digits_bytes_pinned():
+    # recorded while the corpus still blurred with scipy's gaussian_filter;
+    # apart from fig12's golden summary, the one check of the corpus bytes
+    ds = synthetic_digits(200, seed=0)
+    digest = hashlib.sha256(ds.pixels.tobytes() + ds.labels.tobytes())
+    assert digest.hexdigest() == (
+        "5d65995c2e4c070b7720aeb097740ae43732f60abceb6e98d85449008e50a676")
+
+
+# mixed radii in one call: the shorter kernels get zero weights
+@settings(max_examples=40, deadline=None)
+@given(sigmas=st.lists(st.floats(0.55, 2.5), min_size=2, max_size=4),
+       side=st.integers(1, 28), counts=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(sigmas=[0.55, 2.5], side=1, counts=True, seed=0)
+@example(sigmas=[2.5, 0.55, 1.3], side=28, counts=False, seed=1)
+def test_blur_is_scipys_gaussian_filter_bit_for_bit(sigmas, side, counts,
+                                                     seed):
+    rng = np.random.default_rng(seed)
+    shape = (len(sigmas), side, side)
+    canvases = (rng.integers(0, 9, shape).astype(float) if counts
+                else rng.random(shape))
+    blurred = _blur(canvases, np.array(sigmas))
+    for canvas, sigma, got in zip(canvases, sigmas, blurred):
+        assert got.tobytes() == gaussian_filter(canvas, sigma).tobytes()
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy served only the corpus blur, yet every run paid for its import
+    src = Path(xbarnet.__file__).resolve().parents[1]
+    code = ("import sys, xbarnet, xbarnet.cli; "
+            "assert 'scipy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def test_synthetic_digits_classes_distinct():

@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,13 +40,20 @@ def test_config_hash_of_numpy_values_is_the_plain_hash():
     # a section may hold numpy scalars, which json.dumps refuses; the hash
     # reads them as the plain int and float they equal
     plain = config(hyper={"epochs": 150}, tune={"v_write_max": 2.5})
-    # errstate: the finite-range check compares the float32 with the
-    # float64 maximum, which numpy reports as an overflow in the cast
-    with np.errstate(over="ignore"):
-        scalars = config(hyper={"epochs": np.int64(150)},
-                         tune={"v_write_max": np.float32(2.5)})
+    scalars = config(hyper={"epochs": np.int64(150)},
+                     tune={"v_write_max": np.float32(2.5)})
     assert type(scalars.tune.v_write_max) is np.float32
     assert harness.config_hash(scalars) == harness.config_hash(plain)
+
+
+def test_low_precision_section_values_load_without_a_warning():
+    # the finite check used to compare a float32 with the float64 maximum,
+    # which numpy reports as an overflow in the cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = config(tune={"v_write_max": np.float32(2.5),
+                              "width": np.float16(0.25)})
+    assert loaded.tune.v_write_max == 2.5 and loaded.tune.width == 0.25
 
 
 # config values that changed no output and were deleted; a document that
