@@ -78,6 +78,9 @@ def _cmd_run(args) -> int:
                 "matched_max_rel_drift"):
         if key in summary:
             print(f"  {key} = {summary[key]}")
+    for mode, block in summary.get("per_mode", {}).items():
+        print(f"  {mode} median manual-forming rate = "
+              f"{block['manual_rate']['median']:.4f}")
     for scheme in summary.get("schemes", []):
         med = summary[scheme]["test"]["median"]
         print(f"  {scheme} median test fidelity = {med:.2f}%")
@@ -102,16 +105,6 @@ def _cmd_sweep(args) -> int:
         pairs = ", ".join(f"{v:g}->{m:.2f}%" for v, m in
                           zip(report.values, med))
         print(f"  {name} median error: {pairs}")
-    return EXIT_OK
-
-
-def _cmd_form(args) -> int:
-    cfg = _config_for("fig2-forming", args.config)
-    summary = harness.run_recipe(cfg, out_dir=args.out)
-    for mode, block in summary["per_mode"].items():
-        print(f"{mode}: median manual-forming rate "
-              f"{block['manual_rate']['median']:.4f}")
-    print(f"outputs written to {args.out}")
     return EXIT_OK
 
 
@@ -141,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="sweep-out",
                          help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_form = sub.add_parser("form", help="electroform a fresh array")
-    p_form.add_argument("--config", help="JSON config overriding defaults")
-    p_form.add_argument("--out", default="form-out", help="output directory")
-    p_form.set_defaults(func=_cmd_form)
 
     return parser
 

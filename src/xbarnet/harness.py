@@ -159,7 +159,6 @@ _KNOBS = {
     "r_white": (84e3, POSITIVE, ("fig4-tuning",)),
     "r_black": (7e3, POSITIVE, ("fig4-tuning",)),
     # classification recipes
-    "n_classes": (None, count(), _LETTER_RECIPES),
     "scheme": (None, choice(*_SCHEMES), ("fig12-mnist",)),
     "schemes": (None, list_of(choice(*_SCHEMES)), ("stuck_fraction",)),
     "import_accuracy": (None, _ACCURACY, _NETWORK_READERS),
@@ -441,7 +440,7 @@ def _digit_sets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, str]:
 def _datasets_for(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, str]:
     if cfg.recipe == "fig12-mnist":
         return _digit_sets(cfg)
-    train, test = bench.letter_dataset(n_classes=_knob(cfg, "n_classes", 4))
+    train, test = bench.letter_dataset(n_classes=cfg.network.n_outputs)
     return train, test, "engineered letter set"
 
 
@@ -842,7 +841,7 @@ RECIPES = {
     "fig10-insitu": _Recipe(
         _LetterStudy(("in-situ", "ex-situ"),
                      trace=("plotdata.csv", ("in-situ", "ex-situ"))),
-        {"network": {"n_outputs": 3}, "knobs": {"n_classes": 3}}),
+        {"network": {"n_outputs": 3}}),
     "fig11-hybrid": _Recipe(
         _LetterStudy(("ex-situ", "hybrid"),
                      trace=("trace.csv", ("hybrid",)),

@@ -51,10 +51,6 @@ class NeuronParams:
             )
 
 
-def differential_voltage(i_plus, i_minus, p: NeuronParams):
-    return p.r_f * (i_plus - i_minus)
-
-
 def transfer(v_diff, p: NeuronParams, swing=None):
     """The neuron law, clamp(gain * v_diff, +-v_sat) * swing / v_sat, at
     swing p.out_swing unless given (a bank's per-neuron swings).  With
@@ -67,10 +63,6 @@ def slope(p: NeuronParams) -> float:
     """d out / d v_diff inside the linear region: gain * out_swing / v_sat,
     grouped so that an output stage (out_swing = v_sat) gives gain exactly."""
     return p.gain * (p.out_swing / p.v_sat)
-
-
-def neuron_out(i_plus: float, i_minus: float, p: NeuronParams) -> float:
-    return float(transfer(differential_voltage(i_plus, i_minus, p), p))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +101,7 @@ def make_bank(n: int, params: NeuronParams) -> NeuronBank:
 
 
 def bank_outputs(bank: NeuronBank, v_diff: np.ndarray) -> np.ndarray:
-    """Vectorized neuron_out over a layer, swing spread and faults applied.
+    """The neuron law over a layer, swing spread and faults applied.
 
     v_diff may be (n,) or (batch, n); faults pin the affected neuron's output
     at +-its swing for every pattern in the batch.

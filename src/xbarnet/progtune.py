@@ -224,13 +224,10 @@ class TuneConfig:
 
 @dataclass
 class CellTuneResult:
-    row: int
-    col: int
     ok: bool
     stuck: bool
     pulses: int
     rel_error: float
-    g_final: float
 
 
 @dataclass
@@ -242,18 +239,9 @@ class TuningReport:
     skipped_mask: np.ndarray
 
     @property
-    def n_tuned(self) -> int:
-        return int(self.ok_mask.sum())
-
-    @property
     def n_failed(self) -> int:
         """Cells with a target that did not end in band, stuck or not."""
         return int((~self.skipped_mask & ~self.ok_mask).sum())
-
-    @property
-    def converged_fraction(self) -> float:
-        n_attempted = self.ok_mask.size - int(self.skipped_mask.sum())
-        return self.n_tuned / n_attempted if n_attempted else 1.0
 
     @property
     def median_pulses(self) -> float:
@@ -317,8 +305,8 @@ def tune_cell(
     floor = band / 10.0
     meas = _verify(xbar, row, col, cfg)
     if abs(meas - target_g) <= band:
-        return xbar, CellTuneResult(row, col, True, False, 0,
-                                   (meas - target_g) / target_g, meas)
+        return xbar, CellTuneResult(True, False, 0,
+                                    (meas - target_g) / target_g)
 
     minima = threshold_minima(xbar)
     v_amp = cfg.v_write_start
@@ -339,15 +327,15 @@ def tune_cell(
             v_amp = max(v_amp - cfg.v_write_step, cfg.v_write_start)
         meas = new
         if abs(meas - target_g) <= band:
-            return xbar, CellTuneResult(row, col, True, False, pulses,
-                                       (meas - target_g) / target_g, meas)
+            return xbar, CellTuneResult(True, False, pulses,
+                                        (meas - target_g) / target_g)
 
     set_alive = _probe_polarity(xbar, row, col, +1.0, cfg, minima)
     reset_alive = _probe_polarity(xbar, row, col, -1.0, cfg, minima)
     meas = _verify(xbar, row, col, cfg)
     return xbar, CellTuneResult(
-        row, col, ok=False, stuck=not (set_alive or reset_alive),
-        pulses=pulses, rel_error=(meas - target_g) / target_g, g_final=meas,
+        ok=False, stuck=not (set_alive or reset_alive),
+        pulses=pulses, rel_error=(meas - target_g) / target_g,
     )
 
 

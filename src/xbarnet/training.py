@@ -30,7 +30,8 @@ import numpy as np
 from . import device as dev
 from . import network as netmod
 from .bench import Dataset, encode_levels
-from .crossbar import Crossbar, pulse_all, threshold_minima, write_pulse
+from .crossbar import (Crossbar, measure_maps, pulse_all, threshold_minima,
+                       write_pulse)
 from .device import DefectKind, DeviceSpec
 from .errors import (FINITE, NONNEG, POSITIVE, ConfigError, DimensionError,
                      DivergenceError, boolean, check_fields, checked, choice,
@@ -120,8 +121,6 @@ def measure_network_maps(
     """Probe both crossbars for stuck cells and read the conductance and
     asymmetry maps.  Probing pulses the devices of net in place, so net
     comes back, perturbed, along with the maps."""
-    from .crossbar import measure_maps
-
     _, flags1 = diagnose_defects(net.xbar1, cfg)
     _, flags2 = diagnose_defects(net.xbar2, cfg)
     g1, asym1 = measure_maps(net.xbar1, cfg.v_read)
@@ -323,23 +322,6 @@ def _loss_delta(y: np.ndarray, labels: np.ndarray, loss: Loss,
     return value, (p - onehot) / n
 
 
-def loss_and_grads(
-    snet: SoftwareNet,
-    levels: np.ndarray,
-    labels: np.ndarray,
-    loss: Loss = Loss.SQUARED_ERROR,
-    target_volts: float = 1.0,
-) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """(loss, dW1, dW2, misclassification count) for one batch.
-
-    Gradients on frozen pairs are zeroed; the caller applies boxes.  The
-    quadratic terms are skipped on a layer without any, as in
-    software_forward.
-    """
-    return _loss_and_grads(snet, drive_voltages(snet.config, levels), labels,
-                           loss, target_volts)
-
-
 def _dw(x: np.ndarray, delta: np.ndarray, layer: LayerModel) -> np.ndarray:
     dw = x.T @ delta
     if layer.quadratic:
@@ -351,6 +333,13 @@ def _dw(x: np.ndarray, delta: np.ndarray, layer: LayerModel) -> np.ndarray:
 
 def _loss_and_grads(snet: SoftwareNet, x1: np.ndarray, labels: np.ndarray,
                     loss: Loss, target_volts: float):
+    """(loss, dW1, dW2, misclassification count) for one batch of row
+    voltages x1.
+
+    Gradients on frozen pairs are zeroed; the caller applies boxes.  The
+    quadratic terms are skipped on a layer without any, as in
+    software_forward.
+    """
     y, hidden, vdiff1, vdiff2, _, x2 = _forward(snet, x1)
     labels = np.asarray(labels)
     n_err = int(np.sum(np.argmax(y, axis=1) != labels))
@@ -631,7 +620,7 @@ def _apply_sign_pulses(xbar: Crossbar,
 @dataclass
 class InSituState:
     """The training computer's open-loop picture of the output crossbar,
-    and the fit set's input drive.
+    and the fit set it trains on.
 
     Only the hidden chain of the Manhattan step needs weights, and it reads
     layer 2's alone, so that is the one array the state believes.  The
@@ -644,19 +633,21 @@ class InSituState:
     Layer-1 backprop runs through these believed weights, which is where
     threshold variation poisons in-situ training.
 
-    The state owns the row voltages of the fit set (``drive``), built once
-    per in-situ run: neither the patterns nor the input stage change between
-    epochs, so every epoch reads the arrays with the same drive, and
-    insitu_epoch refuses a dataset whose length does not match it.
+    The state owns the fit set: its row voltages (``drive``), built once
+    per in-situ run, and its ``labels``.  Neither the patterns nor the input
+    stage change between epochs, so every epoch reads the arrays with the
+    same drive.
     """
 
     bg2: np.ndarray
     drive: np.ndarray
+    labels: np.ndarray
 
     @classmethod
     def from_network(cls, net: Network, dataset: Dataset) -> "InSituState":
         return cls(bg2=net.xbar2.g.copy(),
-                   drive=drive_voltages(net.config, encode_levels(dataset)))
+                   drive=drive_voltages(net.config, encode_levels(dataset)),
+                   labels=dataset.labels)
 
     def believed_w2(self, net: Network) -> np.ndarray:
         return pair_difference(self.bg2) / net.weight_scale2
@@ -677,15 +668,15 @@ def _believe_sign_pulses(bg: np.ndarray,
         np.clip(bg, spec.g_min, spec.g_max, out=bg)
 
 
-def _error_accumulators(net: Network, labels: np.ndarray,
-                        cfg: InSituConfig, state: InSituState):
+def _error_accumulators(net: Network, cfg: InSituConfig,
+                        state: InSituState):
     """One hardware forward over the state's fit-set drive and the Manhattan
     accumulators it yields: (misclassifications, a1, a2), the accumulators
     None when nothing is misclassified.  Every full-batch array is freed on
     return, before any pulse."""
     trace = forward(net, state.drive)
     preds = np.argmax(trace.output, axis=1)
-    mis = preds != labels
+    mis = preds != state.labels
     n_err = int(mis.sum())
     if n_err == 0:
         return 0, None, None
@@ -693,7 +684,7 @@ def _error_accumulators(net: Network, labels: np.ndarray,
     y = trace.output
     n = y.shape[0]
     onehot = np.zeros_like(y)
-    onehot[np.arange(n), labels] = 1.0
+    onehot[np.arange(n), state.labels] = 1.0
     t = cfg.target_volts * (2.0 * onehot - 1.0)
     # saturation gates from observable outputs; output-layer accumulators
     # need only measured quantities, the hidden chain needs weights
@@ -713,15 +704,12 @@ def _error_accumulators(net: Network, labels: np.ndarray,
 
 def insitu_epoch(
     net: Network,
-    dataset: Dataset,
     cfg: InSituConfig,
     state: InSituState,
 ) -> tuple[Network, int]:
     """One batch-mode Manhattan epoch on hardware, pulsing net in place.
 
-    Hardware forward over the full set, driven by the state's fit-set
-    drive; dataset supplies the labels and must be the set the state was
-    built for (a different length raises DimensionError).  Error gradients
+    Hardware forward over the state's whole fit set.  Error gradients
     accumulate only over misclassified patterns (correct patterns demand
     nothing); each differential pair whose accumulated gradient sign is
     nonzero takes one fixed-amplitude set pulse on one device and one
@@ -735,12 +723,7 @@ def insitu_epoch(
     """
     spec = net.xbar1.spec
     _check_insitu_amplitudes(cfg, spec)
-    if len(dataset) != state.drive.shape[0]:
-        raise DimensionError(
-            f"dataset has {len(dataset)} patterns, but the in-situ state's "
-            f"drive was built for {state.drive.shape[0]}"
-        )
-    n_err, a1, a2 = _error_accumulators(net, dataset.labels, cfg, state)
+    n_err, a1, a2 = _error_accumulators(net, cfg, state)
     if n_err == 0:
         return net, 0
     _apply_sign_pulses(net.xbar1, _sign_amp_maps(-np.sign(a1), cfg), cfg)
@@ -825,7 +808,7 @@ def _insitu_loop(net: Network, fit_set: Dataset, cfg: InSituConfig
     state = InSituState.from_network(net, fit_set)
     trace = []
     for _ in range(cfg.epochs):
-        _, errors = insitu_epoch(net, fit_set, cfg, state)
+        _, errors = insitu_epoch(net, cfg, state)
         trace.append(errors)
         if errors == 0:
             break

@@ -22,9 +22,9 @@ def test_run_succeeds(tmp_path):
     assert (out / "summary.json").exists()
 
 
-def test_form_succeeds(tmp_path, capsys):
+def test_run_forming_prints_each_modes_rate(tmp_path, capsys):
     out = tmp_path / "out"
-    assert cli.main(["form", "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["run", "fig2-forming", "--out", str(out)]) == cli.EXIT_OK
     assert (out / "forming_voltages.csv").exists()
     assert "median manual-forming rate" in capsys.readouterr().out
 

@@ -70,6 +70,8 @@ REMOVED_VALUES = [
     ({"forming": {"mode": "current"}}, "forming.mode"),
     # the worker count is run_sweep's argument (sim sweep --workers)
     ({"knobs": {"workers": 2}}, "'workers'"),
+    # the letter class count is the network's n_outputs
+    ({"knobs": {"n_classes": 3}}, "'n_classes'"),
 ]
 
 
@@ -163,7 +165,6 @@ def test_non_finite_knobs_rejected(knobs):
 @pytest.mark.parametrize("key, value", [
     ("subsample", 10.9),
     ("subsample", "ten"),
-    ("n_classes", 3.7),
     ("n_train_digits", 8000.0),
     ("n_test_digits", None),
     ("n_rows", True),
@@ -277,6 +278,15 @@ def write_idx_corpus(directory, n_train=12, n_test=6):
     bench.save_idx(sets[0], directory / names[0], directory / names[1])
     bench.save_idx(sets[1], directory / names[2], directory / names[3])
     return sets
+
+
+@pytest.mark.parametrize("recipe, n_classes", [("fig8-exsitu", 4),
+                                               ("fig10-insitu", 3)])
+def test_letter_class_count_is_the_networks_outputs(recipe, n_classes):
+    train, test, _ = harness._datasets_for(config(recipe))
+    assert train.n_classes == test.n_classes == n_classes
+    with pytest.raises(ConfigError, match="3 or 4 classes"):
+        harness._datasets_for(config(recipe, network={"n_outputs": 5}))
 
 
 def test_mnist_dir_knob_loads_an_idx_directory(tmp_path):

@@ -8,8 +8,8 @@ from xbarnet import device as dev
 from xbarnet.device import DeviceSpec
 from xbarnet.neuron import (CompensationParams, NeuronBank, NeuronFault,
                             NeuronParams, bank_outputs, compensated_output,
-                            differential_voltage, inject_neuron_faults,
-                            make_bank, neuron_out, vary_swing)
+                            inject_neuron_faults, make_bank, transfer,
+                            vary_swing)
 from xbarnet.errors import ConfigError, DimensionError, SingularityError
 
 HIDDEN = NeuronParams()
@@ -21,38 +21,44 @@ def di_for(v_diff, p=HIDDEN):
     return v_diff / p.r_f
 
 
+def pair_out(i_plus, i_minus, p):
+    """One neuron on its column pair's currents: the transimpedance stage
+    network.forward computes, then the neuron law."""
+    return float(transfer(p.r_f * (i_plus - i_minus), p))
+
+
 # --- transfer curve ---------------------------------------------------------
 
 def test_hidden_linear_point():
     # v_diff 0.3 V -> clip stage 3 V -> scaled by 0.2/5 -> 0.12 V
-    assert neuron_out(di_for(0.3), 0.0, HIDDEN) == pytest.approx(0.12)
+    assert pair_out(di_for(0.3), 0.0, HIDDEN) == pytest.approx(0.12)
 
 
 def test_hidden_saturated_point():
     # v_diff 1 V saturates the gain stage; hidden output tops out at swing
-    assert neuron_out(di_for(1.0), 0.0, HIDDEN) == pytest.approx(0.2)
-    assert neuron_out(di_for(-1.0), 0.0, HIDDEN) == pytest.approx(-0.2)
+    assert pair_out(di_for(1.0), 0.0, HIDDEN) == pytest.approx(0.2)
+    assert pair_out(di_for(-1.0), 0.0, HIDDEN) == pytest.approx(-0.2)
 
 
 def test_output_layer_unscaled():
-    assert neuron_out(di_for(0.3, OUTPUT), 0.0, OUTPUT) == pytest.approx(3.0)
-    assert neuron_out(di_for(2.0, OUTPUT), 0.0, OUTPUT) == pytest.approx(5.0)
+    assert pair_out(di_for(0.3, OUTPUT), 0.0, OUTPUT) == pytest.approx(3.0)
+    assert pair_out(di_for(2.0, OUTPUT), 0.0, OUTPUT) == pytest.approx(5.0)
 
 
 def test_zero_input():
-    assert neuron_out(0.0, 0.0, HIDDEN) == 0.0
+    assert pair_out(0.0, 0.0, HIDDEN) == 0.0
 
 
 def test_differential_rejects_common_mode():
-    assert neuron_out(3e-4, 3e-4, HIDDEN) == 0.0
-    a = neuron_out(5e-4, 2e-4, HIDDEN)
-    b = neuron_out(8e-4, 5e-4, HIDDEN)
+    assert pair_out(3e-4, 3e-4, HIDDEN) == 0.0
+    a = pair_out(5e-4, 2e-4, HIDDEN)
+    b = pair_out(8e-4, 5e-4, HIDDEN)
     assert a == pytest.approx(b)
 
 
 def test_hidden_output_bounded():
     for di in np.linspace(-5e-3, 5e-3, 41):
-        assert abs(neuron_out(di, 0.0, HIDDEN)) <= HIDDEN.out_swing + 1e-15
+        assert abs(pair_out(di, 0.0, HIDDEN)) <= HIDDEN.out_swing + 1e-15
 
 
 def test_params_validation():
@@ -70,7 +76,7 @@ def test_bank_matches_scalar_path():
     bank = make_bank(7, HIDDEN)
     v_diff = np.linspace(-1.2, 1.2, 7)
     got = bank_outputs(bank, v_diff)
-    want = [neuron_out(di_for(v), 0.0, HIDDEN) for v in v_diff]
+    want = [pair_out(di_for(v), 0.0, HIDDEN) for v in v_diff]
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 

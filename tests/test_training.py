@@ -21,9 +21,9 @@ from xbarnet.network import (NetworkConfig, assemble, classify,
 from xbarnet.neuron import CompensationParams, NeuronParams
 from xbarnet.progtune import FormingConfig, TuneConfig
 from xbarnet.training import (InSituConfig, InSituState, Loss, MeasuredMaps,
-                              Scheme, TrainHyper, build_software_net,
-                              conductance_targets, insitu_epoch,
-                              loss_and_grads, measure_network_maps,
+                              Scheme, TrainHyper, _loss_and_grads,
+                              build_software_net, conductance_targets,
+                              insitu_epoch, measure_network_maps,
                               run_scheme, run_schemes, software_forward,
                               software_weights_for, train_defect_aware)
 
@@ -125,7 +125,8 @@ def test_fit_formulas_equal_dense_oracle(quadratic, loss):
     want = dense_forward(snet, levels)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
-    value, dw1, dw2, n_err = loss_and_grads(snet, levels, labels, loss, 0.8)
+    value, dw1, dw2, n_err = _loss_and_grads(
+        snet, drive_voltages(snet.config, levels), labels, loss, 0.8)
     w_value, w_dw1, w_dw2 = dense_grads(snet, levels, labels, loss, 0.8)
     assert value == w_value
     np.testing.assert_array_equal(dw1, w_dw1)
@@ -154,7 +155,8 @@ def test_quadratic_grads_match_finite_differences(loss):
     hp, op = snet.hidden_params, snet.output_params
     assert np.all(np.abs(hp.gain * vd1) < 0.9 * hp.v_sat)
     assert np.all(np.abs(op.gain * vd2) < 0.9 * op.v_sat)
-    _, dw1, dw2, _ = loss_and_grads(snet, levels, labels, loss)
+    x1 = drive_voltages(snet.config, levels)
+    _, dw1, dw2, _ = _loss_and_grads(snet, x1, labels, loss, 1.0)
     rng = np.random.default_rng(3)
     eps = 1e-6
     for layer, dw in ((snet.layer1, dw1), (snet.layer2, dw2)):
@@ -163,9 +165,9 @@ def test_quadratic_grads_match_finite_differences(loss):
         for r, c in free[rng.choice(len(free), 12, replace=False)]:
             w0 = layer.w[r, c]
             layer.w[r, c] = w0 + eps
-            up = loss_and_grads(snet, levels, labels, loss)[0]
+            up = _loss_and_grads(snet, x1, labels, loss, 1.0)[0]
             layer.w[r, c] = w0 - eps
-            down = loss_and_grads(snet, levels, labels, loss)[0]
+            down = _loss_and_grads(snet, x1, labels, loss, 1.0)[0]
             layer.w[r, c] = w0
             fd = (up - down) / (2 * eps)
             assert dw[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-9)
@@ -305,7 +307,8 @@ def test_software_model_takes_the_hardware_input_stage():
     with pytest.raises(DimensionError, match="got 15 inputs"):
         software_forward(snet, levels)
     with pytest.raises(DimensionError, match="got 15 inputs"):
-        loss_and_grads(snet, levels, np.zeros(len(levels), int))
+        _loss_and_grads(snet, drive_voltages(snet.config, levels),
+                        np.zeros(len(levels), int), Loss.SQUARED_ERROR, 1.0)
 
 
 @pytest.mark.parametrize("half_select", [False, True])
@@ -322,7 +325,7 @@ def test_insitu_belief_equals_silicon_without_threshold_spread(half_select):
     state = InSituState.from_network(net, train)
     cfg = InSituConfig(half_select=half_select)
     for _ in range(8):
-        net = insitu_epoch(net, train, cfg, state)[0]
+        net = insitu_epoch(net, cfg, state)[0]
     assert not np.array_equal(net.xbar1.g, g_start)  # pulses did land
     np.testing.assert_array_equal(state.bg2, net.xbar2.g)
 
@@ -341,7 +344,9 @@ def test_insitu_epoch_pulses_the_network_it_is_given():
     g1_start, g2_start = g1.copy(), g2.copy()
     train, _ = letter_dataset()
     state = InSituState.from_network(net, train)
-    out, n_err = insitu_epoch(net, train, InSituConfig(), state)
+    assert state.drive.shape == (len(train), net.config.rows1)
+    np.testing.assert_array_equal(state.labels, train.labels)
+    out, n_err = insitu_epoch(net, InSituConfig(), state)
     assert n_err > 0
     assert out is net
     assert net.xbar1.g is g1 and net.xbar2.g is g2
@@ -362,20 +367,9 @@ def test_insitu_epoch_refuses_amplitudes_that_cannot_train(amplitudes,
     state = InSituState.from_network(net, train)
     g1, g2 = net.xbar1.g.copy(), net.xbar2.g.copy()
     with pytest.raises(ConfigError, match=match):
-        insitu_epoch(net, train, InSituConfig(**amplitudes), state)
+        insitu_epoch(net, InSituConfig(**amplitudes), state)
     np.testing.assert_array_equal(net.xbar1.g, g1)
     np.testing.assert_array_equal(net.xbar2.g, g2)
-
-
-def test_insitu_state_rejects_a_dataset_of_another_length():
-    net = _midrange_letter_net(7)
-    train, _ = letter_dataset()
-    state = InSituState.from_network(net, train)
-    assert state.drive.shape == (len(train), net.config.rows1)
-    g1 = net.xbar1.g.copy()
-    with pytest.raises(DimensionError, match="40"):
-        insitu_epoch(net, train.subset(np.arange(30)), InSituConfig(), state)
-    np.testing.assert_array_equal(net.xbar1.g, g1)
 
 
 def _defective_letter_net(seed):
