@@ -9,8 +9,10 @@ exactly its generating train pattern — which the flip-test semantics need.
 
 Digit data loads from IDX files (the standard big-endian layout).  A
 procedural 28x28 digit generator doubles as a stand-in corpus for
-environments without the real files; it quantizes pixels to 8 bits exactly
-as the loader does, so a corpus and its IDX round trip agree bit for bit.
+environments without the real files.  Both keep grayscale pixels as their
+8-bit codes, as the IDX files store them, so a corpus and its IDX round trip
+agree bit for bit; the input stage (``network.drive_voltages``) maps a code c
+to the level 2 * (c / 255) - 1.
 Its Gaussian stroke blur is numpy only, batched over blocks of images, and
 equal bit for bit to ``scipy.ndimage.gaussian_filter``; scipy is needed
 only by the test that checks it.
@@ -52,8 +54,13 @@ _LETTER_PATTERNS = [
 class Dataset:
     """Pixel patterns with labels.
 
-    encoding notes how pixels map to drive voltages downstream:
-    "pm1" (binary +-1, letters) or "gray01" (grayscale [0, 1], digits).
+    encoding notes how pixels map to drive voltages downstream: "pm1"
+    pixels are the drive levels themselves (binary +-1, letters); "gray01"
+    pixels are uint8 grayscale codes 0-255 (digits), the level of code c
+    being 2 * (c / 255) - 1.  A gray01 array of any other dtype is refused
+    with DataFormatError: the codes are 8 times smaller than float levels,
+    and a float array in [0, 1] would otherwise drive as near-black codes.
+    Nothing writes to pixels, so they may be a read-only view.
     """
 
     pixels: np.ndarray
@@ -71,6 +78,11 @@ class Dataset:
             raise ConfigError("labels must lie in [0, n_classes)")
         if self.encoding not in ("pm1", "gray01"):
             raise ConfigError(f"unknown encoding {self.encoding!r}")
+        if self.encoding == "gray01" and self.pixels.dtype != np.uint8:
+            raise DataFormatError(
+                f"gray01 pixels must be uint8 codes 0-255, got "
+                f"{self.pixels.dtype}"
+            )
 
     def __len__(self) -> int:
         return self.pixels.shape[0]
@@ -82,16 +94,6 @@ class Dataset:
     def subset(self, idx) -> "Dataset":
         return Dataset(self.pixels[idx], self.labels[idx], self.n_classes,
                        self.encoding)
-
-
-def encode_levels(dataset: Dataset) -> np.ndarray:
-    """Pixels as drive levels in [-1, 1] (multiply by input_voltage to get
-    volts): pm1 passes through, gray01 maps p -> 2p - 1."""
-    if dataset.encoding == "pm1":
-        return dataset.pixels
-    levels = 2.0 * dataset.pixels
-    levels -= 1.0  # in place: one full-size array, not two
-    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +165,30 @@ def _read_idx(path: Path, magic_expected: int, n_dims: int) -> np.ndarray:
 
 
 def load_mnist(image_file: str | Path, label_file: str | Path) -> Dataset:
-    """Load an IDX image/label pair: 28x28 images flattened to 784 floats in
-    [0, 1], labels 0-9."""
+    """Load an IDX image/label pair: 28x28 images flattened to 784 uint8
+    codes (a read-only view of the file's payload), labels 0-9."""
     images = _read_idx(Path(image_file), _IDX_IMAGES_MAGIC, 3)
     labels = _read_idx(Path(label_file), _IDX_LABELS_MAGIC, 1)
     if images.shape[0] != labels.shape[0]:
         raise DataFormatError(
             f"image count {images.shape[0]} != label count {labels.shape[0]}"
         )
-    pix = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
-    return Dataset(pix, labels.astype(np.int64), 10, "gray01")
+    return Dataset(images.reshape(images.shape[0], -1),
+                   labels.astype(np.int64), 10, "gray01")
 
 
 def save_idx(dataset: Dataset, image_file: str | Path, label_file: str | Path,
              *, side: int = 28):
-    """Write a gray01 dataset back to an IDX image/label pair (round-trip
-    safe: quantizes to uint8 exactly as the loader divides)."""
+    """Write a gray01 dataset's codes back to an IDX image/label pair, which
+    load_mnist reads back unchanged."""
     if dataset.encoding != "gray01":
         raise ConfigError("only gray01 datasets serialize to IDX")
     n, d = dataset.pixels.shape
     if d != side * side:
         raise DimensionError(f"feature count {d} is not {side}x{side}")
-    images = np.round(dataset.pixels * 255.0).astype(np.uint8)
     with open(image_file, "wb") as f:
         f.write(struct.pack(">IIII", _IDX_IMAGES_MAGIC, n, side, side))
-        f.write(images.tobytes())
+        f.write(dataset.pixels.tobytes())
     with open(label_file, "wb") as f:
         f.write(struct.pack(">II", _IDX_LABELS_MAGIC, n))
         f.write(dataset.labels.astype(np.uint8).tobytes())
@@ -263,18 +264,20 @@ def _blur(canvases: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 def synthetic_digits(n: int, seed, *, side: int = 28) -> Dataset:
     """Procedural handwritten-style digit corpus, one glyph skeleton per
     class plus random affine distortion, stroke-width jitter, and pixel
-    noise.  Deterministic per seed; balanced class counts (round-robin)."""
+    noise.  Deterministic per seed; balanced class counts (round-robin).
+    Pixels are uint8 codes, quantized as an IDX file stores them."""
     if n <= 0:
         raise ConfigError("sample count must be positive")
     rng = np.random.default_rng(seed)
     strokes = _digit_strokes()
     labels = rng.permutation(np.arange(n, dtype=np.int64) % 10)
     # the draws and the strokes stay per image, in the rng's order; the
-    # noise waits in images until the blocks below blur the strokes.  A
-    # pixel holds at most a skeleton's 120 points, so uint8 counts do.
-    counts = np.zeros((n, side, side), dtype=np.uint8)
+    # noise waits in its own array until the blocks below blur the strokes.
+    # A pixel holds at most a skeleton's 120 points, so uint8 counts do,
+    # and each block then overwrites its counts with its codes.
+    codes = np.zeros((n, side, side), dtype=np.uint8)
     widths = np.empty(n)
-    images = np.empty((n, side, side))
+    noise = np.empty((n, side, side))
     for i in range(n):
         pts = strokes[labels[i]] - 0.5
         angle = rng.normal(0.0, 0.14)
@@ -284,22 +287,21 @@ def synthetic_digits(n: int, seed, *, side: int = 28) -> Dataset:
         mat = np.array([[c, -s], [s, c]]) @ np.array([[sx, shear * sx], [0.0, sy]])
         moved = pts @ mat.T + 0.5 + rng.normal(0.0, 0.035, 2)
         ij = np.clip(np.round(moved * (side - 1)).astype(int), 0, side - 1)
-        np.add.at(counts[i], (side - 1 - ij[:, 1], ij[:, 0]), 1)
+        np.add.at(codes[i], (side - 1 - ij[:, 1], ij[:, 0]), 1)
         widths[i] = max(0.55, rng.normal(0.9, 0.18))
-        images[i] = rng.normal(0.0, 0.04, (side, side))
+        noise[i] = rng.normal(0.0, 0.04, (side, side))
     # blocks of near-equal widths pad few kernels with zero weights
     order = np.argsort(widths)
     for start in range(0, n, 256):
         block = order[start:start + 256]
-        canvas = _blur(counts[block].astype(float), widths[block])
+        canvas = _blur(codes[block].astype(float), widths[block])
         canvas /= canvas.max(axis=(1, 2), keepdims=True)
-        canvas += images[block]
-        # quantize like the IDX round trip so synthetic-direct and
-        # synthetic-via-file paths agree bit for bit
+        canvas += noise[block]
         np.clip(canvas, 0.0, 1.0, out=canvas)
         canvas *= 255.0
-        images[block] = np.round(canvas, out=canvas) / 255.0
-    return Dataset(images.reshape(n, side * side), labels, 10, "gray01")
+        # whole numbers 0-255: the cast to uint8 is exact
+        codes[block] = np.round(canvas, out=canvas)
+    return Dataset(codes.reshape(n, side * side), labels, 10, "gray01")
 
 
 # ---------------------------------------------------------------------------

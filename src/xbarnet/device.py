@@ -129,8 +129,14 @@ def effective_conductance(g, spec: DeviceSpec, t=None):
 
 def check_read_regime(v):
     """Raise ReadRegimeError unless every read voltage is finite and within
-    the non-disturbing window |v| <= READ_REGIME_MAX."""
-    if not np.all(np.abs(v) <= READ_REGIME_MAX):  # NaN fails too
+    the non-disturbing window |v| <= READ_REGIME_MAX.
+
+    The batch's max and min bound it, so no full-size abs or bool array is
+    made; a NaN anywhere makes both NaN, and every compare with NaN fails.
+    """
+    v = np.asarray(v)
+    if v.size and not (v.max() <= READ_REGIME_MAX
+                       and -v.min() <= READ_REGIME_MAX):
         raise ReadRegimeError(
             f"read voltages must be finite and within the read regime "
             f"limit of {READ_REGIME_MAX} V"

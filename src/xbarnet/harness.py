@@ -699,7 +699,7 @@ class _LetterStudy:
 def _software_error(net: Network, snet: SoftwareNet,
                     test: Dataset) -> float:
     """Test error percentage of the software fit itself."""
-    y, *_ = software_forward(snet, bench.encode_levels(test))
+    y, *_ = software_forward(snet, test)
     pred = np.argmax(y, axis=1)
     return 100.0 - bench.score(pred, test.labels,
                                max(test.n_classes, net.config.n_outputs))

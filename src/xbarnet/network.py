@@ -147,7 +147,7 @@ def assemble(config: NetworkConfig, spec: DeviceSpec, seed) -> Network:
 # inference
 # ---------------------------------------------------------------------------
 
-# patterns per layer-1 read in forward: bounds the read temporaries at a
+# patterns per crossbar read in forward: bounds the read temporaries at a
 # chunk's size without changing any result (see forward)
 _CHUNK_ROWS = 1000
 
@@ -155,45 +155,67 @@ _CHUNK_ROWS = 1000
 @dataclass
 class ForwardTrace:
     """What one batched hardware forward pass leaves for its readers: the
-    hidden outputs, layer 2's row voltages and the output voltages."""
+    hidden outputs, layer 2's row voltages and the output voltages.  Layer
+    2's drive holds the hidden outputs in its first n_hidden columns, so
+    hidden is a view of v_in2, not an array of its own."""
 
     hidden: np.ndarray
     v_in2: np.ndarray
     output: np.ndarray
 
 
-def with_bias(x: np.ndarray, bias: bool, v: float,
-              scale: float | None = None) -> np.ndarray:
+def with_bias(x: np.ndarray, bias: bool, v: float) -> np.ndarray:
     """A batch of row voltages (n, k) -> (n, k + 1) with a constant bias
-    column at v appended, or x itself when the layer has no bias.
-
-    Given a scale, the batch is scale * x instead.  With a bias the result
-    is one new array, filled in place: no full-size temporary for scale * x
-    or for the bias column.
-    """
+    column at v appended, or x itself when the layer has no bias."""
     if not bias:
-        return x if scale is None else scale * x
+        return x
     n, k = x.shape
     out = np.empty((n, k + 1))
-    if scale is None:
-        out[:, :k] = x
-    else:
-        np.multiply(x, scale, out=out[:, :k])
+    out[:, :k] = x
     out[:, k] = v
     return out
 
 
-def drive_voltages(config: NetworkConfig, levels: np.ndarray) -> np.ndarray:
-    """Input drive levels in [-1, 1] -> layer-1 row voltage batch, bias
-    appended: the one input stage of the hardware and the software model."""
-    levels = np.atleast_2d(np.asarray(levels, dtype=np.float64))
-    if levels.shape[1] != config.n_inputs:
+def drive_voltages(config: NetworkConfig, dataset: bench.Dataset
+                   ) -> np.ndarray:
+    """A dataset's layer-1 row voltage batch, bias column appended: the one
+    input stage of the hardware and the software model.
+
+    A pm1 pixel is its own drive level; a gray01 code c is the level
+    2 * (c / 255) - 1.  Each level is scaled by input_voltage.  The batch is
+    one new array, and the levels are computed in it in place,
+    ((c / 255) * 2 - 1) * input_voltage in that order, so no full-size
+    levels array is made first.
+    """
+    n, k = dataset.pixels.shape
+    if k != config.n_inputs:
         raise DimensionError(
-            f"got {levels.shape[1]} inputs, network expects "
-            f"{config.n_inputs}"
+            f"got {k} inputs, network expects {config.n_inputs}"
         )
     v = config.input_voltage
-    return with_bias(levels, config.bias1, v, scale=v)
+    out = np.empty((n, config.rows1))
+    levels = out[:, :k]
+    if dataset.encoding == "gray01":
+        np.divide(dataset.pixels, 255.0, out=levels)
+        levels *= 2.0
+        levels -= 1.0
+        levels *= v
+    else:
+        np.multiply(dataset.pixels, v, out=levels)
+    if config.bias1:
+        out[:, k] = v
+    return out
+
+
+def _read_layer(xbar: Crossbar, bank: NeuronBank, v: np.ndarray,
+                out: np.ndarray, **read):
+    """Neuron outputs of one layer into out, for the drive batch v read
+    _CHUNK_ROWS patterns at a time."""
+    r_f = bank.params.r_f
+    for start in range(0, v.shape[0], _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        i = vmm_currents_batch(xbar, v[rows], **read)
+        out[rows] = bank_outputs(bank, r_f * pair_difference(i))
 
 
 def forward(
@@ -205,19 +227,20 @@ def forward(
     rng=None,
 ) -> ForwardTrace:
     """Hardware forward pass over a batch of row voltages (n, rows1), as
-    drive_voltages builds it from input levels.
+    drive_voltages builds it from a dataset.
 
-    Layer 1 reads the batch in chunks of _CHUNK_ROWS patterns, so its
-    temporaries (squared drive, column currents, noise terms,
-    pre-activations) are a chunk in size, not a batch.  That is exact on
-    the assumption that a matmul split by rows equals the whole product bit
-    for bit, which holds on a single-threaded BLAS because each row keeps
-    its own reduction order;
-    tests/test_network.py compares the chunked pass with the whole-batch
-    one and fails if a BLAS breaks it.  Layer 2 runs over the whole batch,
-    and only after every layer-1 chunk, so with read noise the generator
-    still gives layer 1 its draws first, in row order (consecutive chunk
-    draws are one whole-batch draw split by rows), then layer 2.
+    Each layer reads its batch in chunks of _CHUNK_ROWS patterns, so the
+    read temporaries (squared drive, column currents, noise terms,
+    pre-activations) are a chunk in size, not a batch.  The hidden outputs
+    go straight into layer 2's drive, whose bias column is filled once.
+    That is exact on the assumption that a matmul split by rows equals the
+    whole product bit for bit, which holds on a single-threaded BLAS
+    because each row keeps its own reduction order; tests/test_network.py
+    compares the chunked pass with a whole-batch one and fails if a BLAS
+    breaks it.  Layer 2 reads only after every layer-1 chunk, so with read
+    noise the generator still gives layer 1 its draws first, in row order
+    (consecutive chunk draws are one whole-batch draw split by rows), then
+    layer 2, in row order.
     """
     gen = np.random.default_rng(rng) if noise_sigma > 0.0 else None
     v_in = np.asarray(v_in, dtype=np.float64)
@@ -226,19 +249,15 @@ def forward(
             f"drive batch has shape {v_in.shape}, expected "
             f"(n, {net.xbar1.rows})"
         )
-    r_f1 = net.hidden_neurons.params.r_f
-    hidden = np.empty((v_in.shape[0], net.config.n_hidden))
-    for start in range(0, v_in.shape[0], _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        i1 = vmm_currents_batch(net.xbar1, v_in[rows], t=t,
-                                noise_sigma=noise_sigma, rng=gen)
-        hidden[rows] = bank_outputs(net.hidden_neurons,
-                                    r_f1 * pair_difference(i1))
-    v_in2 = with_bias(hidden, net.config.bias2, net.config.input_voltage)
-    i2 = vmm_currents_batch(net.xbar2, v_in2, t=t, noise_sigma=noise_sigma,
-                            rng=gen)
-    output = bank_outputs(net.output_neurons,
-                          net.output_neurons.params.r_f * pair_difference(i2))
+    n, k = v_in.shape[0], net.config.n_hidden
+    read = dict(t=t, noise_sigma=noise_sigma, rng=gen)
+    v_in2 = np.empty((n, net.xbar2.rows))
+    if net.config.bias2:
+        v_in2[:, k] = net.config.input_voltage
+    hidden = v_in2[:, :k]
+    _read_layer(net.xbar1, net.hidden_neurons, v_in, hidden, **read)
+    output = np.empty((n, net.config.n_outputs))
+    _read_layer(net.xbar2, net.output_neurons, v_in2, output, **read)
     return ForwardTrace(hidden, v_in2, output)
 
 
@@ -258,8 +277,7 @@ def evaluate(
     """Classification fidelity (percent) of net on dataset."""
     if len(dataset) == 0:
         raise ConfigError("dataset is empty")
-    # the levels are a temporary: only the drive outlives this line
-    v_in = drive_voltages(net.config, bench.encode_levels(dataset))
-    trace = forward(net, v_in, t=t, noise_sigma=noise_sigma, rng=rng)
+    trace = forward(net, drive_voltages(net.config, dataset), t=t,
+                    noise_sigma=noise_sigma, rng=rng)
     k = max(dataset.n_classes, net.config.n_outputs)
     return bench.score(classify(trace.output), dataset.labels, k)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import device as dev
 from . import network as netmod
-from .bench import Dataset, encode_levels
+from .bench import Dataset
 from .crossbar import (Crossbar, measure_maps, pulse_all, threshold_minima,
                        write_pulse)
 from .device import DefectKind, DeviceSpec
@@ -295,14 +295,15 @@ def _forward(snet: SoftwareNet, x1: np.ndarray):
     return y, hidden, vdiff1, vdiff2, x1, x2
 
 
-def software_forward(snet: SoftwareNet, levels: np.ndarray):
-    """Batched forward pass; returns (y, hidden, vdiff1, vdiff2, x1, x2).
+def software_forward(snet: SoftwareNet, dataset: Dataset):
+    """Batched forward pass over a dataset's drive (drive_voltages);
+    returns (y, hidden, vdiff1, vdiff2, x1, x2).
 
     Each layer computes vdiff = x @ w + (x*x) @ (c + d*w).  On a layer
     whose c and d are all zero (both layers of a precursor fit) the
     quadratic term is exactly zero and is skipped, as is x*x.
     """
-    return _forward(snet, drive_voltages(snet.config, levels))
+    return _forward(snet, drive_voltages(snet.config, dataset))
 
 
 def _loss_delta(y: np.ndarray, labels: np.ndarray, loss: Loss,
@@ -375,23 +376,22 @@ def _count_errors(snet: SoftwareNet, x1: np.ndarray,
     return errors
 
 
-def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
-         hyper: TrainHyper, n_classes: int) -> list[int]:
-    """In-place SGD over the software model; returns the error trace.
+def _fit(snet: SoftwareNet, dataset: Dataset, hyper: TrainHyper
+         ) -> list[int]:
+    """In-place SGD over the software model on dataset; returns the error
+    trace.
 
     A fit whose loss or weights become non-finite, or whose last epoch
     scores no better than chance (100 / n_classes percent) on the fit set,
-    raises DivergenceError.  The input drive is built once, and the levels
-    are dropped as soon as it exists, so a caller that hands over its only
-    reference does not hold them through the fit.
+    raises DivergenceError.  The input drive is built once.
     """
     rng = np.random.default_rng(hyper.seed)
     for layer in (snet.layer1, snet.layer2):
         init = rng.normal(0.0, hyper.init_scale, layer.w.shape)
         layer.w = np.where(layer.frozen, layer.w,
                            np.clip(init, layer.w_lo, layer.w_hi))
-    x1 = drive_voltages(snet.config, levels)
-    del levels
+    x1 = drive_voltages(snet.config, dataset)
+    labels = dataset.labels
     n = x1.shape[0]
     bs = hyper.batch_size or n
     trace = []
@@ -428,14 +428,20 @@ def _fit(snet: SoftwareNet, levels: np.ndarray, labels: np.ndarray,
                 break
         else:
             tail = 0
-    fidelity = 100.0 * (1.0 - trace[-1] / n)
-    if fidelity <= 100.0 / n_classes:
+    _refuse_chance("fit", trace, dataset)
+    return trace
+
+
+def _refuse_chance(what: str, trace: list[int], fit_set: Dataset):
+    """Raise DivergenceError when the last error count of trace leaves the
+    fit set at or below chance, 100 / n_classes percent."""
+    fidelity = 100.0 * (1.0 - trace[-1] / len(fit_set))
+    if fidelity <= 100.0 / fit_set.n_classes:
         epoch = len(trace) - 1
         raise DivergenceError(
-            f"fit ended at chance: {fidelity:.2f}% fidelity on the fit set "
-            f"after epoch {epoch}", epoch=epoch
+            f"{what} ended at chance: {fidelity:.2f}% fidelity on the fit "
+            f"set at epoch {epoch}", epoch=epoch
         )
-    return trace
 
 
 def train_defect_aware(
@@ -460,8 +466,7 @@ def train_defect_aware(
             f"only has {net.config.n_outputs} outputs"
         )
     snet = build_software_net(net, maps)
-    trace = _fit(snet, encode_levels(dataset), dataset.labels, hyper,
-                 dataset.n_classes)
+    trace = _fit(snet, dataset, hyper)
     return snet.layer1.w.copy(), snet.layer2.w.copy(), snet, trace
 
 
@@ -634,9 +639,9 @@ class InSituState:
     threshold variation poisons in-situ training.
 
     The state owns the fit set: its row voltages (``drive``), built once
-    per in-situ run, and its ``labels``.  Neither the patterns nor the input
-    stage change between epochs, so every epoch reads the arrays with the
-    same drive.
+    per in-situ run straight from the dataset's pixels (drive_voltages),
+    and its ``labels``.  Neither the patterns nor the input stage change
+    between epochs, so every epoch reads the arrays with the same drive.
     """
 
     bg2: np.ndarray
@@ -646,7 +651,7 @@ class InSituState:
     @classmethod
     def from_network(cls, net: Network, dataset: Dataset) -> "InSituState":
         return cls(bg2=net.xbar2.g.copy(),
-                   drive=drive_voltages(net.config, encode_levels(dataset)),
+                   drive=drive_voltages(net.config, dataset),
                    labels=dataset.labels)
 
     def believed_w2(self, net: Network) -> np.ndarray:
@@ -672,34 +677,35 @@ def _error_accumulators(net: Network, cfg: InSituConfig,
                         state: InSituState):
     """One hardware forward over the state's fit-set drive and the Manhattan
     accumulators it yields: (misclassifications, a1, a2), the accumulators
-    None when nothing is misclassified.  Every full-batch array is freed on
-    return, before any pulse."""
+    None when nothing is misclassified.
+
+    A correctly classified pattern adds nothing to either accumulator, so
+    every array of the backward chain holds the misclassified rows alone.
+    Leaving out the zero rows regroups the BLAS sums, so a1 and a2 may
+    differ in their last bits from full-batch sums; the step reads only
+    their signs, which tests/test_training.py compares with the full-batch
+    sums.  Every full-batch array is freed on return, before any pulse.
+    """
     trace = forward(net, state.drive)
-    preds = np.argmax(trace.output, axis=1)
-    mis = preds != state.labels
-    n_err = int(mis.sum())
-    if n_err == 0:
+    mis = np.flatnonzero(np.argmax(trace.output, axis=1) != state.labels)
+    if mis.size == 0:
         return 0, None, None
 
-    y = trace.output
-    n = y.shape[0]
+    y = trace.output[mis]
     onehot = np.zeros_like(y)
-    onehot[np.arange(n), state.labels] = 1.0
+    onehot[np.arange(mis.size), state.labels[mis]] = 1.0
     t = cfg.target_volts * (2.0 * onehot - 1.0)
     # saturation gates from observable outputs; output-layer accumulators
     # need only measured quantities, the hidden chain needs weights
     gate2 = (np.abs(y) < net.output_neurons.swing).astype(np.float64)
     delta2 = (y - t) * slope(net.output_neurons.params) * gate2
-    delta2[~mis] = 0.0
-    a2 = trace.v_in2.T @ delta2
-    # the hidden gate stays a boolean mask and multiplies delta1 in place,
-    # by 1.0 or 0.0 as a float gate would, without a full-batch float copy
-    gate1 = np.abs(trace.hidden) < net.hidden_neurons.swing
+    a2 = trace.v_in2[mis].T @ delta2
+    gate1 = np.abs(trace.hidden[mis]) < net.hidden_neurons.swing
     delta1 = (delta2 @ state.believed_w2(net).T)[:, : net.config.n_hidden] \
         * slope(net.hidden_neurons.params)
     delta1 *= gate1
-    a1 = state.drive.T @ delta1
-    return n_err, a1, a2
+    a1 = state.drive[mis].T @ delta1
+    return mis.size, a1, a2
 
 
 def insitu_epoch(
@@ -804,7 +810,13 @@ def _insitu_loop(net: Network, fit_set: Dataset, cfg: InSituConfig
                  ) -> list[int]:
     """In-situ epochs on net, in place, until an epoch finds no error or
     cfg.epochs have run; returns the error trace.  The state, with its
-    fit-set drive, is freed on return, before the final evaluations."""
+    fit-set drive, is freed on return, before the final evaluations.
+
+    A loop whose last measured error count leaves the fit set at or below
+    chance (100 / n_classes percent) raises DivergenceError naming that
+    epoch, as a fit does; the count is the last epoch's own, so no extra
+    forward pass runs.
+    """
     state = InSituState.from_network(net, fit_set)
     trace = []
     for _ in range(cfg.epochs):
@@ -812,6 +824,7 @@ def _insitu_loop(net: Network, fit_set: Dataset, cfg: InSituConfig
         trace.append(errors)
         if errors == 0:
             break
+    _refuse_chance("in-situ training", trace, fit_set)
     return trace
 
 

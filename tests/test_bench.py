@@ -13,8 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.ndimage import gaussian_filter
 
 import xbarnet
-from xbarnet.bench import (Dataset, _blur, encode_levels, letter_dataset,
-                           load_mnist, save_idx, score, synthetic_digits)
+from xbarnet.bench import (Dataset, _blur, letter_dataset, load_mnist,
+                           save_idx, score, synthetic_digits)
 from xbarnet.errors import (ConfigError, DataFormatError, DataMissingError,
                             DimensionError)
 
@@ -63,16 +63,6 @@ def test_train_patterns_well_separated():
     assert off_diag.min() >= 3
 
 
-def test_encode_levels_pm1_passthrough():
-    train, _ = letter_dataset()
-    np.testing.assert_array_equal(encode_levels(train), train.pixels)
-
-
-def test_encode_levels_gray_maps_to_pm1():
-    ds = Dataset(np.array([[0.0, 0.5, 1.0]]), np.array([0]), 10, "gray01")
-    np.testing.assert_allclose(encode_levels(ds), [[-1.0, 0.0, 1.0]])
-
-
 def test_dataset_validation():
     with pytest.raises(DimensionError):
         Dataset(np.zeros(4), np.zeros(4, dtype=int), 2)
@@ -82,6 +72,17 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 3)), np.array([0, 5]), 2)
     with pytest.raises(ConfigError):
         Dataset(np.zeros((2, 3)), np.array([0, 1]), 2, "hex")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64,
+                                   np.uint16, np.int8, bool])
+def test_gray_pixels_must_be_uint8_codes(dtype):
+    # a float array in [0, 1] would otherwise drive as near-black codes
+    with pytest.raises(DataFormatError, match="gray01 pixels must be uint8"):
+        Dataset(np.zeros((2, 3), dtype=dtype), np.array([0, 1]), 2, "gray01")
+    codes = Dataset(np.zeros((2, 3), dtype=np.uint8), np.array([0, 1]), 2,
+                    "gray01")
+    assert codes.subset(np.array([1])).pixels.dtype == np.uint8
 
 
 # --- IDX files --------------------------------------------------------------
@@ -97,7 +98,7 @@ def test_idx_roundtrip(tmp_path):
 
 
 def test_idx_pixel_scaling(tmp_path):
-    # a stored byte of 255 loads as exactly 1.0
+    # the stored bytes load as they are, as uint8 codes
     img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
     with open(img, "wb") as f:
         f.write(struct.pack(">IIII", 2051, 1, 2, 2))
@@ -106,8 +107,8 @@ def test_idx_pixel_scaling(tmp_path):
         f.write(struct.pack(">II", 2049, 1))
         f.write(bytes([7]))
     ds = load_mnist(img, lab)
-    np.testing.assert_allclose(ds.pixels[0],
-                               [0.0, 51 / 255, 204 / 255, 1.0])
+    assert ds.pixels.dtype == np.uint8
+    np.testing.assert_array_equal(ds.pixels[0], [0, 51, 204, 255])
     assert ds.labels[0] == 7
 
 
@@ -157,7 +158,8 @@ def test_synthetic_digits_shape_and_range():
     ds = synthetic_digits(50, seed=1)
     assert ds.pixels.shape == (50, 784)
     assert ds.n_classes == 10
-    assert ds.pixels.min() >= 0.0 and ds.pixels.max() <= 1.0
+    assert ds.pixels.dtype == np.uint8
+    assert ds.pixels.min() == 0 and ds.pixels.max() == 255
     counts = np.bincount(ds.labels, minlength=10)
     assert counts.max() - counts.min() <= 1  # round-robin balance
 
@@ -172,10 +174,12 @@ def test_synthetic_digits_deterministic():
 
 
 def test_synthetic_digits_bytes_pinned():
-    # recorded while the corpus still blurred with scipy's gaussian_filter;
-    # apart from fig12's golden summary, the one check of the corpus bytes
+    # recorded while the corpus still blurred with scipy's gaussian_filter
+    # and held the float pixels code / 255; apart from fig12's golden
+    # summary, the one check of the corpus bytes
     ds = synthetic_digits(200, seed=0)
-    digest = hashlib.sha256(ds.pixels.tobytes() + ds.labels.tobytes())
+    digest = hashlib.sha256((ds.pixels / 255.0).tobytes()
+                            + ds.labels.tobytes())
     assert digest.hexdigest() == (
         "5d65995c2e4c070b7720aeb097740ae43732f60abceb6e98d85449008e50a676")
 
@@ -210,7 +214,7 @@ def test_importing_the_package_loads_no_scipy():
 def test_synthetic_digits_classes_distinct():
     # mean images of different classes should not be near-identical
     ds = synthetic_digits(400, seed=3)
-    means = np.stack([ds.pixels[ds.labels == k].mean(axis=0)
+    means = np.stack([ds.pixels[ds.labels == k].mean(axis=0) / 255.0
                       for k in range(10)])
     for a in range(10):
         for b in range(a + 1, 10):

@@ -246,6 +246,20 @@ def test_read_outside_regime_is_a_runtime_failure(tmp_path, capsys):
     assert "read regime" in capsys.readouterr().err
 
 
+def test_insitu_run_at_chance_is_a_runtime_failure(tmp_path, capsys):
+    # pulses 50 times shorter than stock barely move a device: fig10 seed 1
+    # ends its 25 in-situ epochs with 20 of its 30 fit patterns wrong, 1 in
+    # 3 right on 3 classes, and the loop's DivergenceError names the epoch
+    # (seed 0 ends one pattern above chance)
+    conf = write_config(tmp_path, json.dumps(
+        {"seeds": [1], "insitu": {"width": 1e-3}}))
+    code = cli.main(["run", "fig10-insitu", "--config", conf,
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_RUNTIME
+    assert ("in-situ training ended at chance: 33.33% fidelity on the fit "
+            "set at epoch 24") in capsys.readouterr().err
+
+
 def test_unexpected_failure_exits_1(tmp_path, monkeypatch, capsys):
     def broken(cfg, out_dir=None):
         raise RuntimeError("boom")

@@ -70,6 +70,30 @@ def test_read_regime_enforced(spec):
         read_terms(50e-6, 0.0, float("nan"), spec)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf,
+                                 np.nextafter(dev.READ_REGIME_MAX, 1.0),
+                                 -np.nextafter(dev.READ_REGIME_MAX, 1.0)])
+def test_read_regime_check_refuses_one_bad_entry_anywhere(bad):
+    # the check bounds a batch by its max and min: a single NaN, inf or
+    # just-out-of-window entry deep in a later 1,000-row chunk still raises
+    v = np.full((2500, 17), 0.1)
+    v[1500:2500:2] = -0.1
+    dev.check_read_regime(v)
+    v[2217, 9] = bad
+    with pytest.raises(ReadRegimeError):
+        dev.check_read_regime(v)
+    with pytest.raises(ReadRegimeError):
+        dev.check_read_regime(v[2000:])
+
+
+def test_read_regime_check_accepts_the_window_edges():
+    edge = dev.READ_REGIME_MAX
+    dev.check_read_regime(np.array([[edge, -edge], [0.0, 0.0]]))
+    dev.check_read_regime(edge)
+    dev.check_read_regime(-edge)
+    dev.check_read_regime(np.empty((0, 17)))
+
+
 def test_verify_read_regime_rejects_nan():
     assert dev.differential_conductance(42e-6, 0.2) == 42e-6
     with pytest.raises(ReadRegimeError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from xbarnet import network
-from xbarnet.bench import Dataset, encode_levels, letter_dataset, score
+from xbarnet.bench import Dataset, letter_dataset, score
 from xbarnet.crossbar import vmm_currents_batch
 from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError, DimensionError, ReadRegimeError
@@ -30,6 +30,14 @@ def set_weights(net, w1, w2):
     snet.layer1.w, snet.layer2.w = w1, w2
     net.xbar1.g[:], net.xbar2.g[:] = conductance_targets(snet, net.xbar1.spec)
     return net
+
+
+def drive(net, levels):
+    """forward's row voltages for a batch of drive levels in [-1, 1], as a
+    pm1 dataset of them."""
+    levels = np.atleast_2d(levels)
+    return drive_voltages(net.config,
+                          Dataset(levels, np.zeros(len(levels), int), 1))
 
 
 def read_weights(net):
@@ -191,7 +199,7 @@ def test_hardware_matches_software_on_ideal_devices():
     net = ideal_net(seed=3)
     set_weights(net, rng.uniform(-1, 1, (17, 10)), rng.uniform(-1, 1, (11, 4)))
     levels = rng.choice([-1.0, 1.0], (25, 16))
-    trace = forward(net, drive_voltages(net.config, levels))
+    trace = forward(net, drive(net, levels))
     want = software_forward_oracle(net, levels)
     assert np.max(np.abs(trace.output - want)) < 1e-9
 
@@ -201,7 +209,7 @@ def test_all_midrange_ties_to_class_zero():
     mid = 0.5 * (net.xbar1.spec.g_min + net.xbar1.spec.g_max)
     net.xbar1.g[:] = mid
     net.xbar2.g[:] = mid
-    out = forward(net, drive_voltages(net.config, np.ones((1, 16)))).output
+    out = forward(net, drive(net, np.ones((1, 16)))).output
     assert classify(out)[0] == 0
     np.testing.assert_allclose(out[0], out[0, 0])
 
@@ -210,8 +218,7 @@ def test_hidden_drive_stays_in_read_window():
     rng = np.random.default_rng(9)
     net = ideal_net(seed=7)
     set_weights(net, rng.uniform(-2, 2, (17, 10)), rng.uniform(-1, 1, (11, 4)))
-    trace = forward(net, drive_voltages(
-        net.config, rng.choice([-1.0, 1.0], (200, 16))))
+    trace = forward(net, drive(net, rng.choice([-1.0, 1.0], (200, 16))))
     swing = net.hidden_neurons.params.out_swing
     assert np.max(np.abs(trace.hidden)) <= swing + 1e-15
     assert np.max(np.abs(trace.v_in2)) <= max(swing,
@@ -227,8 +234,7 @@ def test_inference_never_disturbs_weights():
     g1, g2 = net.xbar1.g.copy(), net.xbar2.g.copy()
     assert min(net.xbar1.v_set.min(), net.xbar1.v_reset.min(),
                net.xbar2.v_set.min(), net.xbar2.v_reset.min()) >= 0.5
-    forward(net, drive_voltages(net.config,
-                                rng.choice([-1.0, 1.0], (10_000, 16))))
+    forward(net, drive(net, rng.choice([-1.0, 1.0], (10_000, 16))))
     np.testing.assert_array_equal(net.xbar1.g, g1)
     np.testing.assert_array_equal(net.xbar2.g, g2)
 
@@ -247,11 +253,34 @@ def test_classify_tie_lowest_index():
 
 def test_drive_voltages_bias_and_width():
     net = ideal_net()
-    v = drive_voltages(net.config, np.ones((3, 16)))
+    v = drive(net, np.ones((3, 16)))
     assert v.shape == (3, 17)
     np.testing.assert_allclose(v[:, -1], net.config.input_voltage)
     with pytest.raises(DimensionError):
-        drive_voltages(net.config, np.ones((3, 15)))
+        drive(net, np.ones((3, 15)))
+
+
+def test_drive_voltages_pm1_levels_pass_through():
+    # a pm1 pixel is its own level: the drive is input_voltage times it
+    net = ideal_net()
+    train, _ = letter_dataset()
+    v = drive_voltages(net.config, train)
+    assert v[:, :16].tobytes() == (net.config.input_voltage
+                                   * train.pixels).tobytes()
+
+
+def test_drive_voltages_maps_gray_codes_to_levels():
+    # code c drives ((c / 255) * 2 - 1) * v: 0 is exactly -v, 255 exactly
+    # +v, and every code gives the bits of the float-level input stage it
+    # replaced, v * (2 * (c / 255) - 1) from c / 255 floats
+    config = NetworkConfig(n_inputs=256)
+    codes = np.arange(256, dtype=np.uint8)[None, :]
+    v = drive_voltages(config, Dataset(codes, np.array([0]), 10, "gray01"))
+    vin = config.input_voltage
+    assert v[0, 0] == -vin and v[0, 255] == vin and v[0, 256] == vin
+    levels = 2.0 * (codes / 255.0)
+    levels -= 1.0
+    assert v[:, :256].tobytes() == (levels * vin).tobytes()
 
 
 def test_evaluate_letters_smoke():
@@ -273,7 +302,7 @@ def test_nan_input_voltage_fails_loudly():
     levels[1, 5] = np.nan
     net = ideal_net()
     with pytest.raises(ReadRegimeError):
-        forward(net, drive_voltages(net.config, levels))
+        forward(net, drive(net, levels))
 
 
 def test_evaluate_empty_dataset():
@@ -297,8 +326,9 @@ def digit_net(seed=0):
 
 
 def whole_batch_forward(net, v_in, *, t=None, noise_sigma=0.0, rng=None):
-    """forward as it was before layer 1 read in row chunks: each layer one
-    whole-batch read, the bias column appended with np.hstack."""
+    """forward as it was before either layer read in row chunks: layer 1
+    in one whole-batch read, then layer 2 in one, from one generator, the
+    bias column appended with np.hstack."""
     gen = np.random.default_rng(rng) if noise_sigma > 0.0 else None
     i1 = vmm_currents_batch(net.xbar1, v_in, t=t, noise_sigma=noise_sigma,
                             rng=gen)
@@ -332,8 +362,8 @@ def test_chunked_forward_equals_whole_batch(t, noise_sigma):
     # 2,500 patterns: two full chunks of 1,000 and a remainder of 500
     assert network._CHUNK_ROWS == 1000
     net = digit_net()
-    levels = np.random.default_rng(1).uniform(-1.0, 1.0, (2500, 784))
-    v_in = drive_voltages(net.config, levels)
+    v_in = drive(net, np.random.default_rng(1).uniform(-1.0, 1.0,
+                                                       (2500, 784)))
     gen_got, gen_want = np.random.default_rng(7), np.random.default_rng(7)
     got = forward(net, v_in, t=t, noise_sigma=noise_sigma, rng=gen_got)
     want = whole_batch_forward(net, v_in, t=t, noise_sigma=noise_sigma,
@@ -345,13 +375,14 @@ def test_chunked_forward_equals_whole_batch(t, noise_sigma):
 
 def test_chunked_evaluate_equals_whole_batch_with_noise():
     rng = np.random.default_rng(2)
-    data = Dataset(rng.uniform(0.0, 1.0, (2100, 784)),
+    data = Dataset(rng.integers(0, 256, (2100, 784), dtype=np.uint8),
                    rng.integers(0, 10, 2100), 10, "gray01")
     net = digit_net(seed=3)
     got = evaluate(net, data, noise_sigma=0.05,
                    rng=np.random.default_rng(9))
-    v_in = np.hstack([net.config.input_voltage * encode_levels(data),
-                      np.full((len(data), 1), net.config.input_voltage)])
+    vin = net.config.input_voltage
+    v_in = np.hstack([vin * (2.0 * (data.pixels / 255.0) - 1.0),
+                      np.full((len(data), 1), vin)])
     want_out = whole_batch_forward(net, v_in, noise_sigma=0.05,
                                    rng=np.random.default_rng(9)).output
     want = score(classify(want_out), data.labels, 10)
@@ -360,14 +391,17 @@ def test_chunked_evaluate_equals_whole_batch_with_noise():
 
 def test_forward_temporaries_stay_at_chunk_size():
     # a return to whole-batch layer-1 temporaries (the squared drive alone
-    # is 4000 x 785 doubles, 25 MB) breaks the bound; layer 2 stays whole
-    # and its 4000 x 301 temporaries fit inside it
+    # is 4000 x 785 doubles, 25 MB) breaks the bound.  The hidden outputs
+    # are a view of layer 2's drive, so the returned trace counts them
+    # once; each chunk's read also rebuilds two layer-1-sized conductance
+    # products (g_eff and g_eff * kappa), which the bound allows for
     net = digit_net()
-    v_in = drive_voltages(
-        net.config, np.random.default_rng(4).uniform(-1.0, 1.0, (4000, 784)))
+    v_in = drive(net, np.random.default_rng(4).uniform(-1.0, 1.0,
+                                                       (4000, 784)))
     chunk = network._CHUNK_ROWS
     assert v_in.shape[0] > 2 * chunk
-    two_chunks = 2 * chunk * (net.xbar1.rows + net.xbar1.cols) * 8
+    two_chunks = 2 * chunk * (net.xbar1.rows + net.xbar1.cols) * 8 \
+        + 2 * net.xbar1.g.nbytes
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -375,13 +409,39 @@ def test_forward_temporaries_stay_at_chunk_size():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    returned = sum(a.nbytes for a in (trace.hidden, trace.v_in2,
-                                      trace.output))
+    assert np.shares_memory(trace.hidden, trace.v_in2)
+    returned = trace.v_in2.nbytes + trace.output.nbytes
     assert peak <= returned + two_chunks, (
         f"forward allocated {peak / 2**20:.1f} MB over a returned trace of "
         f"{returned / 2**20:.1f} MB; the bound allows "
         f"{two_chunks / 2**20:.1f} MB of temporaries"
     )
+
+
+@pytest.mark.parametrize("bias2", [True, False])
+def test_forward_reads_layer_2_in_chunks_after_layer_1(monkeypatch, bias2):
+    # both layers read _CHUNK_ROWS patterns at a time, every layer-1 chunk
+    # before any layer-2 chunk, so read noise draws as one whole read per
+    # layer would (test_chunked_forward_equals_whole_batch); the hidden
+    # outputs are written straight into layer 2's drive
+    net = ideal_net(NetworkConfig(bias2=bias2))
+    reads = []
+
+    def recorded(xbar, v_batch, **kwargs):
+        reads.append((1 if xbar is net.xbar1 else 2, v_batch.shape[0]))
+        return vmm_currents_batch(xbar, v_batch, **kwargs)
+
+    monkeypatch.setattr(network, "vmm_currents_batch", recorded)
+    assert network._CHUNK_ROWS == 1000
+    trace = forward(net, drive(net, np.ones((2500, 16))), noise_sigma=0.05,
+                    rng=3)
+    assert reads == [(1, 1000), (1, 1000), (1, 500),
+                     (2, 1000), (2, 1000), (2, 500)]
+    assert trace.v_in2.shape == (2500, net.xbar2.rows)
+    assert np.shares_memory(trace.hidden, trace.v_in2)
+    np.testing.assert_array_equal(trace.v_in2[:, :10], trace.hidden)
+    if bias2:
+        assert np.all(trace.v_in2[:, 10] == net.config.input_voltage)
 
 
 def test_forward_rejects_a_drive_of_the_wrong_width():

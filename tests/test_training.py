@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xbarnet import training
-from xbarnet.bench import Dataset, encode_levels, letter_dataset
+from xbarnet.bench import Dataset, letter_dataset
 from xbarnet.crossbar import inject_cell_defects
 from xbarnet.device import DeviceSpec
 from xbarnet.errors import ConfigError, DimensionError, DivergenceError
 from xbarnet.network import (NetworkConfig, assemble, classify,
                              drive_voltages, forward, pair_difference)
-from xbarnet.neuron import CompensationParams, NeuronParams
+from xbarnet.neuron import (CompensationParams, NeuronFault, NeuronParams,
+                            slope)
 from xbarnet.progtune import FormingConfig, TuneConfig
 from xbarnet.training import (InSituConfig, InSituState, Loss, MeasuredMaps,
                               Scheme, TrainHyper, _loss_and_grads,
@@ -95,8 +96,7 @@ def random_net(seed, *, quadratic, w_scale=0.5):
         layers.append(dataclasses.replace(layer, **kw))
     snet.layer1, snet.layer2 = layers
     levels = rng.choice([-1.0, 1.0], (12, 16))
-    labels = rng.integers(0, 4, 12)
-    return snet, levels, labels
+    return snet, Dataset(levels, rng.integers(0, 4, 12), 4)
 
 
 def weights_digest(w1, w2):
@@ -106,8 +106,8 @@ def weights_digest(w1, w2):
 # --- forward / backward -----------------------------------------------------
 
 def test_layer_flags_read_from_c_d_and_frozen():
-    blank, _, _ = random_net(0, quadratic=False)
-    full, _, _ = random_net(0, quadratic=True)
+    blank, _ = random_net(0, quadratic=False)
+    full, _ = random_net(0, quadratic=True)
     assert not blank.layer1.quadratic and not blank.layer1.any_frozen
     assert full.layer1.quadratic and full.layer1.any_frozen
     d = np.zeros_like(blank.layer2.d)
@@ -120,14 +120,15 @@ def test_layer_flags_read_from_c_d_and_frozen():
 def test_fit_formulas_equal_dense_oracle(quadratic, loss):
     # the skip of all-zero quadratic terms leaves every value unchanged;
     # assert_array_equal is exact (it only equates +0.0 with -0.0)
-    snet, levels, labels = random_net(1, quadratic=quadratic)
-    got = software_forward(snet, levels)
-    want = dense_forward(snet, levels)
+    snet, data = random_net(1, quadratic=quadratic)
+    labels = data.labels
+    got = software_forward(snet, data)
+    want = dense_forward(snet, data.pixels)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     value, dw1, dw2, n_err = _loss_and_grads(
-        snet, drive_voltages(snet.config, levels), labels, loss, 0.8)
-    w_value, w_dw1, w_dw2 = dense_grads(snet, levels, labels, loss, 0.8)
+        snet, drive_voltages(snet.config, data), labels, loss, 0.8)
+    w_value, w_dw1, w_dw2 = dense_grads(snet, data.pixels, labels, loss, 0.8)
     assert value == w_value
     np.testing.assert_array_equal(dw1, w_dw1)
     np.testing.assert_array_equal(dw2, w_dw2)
@@ -137,10 +138,10 @@ def test_fit_formulas_equal_dense_oracle(quadratic, loss):
 def test_software_output_layer_is_the_unscaled_clip():
     # the output stage has no divider: the one neuron law at out_swing =
     # v_sat is the clip itself, bit for bit, inside and past saturation
-    snet, levels, _ = random_net(1, quadratic=True)
+    snet, data = random_net(1, quadratic=True)
     op = snet.output_params
     assert op.out_swing == op.v_sat
-    y, _, _, vd2, _, _ = software_forward(snet, levels)
+    y, _, _, vd2, _, _ = software_forward(snet, data)
     saturated = np.abs(y) == op.v_sat
     assert saturated.any() and not saturated.all()
     np.testing.assert_array_equal(
@@ -150,12 +151,13 @@ def test_software_output_layer_is_the_unscaled_clip():
 @pytest.mark.parametrize("loss", list(Loss))
 def test_quadratic_grads_match_finite_differences(loss):
     # small weights keep every neuron off its clip, where the model is smooth
-    snet, levels, labels = random_net(2, quadratic=True, w_scale=0.05)
-    _, hidden, vd1, vd2, _, _ = software_forward(snet, levels)
+    snet, data = random_net(2, quadratic=True, w_scale=0.05)
+    labels = data.labels
+    _, hidden, vd1, vd2, _, _ = software_forward(snet, data)
     hp, op = snet.hidden_params, snet.output_params
     assert np.all(np.abs(hp.gain * vd1) < 0.9 * hp.v_sat)
     assert np.all(np.abs(op.gain * vd2) < 0.9 * op.v_sat)
-    x1 = drive_voltages(snet.config, levels)
+    x1 = drive_voltages(snet.config, data)
     _, dw1, dw2, _ = _loss_and_grads(snet, x1, labels, loss, 1.0)
     rng = np.random.default_rng(3)
     eps = 1e-6
@@ -188,9 +190,8 @@ def test_fit_with_non_finite_loss_raises():
     # an initial spread of 1e308 overflows to inf weights on the first draw
     train, _ = letter_dataset()
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
-        training._fit(unbounded_software_net(), encode_levels(train),
-                      train.labels, TrainHyper(epochs=5, init_scale=1e308),
-                      train.n_classes)
+        training._fit(unbounded_software_net(), train,
+                      TrainHyper(epochs=5, init_scale=1e308))
     assert err.value.epoch == 0
 
 
@@ -199,9 +200,8 @@ def test_fit_ending_at_chance_raises():
     # clip; the gradients vanish and the fit would settle at 1 in 4 right
     train, _ = letter_dataset()
     with pytest.raises(DivergenceError, match="chance: 25.00%") as err:
-        training._fit(unbounded_software_net(), encode_levels(train),
-                      train.labels, TrainHyper(lr=1e300, epochs=10),
-                      train.n_classes)
+        training._fit(unbounded_software_net(), train,
+                      TrainHyper(lr=1e300, epochs=10))
     assert err.value.epoch == 9
 
 
@@ -214,11 +214,9 @@ def test_fit_with_non_finite_weights_raises():
     frozen[0, :] = True
     w = np.where(frozen, np.inf, 0.0)
     snet.layer1 = dataclasses.replace(snet.layer1, w=w, frozen=frozen)
-    levels = encode_levels(train)
     with np.errstate(all="ignore"), \
             pytest.raises(DivergenceError, match="weights") as err:
-        training._fit(snet, levels, train.labels, TrainHyper(epochs=3),
-                      train.n_classes)
+        training._fit(snet, train, TrainHyper(epochs=3))
     assert err.value.epoch == 0
 
 
@@ -281,7 +279,7 @@ def test_ideal_hardware_forward_equals_software_forward():
     # row on either layer
     spec = DeviceSpec(vset_sigma=0.0, vreset_sigma=0.0, kappa_mean=0.0,
                       kappa_sigma=0.0)
-    levels = encode_levels(letter_dataset()[0])
+    train, _ = letter_dataset()
     for bias1, bias2 in ((True, True), (False, False), (True, False),
                          (False, True)):
         net = assemble(NetworkConfig(bias1=bias1, bias2=bias2), spec, seed=2)
@@ -291,8 +289,8 @@ def test_ideal_hardware_forward_equals_software_forward():
             # inside the +-0.18 box the 1/r_f scale maps without clamping
             layer.w = rng.uniform(-0.17, 0.17, layer.w.shape)
         net.xbar1.g[:], net.xbar2.g[:] = conductance_targets(snet, spec)
-        hw = forward(net, drive_voltages(net.config, levels)).output
-        sw = software_forward(snet, levels)[0]
+        hw = forward(net, drive_voltages(net.config, train)).output
+        sw = software_forward(snet, train)[0]
         assert np.max(np.abs(hw - sw)) < 1e-12, (bias1, bias2)
         np.testing.assert_array_equal(classify(hw), classify(sw))
 
@@ -303,12 +301,13 @@ def test_software_model_takes_the_hardware_input_stage():
     net = letter_net()
     snet = build_software_net(net)
     assert snet.config is net.config
-    levels = encode_levels(letter_dataset()[0])[:, :15]
+    train, _ = letter_dataset()
+    narrow = Dataset(train.pixels[:, :15], train.labels, train.n_classes)
     with pytest.raises(DimensionError, match="got 15 inputs"):
-        software_forward(snet, levels)
+        software_forward(snet, narrow)
     with pytest.raises(DimensionError, match="got 15 inputs"):
-        _loss_and_grads(snet, drive_voltages(snet.config, levels),
-                        np.zeros(len(levels), int), Loss.SQUARED_ERROR, 1.0)
+        _loss_and_grads(snet, drive_voltages(snet.config, narrow),
+                        narrow.labels, Loss.SQUARED_ERROR, 1.0)
 
 
 @pytest.mark.parametrize("half_select", [False, True])
@@ -336,6 +335,71 @@ def _midrange_letter_net(seed):
     for xbar in (net.xbar1, net.xbar2):
         xbar.g[:] = rng.uniform(xbar.g_lo, xbar.g_hi)
     return net
+
+
+def full_batch_accumulators(net, cfg, state):
+    """_error_accumulators as it was when every array of its backward chain
+    held the whole fit set, the correctly classified rows' delta2 zeroed:
+    the oracle of the sign property below."""
+    trace = forward(net, state.drive)
+    mis = np.argmax(trace.output, axis=1) != state.labels
+    n_err = int(mis.sum())
+    if n_err == 0:
+        return 0, None, None
+    y = trace.output
+    onehot = np.zeros_like(y)
+    onehot[np.arange(y.shape[0]), state.labels] = 1.0
+    t = cfg.target_volts * (2.0 * onehot - 1.0)
+    gate2 = (np.abs(y) < net.output_neurons.swing).astype(np.float64)
+    delta2 = (y - t) * slope(net.output_neurons.params) * gate2
+    delta2[~mis] = 0.0
+    a2 = trace.v_in2.T @ delta2
+    gate1 = np.abs(trace.hidden) < net.hidden_neurons.swing
+    delta1 = (delta2 @ state.believed_w2(net).T)[:, : net.config.n_hidden] \
+        * slope(net.hidden_neurons.params)
+    delta1 *= gate1
+    a1 = state.drive.T @ delta1
+    return n_err, a1, a2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       wrong=st.integers(0, 300), bias1=st.booleans(), bias2=st.booleans(),
+       faults=st.lists(st.sampled_from([NeuronFault.OK,
+                                        NeuronFault.STUCK_HIGH,
+                                        NeuronFault.STUCK_LOW]),
+                       min_size=10, max_size=10))
+def test_misclassified_rows_give_the_full_batch_accumulator_signs(
+        seed, n, wrong, bias1, bias2, faults):
+    # the in-situ step reads only the accumulator signs, so dropping the
+    # rows that add zero may regroup the sums but must keep every sign.
+    # wrong labels go to the first min(wrong, n) rows (none: the fixed
+    # point); a stuck hidden neuron sits at its swing, where the hidden
+    # gate shuts its column of a1
+    rng = np.random.default_rng(seed)
+    net = assemble(NetworkConfig(bias1=bias1, bias2=bias2), DeviceSpec(),
+                   seed)
+    for xbar in (net.xbar1, net.xbar2):
+        xbar.g[:] = rng.uniform(xbar.g_lo, xbar.g_hi)
+    net.hidden_neurons.fault[:] = faults
+    levels = rng.choice([-1.0, 1.0], (n, 16))
+    pred = classify(forward(net, drive_voltages(
+        net.config, Dataset(levels, np.zeros(n, int), 4))).output)
+    labels = pred.copy()
+    k = min(wrong, n)
+    labels[:k] = (pred[:k] + rng.integers(1, 4, k)) % 4
+    state = InSituState.from_network(net, Dataset(levels, labels, 4))
+    cfg = InSituConfig()
+    n_err, a1, a2 = training._error_accumulators(net, cfg, state)
+    w_err, w_a1, w_a2 = full_batch_accumulators(net, cfg, state)
+    assert n_err == w_err == k
+    if k == 0:
+        assert a1 is a2 is w_a1 is w_a2 is None
+        return
+    np.testing.assert_array_equal(np.sign(a1), np.sign(w_a1))
+    np.testing.assert_array_equal(np.sign(a2), np.sign(w_a2))
+    stuck = np.asarray(faults) != NeuronFault.OK
+    assert not a1[:, stuck].any()
 
 
 def test_insitu_epoch_pulses_the_network_it_is_given():
@@ -518,11 +582,12 @@ def test_chunked_error_count_equals_the_whole_batch_count():
     # _count_errors runs the forward pass a chunk of rows at a time; on a
     # batch that is not a multiple of the chunk it counts what one
     # whole-batch pass counts
-    snet, _, _ = random_net(4, quadratic=True)
+    snet, _ = random_net(4, quadratic=True)
     n = 2 * training._COUNT_CHUNK_ROWS + 117
     rng = np.random.default_rng(4)
-    x1 = drive_voltages(snet.config, rng.choice([-1.0, 1.0], (n, 16)))
+    levels = rng.choice([-1.0, 1.0], (n, 16))
     labels = rng.integers(0, 4, n)
+    x1 = drive_voltages(snet.config, Dataset(levels, labels, 4))
     y, *_ = training._forward(snet, x1)
     want = int(np.sum(np.argmax(y, axis=1) != labels))
     assert 0 < want < n
