@@ -41,6 +41,8 @@ and a ``write_pulse`` without minima reads the thresholds as they are.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -176,6 +178,44 @@ def _sample(spec: DeviceSpec, draw, formed: bool) -> Crossbar:
 # ---------------------------------------------------------------------------
 
 
+# threads that run a read's row blocks (_each_block): two at most, since
+# forward's memory bound allows two chunks of read temporaries at a time.
+# The pool starts its threads at its first submit, not at import.
+_BLOCK_WORKERS = min(2, len(os.sched_getaffinity(0)))
+_BLOCK_POOL = ThreadPoolExecutor(_BLOCK_WORKERS,
+                                 thread_name_prefix="xbarnet-block")
+
+
+def _each_block(fn, n: int, step: int, *, ordered: bool = False) -> list:
+    """``[fn(rows) for rows in blocks]`` over the ``step``-row blocks
+    (slices) of ``range(n)``, the results in block order.
+
+    The blocks run _BLOCK_WORKERS at a time on one shared thread pool;
+    NumPy releases the GIL inside BLAS, so two blocks' matrix products run
+    on two cores.  That is exact when fn(rows) reads and writes only its
+    own rows and its bits do not depend on the thread that computes it.
+    ``ordered`` (a read that draws noise from one generator), a single
+    block or a one-worker pool runs the blocks in order on the calling
+    thread.  fn must not call _each_block, so nothing nests.  Every block
+    has ended when this returns or raises; an error raises the first
+    failed block's exception, and the pool stays usable.
+    """
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    if ordered or len(blocks) < 2 or _BLOCK_WORKERS < 2:
+        return [fn(rows) for rows in blocks]
+    futures = [_BLOCK_POOL.submit(fn, rows) for rows in blocks]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
+def _read_products(xbar: Crossbar, t: float | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(g_eff, g_eff * kappa): the two conductance products of a read at
+    t, which vmm_currents_batch takes as ``products``."""
+    g_eff = dev.effective_conductance(xbar.g, xbar.spec, t)
+    return g_eff, g_eff * xbar.kappa
+
+
 def vmm_currents_batch(
     xbar: Crossbar,
     v_batch: np.ndarray,
@@ -183,6 +223,7 @@ def vmm_currents_batch(
     t: float | None = None,
     noise_sigma: float = 0.0,
     rng=None,
+    products: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Column currents for a batch of input vectors, shape (n, rows) -> (n, cols).
 
@@ -192,6 +233,16 @@ def vmm_currents_batch(
     is applied at the column-sum level with the exactly matching variance
     sum_i term_i^2 * sigma^2, without materializing an (n, rows, cols)
     tensor.
+
+    ``products`` is ``_read_products(xbar, t)``, built once by a caller
+    that reads one array state in many batches (forward's row chunks, two
+    of which may run at once on _each_block's threads); without it they
+    are built here.  The quadratic product V^2 (G_eff kappa) is made first
+    and V^2 freed before V G_eff is made, and the quadratic product is
+    added into it in place: the same two products and the same sum, bit
+    for bit, with a noiseless read's temporaries at most the drive's size
+    plus the output's.  A noisy read squares the drive again for its
+    variance.  Every call checks its own batch's read regime.
     """
     v_batch = np.asarray(v_batch, dtype=np.float64)
     if v_batch.ndim != 2 or v_batch.shape[1] != xbar.rows:
@@ -199,12 +250,14 @@ def vmm_currents_batch(
             f"input batch has shape {v_batch.shape}, expected (n, {xbar.rows})"
         )
     dev.check_read_regime(v_batch)
-    g_eff = dev.effective_conductance(xbar.g, xbar.spec, t)
-    g_kappa = g_eff * xbar.kappa
-    v2 = v_batch * v_batch
-    out = v_batch @ g_eff + v2 @ g_kappa
+    g_eff, g_kappa = _read_products(xbar, t) if products is None \
+        else products
+    quad = (v_batch * v_batch) @ g_kappa
+    out = v_batch @ g_eff
+    out += quad
     if noise_sigma > 0.0:
         gen = np.random.default_rng(rng)
+        v2 = v_batch * v_batch
         var = (
             v2 @ (g_eff * g_eff)
             + (v2 * v_batch) @ (2.0 * g_eff * g_kappa)

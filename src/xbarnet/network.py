@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bench
-from .crossbar import Crossbar, build_crossbar, vmm_currents_batch
+from .crossbar import (Crossbar, _each_block, _read_products, build_crossbar,
+                       vmm_currents_batch)
 from .device import DeviceSpec
 from .errors import (POSITIVE, ConfigError, DimensionError, boolean,
                      check_fields, checked, count)
@@ -208,14 +209,26 @@ def drive_voltages(config: NetworkConfig, dataset: bench.Dataset
 
 
 def _read_layer(xbar: Crossbar, bank: NeuronBank, v: np.ndarray,
-                out: np.ndarray, **read):
+                out: np.ndarray, *, t: float | None, noise_sigma: float, rng):
     """Neuron outputs of one layer into out, for the drive batch v read
-    _CHUNK_ROWS patterns at a time."""
+    _CHUNK_ROWS patterns at a time.
+
+    The conductance products are built once for every chunk.  Noiseless
+    chunks run two at a time on _each_block's threads: each is the same
+    vmm_currents_batch call on the same rows as in a serial loop and writes
+    only its own rows of out, so the result is the same bit for bit.  Noisy
+    chunks run in row order on the calling thread, so the one generator
+    draws as a serial loop draws.
+    """
     r_f = bank.params.r_f
-    for start in range(0, v.shape[0], _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        i = vmm_currents_batch(xbar, v[rows], **read)
+    products = _read_products(xbar, t)
+
+    def read(rows: slice):
+        i = vmm_currents_batch(xbar, v[rows], t=t, noise_sigma=noise_sigma,
+                               rng=rng, products=products)
         out[rows] = bank_outputs(bank, r_f * pair_difference(i))
+
+    _each_block(read, v.shape[0], _CHUNK_ROWS, ordered=noise_sigma > 0.0)
 
 
 def forward(
@@ -237,10 +250,16 @@ def forward(
     whole product bit for bit, which holds on a single-threaded BLAS
     because each row keeps its own reduction order; tests/test_network.py
     compares the chunked pass with a whole-batch one and fails if a BLAS
-    breaks it.  Layer 2 reads only after every layer-1 chunk, so with read
-    noise the generator still gives layer 1 its draws first, in row order
-    (consecutive chunk draws are one whole-batch draw split by rows), then
-    layer 2, in row order.
+    breaks it.
+
+    A noiseless pass reads two chunks of a layer at a time, on two threads
+    (_read_layer); that adds no assumption, since a chunk's bits do not
+    depend on the thread that reads it, and at most two chunks' temporaries
+    are alive at once.  With read noise every chunk reads in row order on
+    the calling thread.  Layer 2 reads only after every layer-1 chunk has
+    ended, so the generator still gives layer 1 its draws first, in row
+    order (consecutive chunk draws are one whole-batch draw split by rows),
+    then layer 2, in row order.
     """
     gen = np.random.default_rng(rng) if noise_sigma > 0.0 else None
     v_in = np.asarray(v_in, dtype=np.float64)

@@ -30,8 +30,8 @@ import numpy as np
 from . import device as dev
 from . import network as netmod
 from .bench import Dataset
-from .crossbar import (Crossbar, measure_maps, pulse_all, threshold_minima,
-                       write_pulse)
+from .crossbar import (Crossbar, _each_block, measure_maps, pulse_all,
+                       threshold_minima, write_pulse)
 from .device import DefectKind, DeviceSpec
 from .errors import (FINITE, NONNEG, POSITIVE, ConfigError, DimensionError,
                      DivergenceError, boolean, check_fields, checked, choice,
@@ -366,14 +366,21 @@ _COUNT_CHUNK_ROWS = 250
 
 def _count_errors(snet: SoftwareNet, x1: np.ndarray,
                   labels: np.ndarray) -> int:
-    """Misclassified rows of x1, counted _COUNT_CHUNK_ROWS at a time; a
-    row's output does not depend on the other rows of its batch."""
-    errors = 0
-    for start in range(0, x1.shape[0], _COUNT_CHUNK_ROWS):
-        rows = slice(start, start + _COUNT_CHUNK_ROWS)
+    """Misclassified rows of x1, counted _COUNT_CHUNK_ROWS at a time.
+
+    A row's output may differ in its last bits from a whole-batch pass's,
+    since a BLAS need not give a 250-row product the bits of the same rows
+    of a longer one, so only a near-tie of two outputs could move the
+    count; the chunked count is the one every pinned fit records.  The
+    chunks run two at a time on crossbar._each_block's threads.  Each is
+    the same _forward on the same rows as in a serial loop, and their
+    counts are summed as integers, so the count is the serial one.
+    """
+    def count(rows: slice) -> int:
         y, *_ = _forward(snet, x1[rows])
-        errors += int(np.sum(np.argmax(y, axis=1) != labels[rows]))
-    return errors
+        return int(np.sum(np.argmax(y, axis=1) != labels[rows]))
+
+    return sum(_each_block(count, x1.shape[0], _COUNT_CHUNK_ROWS))
 
 
 def _fit(snet: SoftwareNet, dataset: Dataset, hyper: TrainHyper

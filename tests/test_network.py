@@ -1,12 +1,14 @@
 """Two-crossbar perceptron: differential pairs, assembly, inference."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from xbarnet import network
+from xbarnet import crossbar, network
 from xbarnet.bench import Dataset, letter_dataset, score
 from xbarnet.crossbar import vmm_currents_batch
 from xbarnet.device import DeviceSpec
@@ -314,15 +316,20 @@ def test_evaluate_empty_dataset():
 
 # --- row-chunked reads ------------------------------------------------------
 
-def digit_net(seed=0):
-    """A 785x600 / 301x20 network with every conductance drawn uniformly
-    inside its cell's bounds, so hidden outputs span their range."""
-    net = assemble(NetworkConfig(n_inputs=784, n_hidden=300, n_outputs=10),
-                   DeviceSpec(), seed)
+def uniform_net(config, seed=0):
+    """A network with every conductance drawn uniformly inside its cell's
+    bounds, so hidden outputs span their range."""
+    net = assemble(config, DeviceSpec(), seed)
     rng = np.random.default_rng(seed)
     for xbar in (net.xbar1, net.xbar2):
         xbar.g[:] = rng.uniform(xbar.g_lo, xbar.g_hi)
     return net
+
+
+def digit_net(seed=0):
+    """A 785x600 / 301x20 uniform_net."""
+    return uniform_net(NetworkConfig(n_inputs=784, n_hidden=300,
+                                     n_outputs=10), seed)
 
 
 def whole_batch_forward(net, v_in, *, t=None, noise_sigma=0.0, rng=None):
@@ -393,8 +400,10 @@ def test_forward_temporaries_stay_at_chunk_size():
     # a return to whole-batch layer-1 temporaries (the squared drive alone
     # is 4000 x 785 doubles, 25 MB) breaks the bound.  The hidden outputs
     # are a view of layer 2's drive, so the returned trace counts them
-    # once; each chunk's read also rebuilds two layer-1-sized conductance
-    # products (g_eff and g_eff * kappa), which the bound allows for
+    # once.  Two chunks read at once, each holding at most a chunk's
+    # squared drive and one chunk-sized product; both share one layer
+    # read's two layer-1-sized conductance products (g_eff, which is g
+    # itself at t_ref, and g_eff * kappa)
     net = digit_net()
     v_in = drive(net, np.random.default_rng(4).uniform(-1.0, 1.0,
                                                        (4000, 784)))
@@ -421,27 +430,134 @@ def test_forward_temporaries_stay_at_chunk_size():
 @pytest.mark.parametrize("bias2", [True, False])
 def test_forward_reads_layer_2_in_chunks_after_layer_1(monkeypatch, bias2):
     # both layers read _CHUNK_ROWS patterns at a time, every layer-1 chunk
-    # before any layer-2 chunk, so read noise draws as one whole read per
-    # layer would (test_chunked_forward_equals_whole_batch); the hidden
-    # outputs are written straight into layer 2's drive
+    # ending before any layer-2 chunk starts, so read noise draws as one
+    # whole read per layer would (test_chunked_forward_equals_whole_batch);
+    # the hidden outputs are written straight into layer 2's drive.  Noisy
+    # chunks read in row order; noiseless ones may read two at a time
     net = ideal_net(NetworkConfig(bias2=bias2))
-    reads = []
+    events = []
+    lock = threading.Lock()
 
     def recorded(xbar, v_batch, **kwargs):
-        reads.append((1 if xbar is net.xbar1 else 2, v_batch.shape[0]))
-        return vmm_currents_batch(xbar, v_batch, **kwargs)
+        read = (1 if xbar is net.xbar1 else 2, v_batch.shape[0])
+        with lock:
+            events.append(("start", *read))
+        out = vmm_currents_batch(xbar, v_batch, **kwargs)
+        with lock:
+            events.append(("end", *read))
+        return out
 
     monkeypatch.setattr(network, "vmm_currents_batch", recorded)
+    monkeypatch.setattr(crossbar, "_BLOCK_WORKERS", 2)
     assert network._CHUNK_ROWS == 1000
-    trace = forward(net, drive(net, np.ones((2500, 16))), noise_sigma=0.05,
-                    rng=3)
-    assert reads == [(1, 1000), (1, 1000), (1, 500),
-                     (2, 1000), (2, 1000), (2, 500)]
-    assert trace.v_in2.shape == (2500, net.xbar2.rows)
-    assert np.shares_memory(trace.hidden, trace.v_in2)
-    np.testing.assert_array_equal(trace.v_in2[:, :10], trace.hidden)
-    if bias2:
-        assert np.all(trace.v_in2[:, 10] == net.config.input_voltage)
+    for noise_sigma in (0.05, 0.0):
+        events.clear()
+        trace = forward(net, drive(net, np.ones((2500, 16))),
+                        noise_sigma=noise_sigma, rng=3)
+        starts = [(layer, n) for kind, layer, n in events if kind == "start"]
+        if noise_sigma > 0.0:
+            assert starts == [(1, 1000), (1, 1000), (1, 500),
+                              (2, 1000), (2, 1000), (2, 500)]
+        for layer in (1, 2):
+            assert sorted(n for ly, n in starts if ly == layer) == \
+                [500, 1000, 1000]
+        last_layer1_end = max(i for i, (kind, layer, _) in enumerate(events)
+                              if kind == "end" and layer == 1)
+        first_layer2_start = min(i for i, (kind, layer, _)
+                                 in enumerate(events)
+                                 if kind == "start" and layer == 2)
+        assert last_layer1_end < first_layer2_start
+        assert trace.v_in2.shape == (2500, net.xbar2.rows)
+        assert np.shares_memory(trace.hidden, trace.v_in2)
+        np.testing.assert_array_equal(trace.v_in2[:, :10], trace.hidden)
+        if bias2:
+            assert np.all(trace.v_in2[:, 10] == net.config.input_voltage)
+
+
+def _at_each_width(monkeypatch, run):
+    """run() with _each_block's pool one worker wide (every block inline,
+    in order) and two wide."""
+    results = []
+    for width in (1, 2):
+        monkeypatch.setattr(crossbar, "_BLOCK_WORKERS", width)
+        results.append(run())
+    return results
+
+
+def test_forward_and_evaluate_do_not_depend_on_the_pool_width(monkeypatch):
+    # 4,000 patterns are four layer-1 and layer-2 chunks; a block that
+    # reads or writes rows not its own, or that races another block, gives
+    # a trace unlike the serial one
+    net = digit_net()
+    v_in = drive(net, np.random.default_rng(5).uniform(-1.0, 1.0,
+                                                       (4000, 784)))
+    serial, pooled = _at_each_width(monkeypatch, lambda: forward(net, v_in))
+    for name in ("hidden", "v_in2", "output"):
+        assert np.array_equal(getattr(serial, name), getattr(pooled, name)), (
+            f"trace field {name} depends on how many chunks read at once"
+        )
+    rng = np.random.default_rng(6)
+    data = Dataset(rng.integers(0, 256, (4000, 784), dtype=np.uint8),
+                   rng.integers(0, 10, 4000), 10, "gray01")
+    fidelities = _at_each_width(monkeypatch, lambda: evaluate(net, data))
+    assert fidelities[0] == fidelities[1]
+
+
+def test_concurrent_forwards_share_the_pool(monkeypatch):
+    # a threaded sweep calls forward from several threads at once, each
+    # on its own board, handing its chunks to the one shared pool; with
+    # more callers than cores and a short switch interval every caller
+    # still gets its own serial trace
+    monkeypatch.setattr(crossbar, "_BLOCK_WORKERS", 2)
+    nets = [uniform_net(NetworkConfig(), seed) for seed in range(4)]
+    drives = [drive(net, np.random.default_rng(seed).choice([-1.0, 1.0],
+                                                            (2500, 16)))
+              for seed, net in enumerate(nets)]
+    want = [forward(net, v) for net, v in zip(nets, drives)]
+    got = [None] * len(nets)
+
+    def call(k):
+        for _ in range(5):
+            got[k] = forward(nets[k], drives[k])
+            if not np.array_equal(got[k].output, want[k].output):
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(k,))
+                   for k in range(len(nets))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert all(trace is not None for trace in got), "a caller raised"
+    for k in range(len(nets)):
+        for name in ("hidden", "v_in2", "output"):
+            assert np.array_equal(getattr(got[k], name),
+                                  getattr(want[k], name))
+
+
+@pytest.mark.parametrize("bad", [np.nan, 3.0])
+def test_a_bad_row_read_on_a_pool_thread_raises(monkeypatch, bad):
+    # row 1,500 sits in the second of three chunks, read on a pool thread;
+    # its error reaches the caller, and the pool still reads afterwards
+    monkeypatch.setattr(crossbar, "_BLOCK_WORKERS", 2)
+    net = uniform_net(NetworkConfig())
+    levels = np.random.default_rng(8).choice([-1.0, 1.0], (2500, 16))
+    good = forward(net, drive(net, levels))
+    bad_levels = levels.copy()
+    bad_levels[1500, 3] = bad  # 3.0 drives 0.6 V, over READ_REGIME_MAX
+    with pytest.raises(ReadRegimeError):
+        forward(net, drive(net, bad_levels))
+    with pytest.raises(ReadRegimeError):
+        evaluate(net, Dataset(bad_levels, np.zeros(2500, int), 4))
+    again = forward(net, drive(net, levels))
+    for name in ("hidden", "v_in2", "output"):
+        assert np.array_equal(getattr(again, name), getattr(good, name))
 
 
 def test_forward_rejects_a_drive_of_the_wrong_width():

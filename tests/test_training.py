@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xbarnet import training
+from xbarnet import crossbar, training
 from xbarnet.bench import Dataset, letter_dataset
 from xbarnet.crossbar import inject_cell_defects
 from xbarnet.device import DeviceSpec
@@ -592,6 +592,26 @@ def test_chunked_error_count_equals_the_whole_batch_count():
     want = int(np.sum(np.argmax(y, axis=1) != labels))
     assert 0 < want < n
     assert training._count_errors(snet, x1, labels) == want
+
+
+def test_error_count_does_not_depend_on_the_pool_width(monkeypatch):
+    # the chunks count on _each_block's pool two at a time, or inline one
+    # at a time when it is one worker wide: both count what a serial loop
+    # counts
+    snet, _ = random_net(5, quadratic=True)
+    n = 4 * training._COUNT_CHUNK_ROWS + 31
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 4, n)
+    x1 = drive_voltages(snet.config,
+                        Dataset(rng.choice([-1.0, 1.0], (n, 16)), labels, 4))
+    counts = []
+    for width in (1, 2):
+        monkeypatch.setattr(crossbar, "_BLOCK_WORKERS", width)
+        counts.append(training._count_errors(snet, x1, labels))
+    y, *_ = training._forward(snet, x1)
+    want = int(np.sum(np.argmax(y, axis=1) != labels))
+    assert 0 < want < n
+    assert counts == [want, want]
 
 
 # --- pinned outputs -----------------------------------------------------------
