@@ -213,12 +213,12 @@ def _read_layer(xbar: Crossbar, bank: NeuronBank, v: np.ndarray,
     """Neuron outputs of one layer into out, for the drive batch v read
     _CHUNK_ROWS patterns at a time.
 
-    The conductance products are built once for every chunk.  Noiseless
-    chunks run two at a time on _each_block's threads: each is the same
-    vmm_currents_batch call on the same rows as in a serial loop and writes
-    only its own rows of out, so the result is the same bit for bit.  Noisy
-    chunks run in row order on the calling thread, so the one generator
-    draws as a serial loop draws.
+    The conductance products are built once and shared by every chunk.
+    Noiseless chunks run two at a time on _each_block's threads: each is
+    the same vmm_currents_batch call on the same rows as in a serial loop
+    and writes only its own rows of out, so the result is the same bit for
+    bit.  Noisy chunks run in row order on the calling thread, so the one
+    generator draws as a serial loop draws.
     """
     r_f = bank.params.r_f
     products = _read_products(xbar, t)
